@@ -25,7 +25,6 @@ from .stats import (
     TruncationSetting,
     inv_norm_cdf,
     log_sum_exp,
-    map_to_prior,
     norm_cdf,
     replicate_variance,
     truncated_inv_norm_cdf,
@@ -50,7 +49,6 @@ from .allocation import (
     confidence_constant,
     fit_pilot_inner,
     fit_pilot_outer,
-    predicted_work,
     solve_allocation,
     solve_kappa,
 )
@@ -58,14 +56,10 @@ from .models import (
     LinearGaussianModel,
     PKModel,
     SyntheticDiscretizedModel,
-    linear_gaussian_forward,
     pk_designs,
-    pk_forward,
     pk_prior,
-    synthetic_discretized_forward,
 )
 from .oed import (
-    LaplaceFit,
     OEDProblem,
     closed_form_entropy_term,
     eig_conjugate_oracle,

@@ -36,13 +36,13 @@ __all__ = [
     "fit_pilot_inner",
     "solve_kappa",
     "solve_allocation",
-    "predicted_work",
     "brute_force_allocation",
     "confidence_constant",
 ]
 
 _H_MAX = 1.0  # discretization levels are normalized to at most 1
 _TOL_MARGIN = 1.0 - 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class FitQualityError(ArithmeticError):
@@ -257,7 +257,13 @@ def fit_pilot_inner(
         ])
         per_rung.append(reps)
 
-    variances = [float(np.var(reps, ddof=1)) for reps in per_rung[:-1]]
+    # with an exact inner estimator (importance sampling from a Gaussian
+    # posterior) the variance is rounding noise and can come out exactly 0;
+    # the floor at the resolution of the values keeps the log-log fit finite
+    variances = []
+    for reps in per_rung[:-1]:
+        floor = (_EPS * max(1.0, float(np.abs(reps).max()))) ** 2
+        variances.append(max(float(np.var(reps, ddof=1)), floor))
     c_scaled, delta, residual = fit_variance_power_law(ladder, variances)
     c_q2 = c_scaled * n_fixed
 
@@ -607,14 +613,6 @@ def solve_allocation(
             "bias_split": bias_split,
         },
     )
-
-
-def predicted_work(plan: AllocationPlan, c: PilotConstants) -> float:
-    """Work model N * M * h^(-gamma); the h factor is 1 without discretization."""
-    factor = 1.0
-    if plan.h_star is not None and c.c_disc > 0:
-        factor = plan.h_star ** (-c.gamma)
-    return plan.n_star * plan.m_star * factor
 
 
 def brute_force_allocation(

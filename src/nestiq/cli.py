@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,7 +24,6 @@ from .allocation import (
     fit_pilot_inner,
     fit_pilot_outer,
     fit_variance_power_law,
-    predicted_work,
     solve_allocation,
 )
 from .config import ConfigError, ExperimentConfig
@@ -61,18 +59,11 @@ def _summary(lines):
         print(f"{k:>16}: {v}", file=sys.stderr)
 
 
-def _parse_int_list(text: str, flag: str):
+def _parse_list(text: str, flag: str, kind):
     try:
-        return [int(t) for t in text.replace(",", " ").split()]
+        return [kind(t) for t in text.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"{flag}: expected a comma-separated integer list")
-
-
-def _parse_float_list(text: str, flag: str):
-    try:
-        return [float(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected a comma-separated float list")
+        raise ConfigError(f"{flag}: expected a comma-separated {kind.__name__} list")
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +85,8 @@ def cmd_pilot(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.S < 8 or args.R < 8:
         raise ConfigError("pilot runs need --S >= 8 and --R >= 8 randomizations")
-    outer_ladder = _parse_int_list(args.outer_ladder, "--outer-ladder")
-    inner_ladder = _parse_int_list(args.inner_ladder, "--inner-ladder")
+    outer_ladder = _parse_list(args.outer_ladder, "--outer-ladder", int)
+    inner_ladder = _parse_list(args.inner_ladder, "--inner-ladder", int)
     seed = cfg.seed if args.seed is None else args.seed
     key = RandomizationKey(seed, tag="pilot")
     problem = cfg.build_problem()
@@ -107,8 +98,7 @@ def cmd_pilot(args) -> int:
         variances = []
         for i, n in enumerate(outer_ladder):
             res = eig_laplace_only(
-                problem, n,
-                sampler="mc" if sampler.kind == "mc" else "rqmc-sobol-owen",
+                problem, n, sampler=sampler,
                 key=key.child("outer", i), s_replicates=args.S,
             )
             variances.append(args.S * res.variance_of_mean)
@@ -192,7 +182,7 @@ def _plan_payload(plan, consts, meta):
         "n_star": plan.n_star,
         "m_star": plan.m_star,
         "h_star": plan.h_star,
-        "predicted_work": predicted_work(plan, consts),
+        "predicted_work": plan.predicted_work,
         "n_raw": plan.n_raw,
         "m_raw": plan.m_raw,
         "constants": {
@@ -225,11 +215,6 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_config_estimator(cfg, n, m, s, r, seed, h):
-    key = RandomizationKey(seed, tag="estimate")
-    return cfg.run_estimator(n, m, s, r, key, h=h)
-
-
 def cmd_estimate(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     seed = cfg.seed if args.seed is None else args.seed
@@ -242,7 +227,8 @@ def cmd_estimate(args) -> int:
         n, m = args.N, args.M
     else:
         raise ConfigError("provide either --plan or explicit --N (and --M)")
-    result = _run_config_estimator(cfg, n, m, args.S, args.R, seed, h)
+    key = RandomizationKey(seed, tag="estimate")
+    result = cfg.run_estimator(n, m, args.S, args.R, key, h=h)
     payload = {
         "estimator": cfg.estimator,
         "model": cfg.values["model"],
@@ -287,7 +273,7 @@ def _csv_cell(value) -> str:
 def cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     consts, meta = _load_pilot(args.pilot)
-    tols = _parse_float_list(args.tols, "--tols") if args.tols else []
+    tols = _parse_list(args.tols, "--tols", float) if args.tols else []
     seed = cfg.seed if args.seed is None else args.seed
     rows = []
     for i, tol in enumerate(tols):
@@ -304,7 +290,7 @@ def cmd_sweep(args) -> int:
                 "N_star": plan.n_star,
                 "M_star": plan.m_star,
                 "h_star": plan.h_star,
-                "predicted_work": predicted_work(plan, consts),
+                "predicted_work": plan.predicted_work,
                 "estimate": result.estimate,
                 "stderr": result.stderr,
                 "realized_work": result.work,

@@ -34,13 +34,11 @@ class ConfigError(ValueError):
 
 ESTIMATOR_IDS = ("mc", "rqmc", "dlmc", "dlmcis", "rdlqmc", "rdlqmcis", "mcla", "rqmcla")
 _MODELS = ("pk", "linear_gaussian", "synthetic")
-_SAMPLERS = ("mc", "rqmc-sobol-owen", "rqmc-lattice-shift")
 
 # key -> (type, default); None default means "required" or model-conditional
 _SCHEMA = {
     "model": ("str", None),
     "estimator": ("str", None),
-    "sampler": ("str", "rqmc-sobol-owen"),
     "seed": ("int", 0),
     "design": ("str", "geom"),
     "n_experiments": ("int", 1),
@@ -138,8 +136,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"estimator must be one of {ESTIMATOR_IDS}, got {v['estimator']!r}"
             )
-        if v["sampler"] not in _SAMPLERS:
-            raise ConfigError(f"sampler must be one of {_SAMPLERS}")
         if v["n_experiments"] < 1:
             raise ConfigError("n_experiments must be >= 1")
         if v["pk.prior_scale"] not in ("variance", "stddev"):
@@ -252,13 +248,10 @@ class ExperimentConfig:
         return "plain"
 
     def sampler_kind(self) -> SamplerKind:
-        est = self.estimator
-        if est in ("mc", "dlmc", "dlmcis", "mcla"):
+        """iid points for the MC estimator ids, scrambled Sobol for the others."""
+        if self.estimator in ("mc", "dlmc", "dlmcis", "mcla"):
             return SamplerKind("mc")
-        if est in ("rqmcla", "rqmc", "rdlqmc", "rdlqmcis"):
-            kind = self.values["sampler"]
-            return SamplerKind(kind if kind != "mc" else "rqmc-sobol-owen")
-        raise ConfigError(f"unknown estimator {est}")
+        return SamplerKind("rqmc-sobol-owen")
 
     def run_estimator(
         self,
@@ -274,8 +267,7 @@ class ExperimentConfig:
         sampler = self.sampler_kind()
         if family == "laplace":
             return eig_laplace_only(
-                problem, N,
-                sampler="mc" if sampler.kind == "mc" else "rqmc-sobol-owen",
+                problem, N, sampler=sampler,
                 key=key, s_replicates=max(S, 2) if sampler.kind != "mc" else S,
             )
         if M is None:

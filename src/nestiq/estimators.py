@@ -15,6 +15,7 @@ replicate variance.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lds import (
-    DigitalSequence,
     RandomizationKey,
     SobolParams,
     _owen_lanes,
@@ -54,14 +54,10 @@ __all__ = [
 _SAMPLER_KINDS = ("mc", "rqmc-sobol-owen", "rqmc-lattice-shift")
 _CHUNK = 4096
 
-_default_sobol: SobolParams | None = None
 
-
+@functools.cache
 def default_sobol_params() -> SobolParams:
-    global _default_sobol
-    if _default_sobol is None:
-        _default_sobol = load_direction_numbers()
-    return _default_sobol
+    return load_direction_numbers()
 
 
 def thread_count() -> int:
@@ -105,10 +101,6 @@ class SamplerKind:
         if self.kind not in _SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
 
-    @property
-    def is_randomized_qmc(self) -> bool:
-        return self.kind != "mc"
-
     def vector_for(self, dim: int) -> np.ndarray:
         if not self.generating_vectors or dim not in self.generating_vectors:
             raise ValueError(
@@ -136,7 +128,6 @@ class NestedProblem:
     inner: callable
     outer_map: object = "identity"  # "identity" | "log" | callable
     inner_is_log: bool = False
-    inner_linear: callable | None = None
     h: float | None = None
     eta: float = 1.0
     gamma: float = 0.0
@@ -149,21 +140,6 @@ class NestedProblem:
             raise ValueError("outer_map must be 'identity', 'log', or a callable")
         if self.h is not None and self.h <= 0:
             raise ValueError("discretization level h must be positive")
-        if self.inner_linear is not None:
-            if not self.inner_is_log:
-                raise ValueError("inner_linear only accompanies a log-form inner")
-            self._probe_log_consistency()
-
-    def _probe_log_consistency(self):
-        """Both supplied forms must agree, exp(log g) = g, on a probe grid."""
-        probe = RandomizationKey(0, tag="log-form-probe")
-        y = probe.uniforms((4, self.d1), salt="y")
-        x = probe.uniforms((4, 4, self.d2), salt="x")
-        log_vals = np.asarray(self.inner(y, x, self.h), dtype=np.float64)
-        lin_vals = np.asarray(self.inner_linear(y, x, self.h), dtype=np.float64)
-        scale = np.maximum(np.abs(lin_vals), 1e-300)
-        if np.max(np.abs(np.exp(log_vals) - lin_vals) / scale) > 1e-10:
-            raise ValueError("log-form and linear-form inner integrands disagree")
 
     def work_factor(self) -> float:
         return 1.0 if self.h is None else float(self.h) ** (-self.gamma)
@@ -288,7 +264,11 @@ def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray) -> np.nd
 
 
 def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey) -> EstimatorResult:
-    """Double-loop Monte Carlo with iid uniform points in both loops."""
+    """Double-loop Monte Carlo with iid uniform points in both loops.
+
+    One outer and one inner randomization (counts S = R = 1);
+    replicate_values are the N per-sample values.
+    """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
 
@@ -301,7 +281,9 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
     bounds = [(lo, min(lo + _CHUNK, N)) for lo in range(0, N, _CHUNK)]
     values = np.concatenate(_map_ordered(run_chunk, bounds))
     work = N * M * problem.work_factor()
-    return _make_result(values, {"N": N, "M": M}, key, work=work, divisor=N)
+    return _make_result(
+        values, {"N": N, "M": M, "S": 1, "R": 1}, key, work=work, divisor=N
+    )
 
 
 def _outer_points(problem, N, s, key, sampler: SamplerKind, params):
@@ -395,25 +377,21 @@ def rdlqmc_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _unit_gauss_legendre(order: int):
-    t, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
-def _tensor_grid(order: int, dim: int):
-    x, w = _unit_gauss_legendre(order)
-    nodes = np.stack(
-        [g.ravel() for g in np.meshgrid(*([x] * dim), indexing="ij")], axis=1
-    )
-    weights = np.stack(
-        [g.ravel() for g in np.meshgrid(*([w] * dim), indexing="ij")], axis=1
-    ).prod(axis=1)
+def _tensor_grid(axes):
+    """Tensor product of per-axis (nodes, weights) rules: (K, d) nodes, (K,) weights."""
+    node_grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    weight_grids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    nodes = np.stack([g.ravel() for g in node_grids], axis=1)
+    weights = np.stack([g.ravel() for g in weight_grids], axis=1).prod(axis=1)
     return nodes, weights
 
 
 def _quadrature_value(problem: NestedProblem, order_outer: int, order_inner: int) -> float:
-    y_nodes, y_w = _tensor_grid(order_outer, problem.d1)
-    x_nodes, x_w = _tensor_grid(order_inner, problem.d2)
+    grids = []
+    for order, dim in ((order_outer, problem.d1), (order_inner, problem.d2)):
+        t, w = np.polynomial.legendre.leggauss(order)
+        grids.append(_tensor_grid([(0.5 * (t + 1.0), 0.5 * w)] * dim))
+    (y_nodes, y_w), (x_nodes, x_w) = grids
     k = x_nodes.shape[0]
     total = 0.0
     for lo in range(0, y_nodes.shape[0], _CHUNK):

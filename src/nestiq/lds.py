@@ -12,8 +12,7 @@ inputs reproduce bit-identical outputs regardless of call order or threading.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ for expensive PDE-backed observables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,10 @@ from .stats import PriorComponent, PriorSpec
 __all__ = [
     "ForwardModel",
     "PKModel",
-    "pk_forward",
     "pk_designs",
     "pk_prior",
     "LinearGaussianModel",
-    "linear_gaussian_forward",
     "SyntheticDiscretizedModel",
-    "synthetic_discretized_forward",
 ]
 
 
@@ -33,7 +30,7 @@ class ForwardModel:
 
     ``evaluate`` and ``jacobian`` are vectorized over a batch of parameter
     rows.  Discretized models expose a cost exponent gamma and accuracy
-    order eta, and accumulate h^(-gamma) per evaluation on ``work``.
+    order eta.
     """
 
     d_theta: int
@@ -123,12 +120,6 @@ class PKModel(ForwardModel):
         return jac
 
 
-def pk_forward(theta, xi, dose: float = 400.0) -> np.ndarray:
-    """Concentrations at sampling times xi for parameters (th1, th2, th3)."""
-    out = PKModel(dose=dose).evaluate(theta, xi)
-    return out[0] if np.ndim(theta) == 1 else out
-
-
 def pk_designs() -> tuple[np.ndarray, np.ndarray]:
     """The two fixed 15-point sampling-time designs (geometric, even)."""
     j = np.arange(1, 16, dtype=np.float64)
@@ -195,11 +186,6 @@ class LinearGaussianModel(ForwardModel):
         ).copy()
 
 
-def linear_gaussian_forward(theta, J) -> np.ndarray:
-    out = LinearGaussianModel(matrix=J).evaluate(theta)
-    return out[0] if np.ndim(theta) == 1 else out
-
-
 # ---------------------------------------------------------------------------
 # Synthetic discretized model
 # ---------------------------------------------------------------------------
@@ -211,15 +197,13 @@ class SyntheticDiscretizedModel(ForwardModel):
 
     G_h = G_base + c_disc * h^eta * sin(sum(theta) + sum(xi)); the bounded
     smooth perturbation makes the h^eta bias and the h^(-gamma) cost model
-    testable without a PDE solver.  Each evaluated parameter row adds
-    h^(-gamma) to ``work``.
+    testable without a PDE solver.
     """
 
     d_theta: int = 1
     c_disc: float = 1.0
     eta: float = 2.0
     gamma: float = 2.0
-    work: float = field(default=0.0, compare=False)
 
     def _base(self, theta, xi):
         s = theta.sum(axis=-1, keepdims=True)
@@ -236,7 +220,6 @@ class SyntheticDiscretizedModel(ForwardModel):
                 theta.sum(axis=-1, keepdims=True) + xi.sum()
             )
             out = out + bump
-            self.work += theta.shape[0] * h ** (-self.gamma)
         return out
 
     def jacobian(self, theta, xi, h=None):
@@ -249,9 +232,3 @@ class SyntheticDiscretizedModel(ForwardModel):
             dbump = self.c_disc * h**self.eta * np.cos(s + xi.sum())
             jac = jac + dbump[:, :, None]
         return jac
-
-
-def synthetic_discretized_forward(theta, xi, h, model: SyntheticDiscretizedModel | None = None):
-    model = model or SyntheticDiscretizedModel()
-    out = model.evaluate(theta, xi, h)
-    return out[0] if np.ndim(theta) == 1 else out

@@ -12,19 +12,19 @@ linear-Gaussian models round out the family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .estimators import (
     EstimatorResult,
     NestedProblem,
-    SamplerKind,
     _as_sampler,
     _inner_blocks,
     _make_result,
     _outer_points,
     _outer_values,
+    _tensor_grid,
     default_sobol_params,
     dlmc_estimate,
     rdlqmc_estimate,
@@ -35,12 +35,13 @@ from .stats import (
     PriorSpec,
     TruncationSetting,
     inv_norm_cdf,
+    log_sum_exp,
+    norm_cdf,
     truncated_inv_norm_cdf,
 )
 
 __all__ = [
     "OEDProblem",
-    "LaplaceFit",
     "MapConvergenceError",
     "LaplaceFitError",
     "log_likelihood",
@@ -118,16 +119,6 @@ class OEDProblem:
         return self.d_theta
 
 
-@dataclass(frozen=True)
-class LaplaceFit:
-    """Gaussian posterior surrogate: mode, covariance, and its log-determinant."""
-
-    theta_hat: np.ndarray
-    covariance: np.ndarray
-    log_det_cov: float
-    mode: str = "optimized-map"
-
-
 # ---------------------------------------------------------------------------
 # Likelihood and data simulation
 # ---------------------------------------------------------------------------
@@ -197,18 +188,14 @@ def simulate_data(theta, problem: OEDProblem, noise_draw) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if isinstance(noise_draw, RandomizationKey):
         u = noise_draw.uniforms((problem.n_experiments * problem.d_y,), salt="data")
-        if problem.truncation.enabled:
-            z = truncated_inv_norm_cdf(u, problem.truncation.radius)
-        else:
-            z = inv_norm_cdf(u)
-        draw = z.reshape(problem.n_experiments, problem.d_y).T  # (d_y, N_e)
+        noise = _noise_values(problem, u[None, :])[0].T  # (d_y, N_e)
     else:
         draw = np.asarray(noise_draw, dtype=np.float64)
         if draw.ndim == 1:
             draw = draw[:, None]
+        noise = np.sqrt(problem.noise_variances)[:, None] * draw
     g = problem.model.evaluate(theta[None, :], problem.xi, problem.h)[0]
-    sigma = np.sqrt(problem.noise_variances)
-    return g[:, None] + sigma[:, None] * draw
+    return g[:, None] + noise
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +225,7 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
     converged = np.zeros(b, dtype=bool)
     iters = np.zeros(b, dtype=np.int64)
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         g = problem.model.evaluate(theta, problem.xi, h)
         jac = problem.model.jacobian(theta, problem.xi, h)
         rsum = (y_data - g[:, None, :]).sum(axis=1)
@@ -246,9 +233,18 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
         grad = -np.einsum("bij,bi->bj", a, rsum) - problem.prior.grad_logpdf(theta)
         gnorm = np.max(np.abs(grad), axis=1)
         converged |= gnorm < grad_tol
-        iters[~converged] = it + 1
         if converged.all():
             break
+        if it == max_iter:
+            bad = int(np.nonzero(~converged)[0][0])
+            raise MapConvergenceError(
+                f"posterior-mode search failed at sample {bad}: "
+                f"|grad| = {gnorm[bad]:.3e} after {max_iter} iterations",
+                theta_last=theta[bad],
+                grad_norm=float(gnorm[bad]),
+                index=bad,
+            )
+        iters[~converged] = it + 1
         hess = problem.n_experiments * np.einsum("bij,bik->bjk", a, jac)
         hd = -problem.prior.hess_diag_logpdf(theta)
         hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
@@ -282,23 +278,6 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
             )
             if (better | converged).all():
                 break
-    else:
-        g = problem.model.evaluate(theta, problem.xi, h)
-        jac = problem.model.jacobian(theta, problem.xi, h)
-        rsum = (y_data - g[:, None, :]).sum(axis=1)
-        a = jac * inv_s2[None, :, None]
-        grad = -np.einsum("bij,bi->bj", a, rsum) - problem.prior.grad_logpdf(theta)
-        gnorm = np.max(np.abs(grad), axis=1)
-        converged |= gnorm < grad_tol
-        if not converged.all():
-            bad = int(np.nonzero(~converged)[0][0])
-            raise MapConvergenceError(
-                f"posterior-mode search failed at sample {bad}: "
-                f"|grad| = {gnorm[bad]:.3e} after {max_iter} iterations",
-                theta_last=theta[bad],
-                grad_norm=float(gnorm[bad]),
-                index=bad,
-            )
     return theta, iters
 
 
@@ -321,13 +300,10 @@ def _precision_batch(problem, theta_hat, h=None):
     return 0.5 * (prec + np.swapaxes(prec, 1, 2))
 
 
-def _laplace_batch(problem, theta_hat, h=None):
-    """Cholesky pieces of the Laplace surrogate for a batch of modes.
-
-    Returns (chol_cov, log_det_cov) with chol_cov lower-triangular factors
-    of the covariance.
-    """
-    prec = _precision_batch(problem, theta_hat, h)
+def _precision_cholesky(prec):
+    """Lower Cholesky factors L (prec = L L^T) and log det(prec) of a batch
+    of precisions; LaplaceFitError carries the first sample that is not
+    positive definite."""
     try:
         l_prec = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
@@ -336,25 +312,30 @@ def _laplace_batch(problem, theta_hat, h=None):
         raise LaplaceFitError(
             f"posterior precision not positive definite at sample {bad}", index=bad
         ) from None
-    d = problem.d_theta
-    eye = np.broadcast_to(np.eye(d), prec.shape)
+    log_det_prec = 2.0 * np.sum(np.log(np.diagonal(l_prec, axis1=1, axis2=2)), axis=1)
+    return l_prec, log_det_prec
+
+
+def _laplace_batch(problem, theta_hat, h=None):
+    """Cholesky pieces of the Laplace surrogate for a batch of modes.
+
+    Returns (chol_cov, log_det_cov) with chol_cov lower-triangular factors
+    of the covariance.
+    """
+    prec = _precision_batch(problem, theta_hat, h)
+    l_prec, log_det_prec = _precision_cholesky(prec)
+    eye = np.broadcast_to(np.eye(problem.d_theta), prec.shape)
     l_inv = np.linalg.solve(l_prec, eye.copy())  # L^-1 with prec = L L^T
     cov_chol = np.swapaxes(l_inv, 1, 2)  # covariance = (L^-1)^T (L^-1)
-    log_det_cov = -2.0 * np.sum(
-        np.log(np.diagonal(l_prec, axis1=1, axis2=2)), axis=1
-    )
-    return cov_chol, log_det_cov
+    return cov_chol, -log_det_prec
 
 
 def laplace_covariance(theta_hat, problem: OEDProblem) -> np.ndarray:
     """Covariance of the Gaussian posterior surrogate at the given mode."""
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    prec = _precision_batch(problem, theta_hat[None, :], problem.h)[0]
-    try:
-        np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        raise LaplaceFitError("posterior precision not positive definite") from None
-    return np.linalg.inv(prec)
+    prec = _precision_batch(problem, theta_hat[None, :], problem.h)
+    _precision_cholesky(prec)
+    return np.linalg.inv(prec[0])
 
 
 # ---------------------------------------------------------------------------
@@ -431,36 +412,17 @@ def build_nested_problem(
 
 def _assemble_eig(problem: OEDProblem, term: EstimatorResult) -> EstimatorResult:
     entropy = closed_form_entropy_term(problem.n_experiments, problem.noise_variances)
-    values = entropy - term.replicate_values
-    return EstimatorResult(
+    return replace(
+        term,
         estimate=float(entropy - term.estimate),
-        replicate_values=values,
-        variance_of_mean=term.variance_of_mean,
-        stderr=term.stderr,
-        counts=term.counts,
-        seed=term.seed,
-        work=term.work,
-        extras=dict(term.extras),
+        replicate_values=entropy - term.replicate_values,
     )
 
 
 def _run_nested(nested, N, M, S, R, sampler, key):
     sampler = _as_sampler(sampler)
     if sampler.kind == "mc" and S == 1 and R == 1:
-        term = dlmc_estimate(nested, N, M, key)
-        # fold the N per-sample values into a single replicate mean but keep
-        # the sample-variance-based stderr
-        term = EstimatorResult(
-            estimate=term.estimate,
-            replicate_values=np.array([term.estimate]),
-            variance_of_mean=term.variance_of_mean,
-            stderr=term.stderr,
-            counts={"N": N, "M": M, "S": 1, "R": 1},
-            seed=term.seed,
-            work=term.work,
-            extras=term.extras,
-        )
-        return term
+        return dlmc_estimate(nested, N, M, key)
     return rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
 
 
@@ -544,19 +506,7 @@ def eig_laplace_only(
 
     def integrand(u):
         theta = problem.prior.transform(u)
-        prec = _precision_batch(problem, theta, problem.h)
-        try:
-            l_prec = np.linalg.cholesky(prec)
-        except np.linalg.LinAlgError:
-            eig = np.linalg.eigvalsh(prec)
-            bad = int(np.nonzero(eig[:, 0] <= 0)[0][0])
-            raise LaplaceFitError(
-                f"posterior precision not positive definite at sample {bad}",
-                index=bad,
-            ) from None
-        log_det_prec = 2.0 * np.sum(
-            np.log(np.diagonal(l_prec, axis1=1, axis2=2)), axis=1
-        )
+        _, log_det_prec = _precision_cholesky(_precision_batch(problem, theta, problem.h))
         return (
             0.5 * log_det_prec
             - 0.5 * d * _LOG_2PI
@@ -625,14 +575,6 @@ def _prior_quadrature_axes(prior: PriorSpec, order: int):
     return axes
 
 
-def _grid_from_axes(axes):
-    node_grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    weight_grids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in node_grids], axis=1)
-    weights = np.stack([g.ravel() for g in weight_grids], axis=1).prod(axis=1)
-    return nodes, weights
-
-
 def eig_quadrature(
     problem: OEDProblem,
     order_theta: int = 24,
@@ -649,7 +591,7 @@ def eig_quadrature(
     """
     if problem.d_theta > 2 or problem.n_experiments * problem.d_y > 2:
         raise ValueError("quadrature EIG limited to tiny problems")
-    theta_nodes, theta_w = _grid_from_axes(
+    theta_nodes, theta_w = _tensor_grid(
         _prior_quadrature_axes(problem.prior, order_theta)
     )
     sigma = np.sqrt(
@@ -657,8 +599,6 @@ def eig_quadrature(
     )  # per noise coordinate
     if problem.truncation.enabled:
         # integrate the normalized truncated normal directly on [-c, c]
-        from .stats import norm_cdf
-
         c = problem.truncation.radius
         z_norm = 2.0 * norm_cdf(c) - 1.0
         gl_t, gl_w = np.polynomial.legendre.leggauss(order_noise)
@@ -669,9 +609,9 @@ def eig_quadrature(
     else:
         gh_t, gh_w = np.polynomial.hermite.hermgauss(order_noise)
         axes = [(math.sqrt(2.0) * s * gh_t, gh_w / math.sqrt(math.pi)) for s in sigma]
-    noise_nodes, noise_w = _grid_from_axes(axes)
+    noise_nodes, noise_w = _tensor_grid(axes)
 
-    inner_nodes, inner_w = _grid_from_axes(
+    inner_nodes, inner_w = _tensor_grid(
         _prior_quadrature_axes(problem.prior, order_inner)
     )
     g_inner = problem.model.evaluate(inner_nodes, problem.xi, problem.h)
@@ -687,11 +627,6 @@ def eig_quadrature(
         y_data = g_t[None, None, :] + noise_nodes.reshape(-1, ne, dy)
         r = y_data[:, None, :, :] - g_inner[None, :, None, :]
         ll = const - 0.5 * np.einsum("bkij,j->bk", r * r, inv_s2)
-        log_marg = _lse(ll + log_w_inner[None, :])
+        log_marg = log_sum_exp(ll + log_w_inner[None, :], axis=1)
         total += theta_w[t_idx] * float(noise_w @ log_marg)
     return entropy - total
-
-
-def _lse(a):
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True)))[:, 0]

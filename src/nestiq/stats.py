@@ -1,9 +1,9 @@
 """Distribution transforms, truncation machinery, and replicate statistics.
 
-Shared by every estimator: the inverse normal CDF (accurate deep into the
-tails, where randomized low-discrepancy points push its argument), truncated
-normal transforms, prior inverse-CDF maps, and the replicate-variance
-estimator for randomized quasi-Monte Carlo runs.
+Shared by every estimator: the inverse normal CDF (SciPy ``ndtri``, accurate
+deep into the tails, where randomized low-discrepancy points push its
+argument), truncated normal transforms, prior inverse-CDF maps, and the
+replicate-variance estimator for randomized quasi-Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 __all__ = [
     "PriorComponent",
@@ -23,25 +23,12 @@ __all__ = [
     "inv_norm_cdf",
     "truncated_inv_norm_cdf",
     "truncation_radius",
-    "map_to_prior",
     "log_sum_exp",
     "replicate_variance",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Rational approximation of the inverse normal CDF (Acklam's coefficients),
-# polished by one Newton step against the erfc-based CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 
 
 def norm_cdf(x):
@@ -57,48 +44,13 @@ def norm_logpdf(x):
     return out if out.ndim else float(out)
 
 
-def _inv_norm_raw(u: np.ndarray) -> np.ndarray:
-    x = np.empty_like(u)
-    lo = u < _P_LOW
-    hi = u > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
-
-    for mask, p, sign in ((lo, u[lo], 1.0), (hi, 1.0 - u[hi], -1.0)):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(p))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-            x[mask] = sign * num / den
-    return x
-
-
 def inv_norm_cdf(u):
-    """Inverse standard normal CDF, absolute error below 1e-9 on (1e-300, 1-1e-16)."""
-    scalar = np.isscalar(u) or np.ndim(u) == 0
+    """Inverse standard normal CDF (SciPy ``ndtri``) on the open interval (0, 1)."""
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("inv_norm_cdf requires arguments strictly inside (0, 1)")
-    x = _inv_norm_raw(np.atleast_1d(u))
-    # one Newton step; the CDF residual is evaluated in the nearer tail to
-    # avoid cancellation for arguments close to 1 (both forms equal
-    # Phi(x) - u exactly)
-    uu = np.atleast_1d(u)
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    upper = uu > 0.5
-    resid = np.where(upper, (1.0 - uu) - 0.5 * erfc(x / _SQRT2),
-                     0.5 * erfc(-x / _SQRT2) - uu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(pdf > 0.0, resid / pdf, 0.0)
-    x = x - delta
-    x = x.reshape(np.shape(u))
-    return float(x) if scalar else x
+    out = ndtri(u)
+    return out if out.ndim else float(out)
 
 
 def truncated_inv_norm_cdf(u, c: float):
@@ -290,11 +242,6 @@ class PriorSpec:
         )
 
 
-def map_to_prior(u, prior: PriorSpec) -> np.ndarray:
-    """Inverse-CDF transform of unit-cube rows to prior samples."""
-    return prior.transform(u)
-
-
 # ---------------------------------------------------------------------------
 # Replicate statistics
 # ---------------------------------------------------------------------------
@@ -320,5 +267,7 @@ def replicate_variance(replicate_means) -> float:
     if v.ndim != 1 or v.size < 2:
         raise ValueError("replicate_variance requires at least 2 replicates")
     r = v.size
-    dev = v - v.mean()
+    # shifting by a replicate first makes identical replicates give exactly 0
+    dev = v - v[0]
+    dev -= dev.mean()
     return float(np.sum(dev * dev) / (r * (r - 1)))

@@ -19,7 +19,6 @@ from nestiq.allocation import (
     fit_pilot_inner,
     fit_pilot_outer,
     fit_variance_power_law,
-    predicted_work,
     solve_allocation,
     solve_kappa,
 )
@@ -115,6 +114,17 @@ class TestPilotRuns:
         # the fitted constant is noise-scale, far below the variance constant
         assert abs(fit.c_q3) < 0.1
         assert max(fit.rung_biases) < 1e-3
+
+    def test_inner_pilot_exact_inner_stays_finite(self):
+        # a constant inner integrand has no inner variance at any rung, as
+        # importance sampling from an exact Gaussian posterior does
+        def g(y, x, h):
+            return np.full(x.shape[:2], 2.0)
+
+        prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
+        c_q2, c_q3, delta = fit_pilot_inner(prob, [8, 32], 4, 8, RandomizationKey(5))
+        assert math.isfinite(delta) and 0.0 <= delta <= 1.0
+        assert 0.0 <= c_q2 < 1e-28 and c_q3 == 0.0
 
 
 class TestSolveKappa:
@@ -247,13 +257,13 @@ class TestSolveAllocation:
     def test_predicted_work(self):
         c0 = PilotConstants(c_q1=1.0, beta=0.5, c_q2=0.1, c_q3=0.1, delta=0.5)
         plan = solve_allocation(c0, 0.05, 0.05)
-        assert predicted_work(plan, c0) == plan.n_star * plan.m_star
+        assert plan.predicted_work == plan.n_star * plan.m_star
         c1 = PilotConstants(
             c_q1=1.0, beta=0.5, c_q2=0.1, c_q3=0.1, delta=0.5,
             c_disc=1.0, eta=1.0, gamma=2.0,
         )
         plan1 = solve_allocation(c1, 0.05, 0.05)
-        assert predicted_work(plan1, c1) == pytest.approx(
+        assert plan1.predicted_work == pytest.approx(
             plan1.n_star * plan1.m_star * plan1.h_star**-2.0
         )
 

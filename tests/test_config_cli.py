@@ -35,9 +35,15 @@ class TestConfigParsing:
         assert cfg.values["n_experiments"] == 1
         assert cfg.values["truncation.enabled"] is False
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            ExperimentConfig.from_text(LG_CFG + "mystery.knob = 3\n")
+    def test_unknown_key_rejected(self, tmp_path):
+        # the estimator id alone picks the point family; there is no sampler key
+        for extra in ("mystery.knob = 3\n", "sampler = rqmc-sobol-owen\n"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                ExperimentConfig.from_text(LG_CFG + extra)
+            cfg = _write(tmp_path, "extra.cfg", LG_CFG + extra)
+            rc = main(["estimate", cfg, "--N", "8", "--M", "2",
+                       "--out", str(tmp_path / "x.json")])
+            assert rc == 2
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -174,6 +180,11 @@ class TestEstimateCommand:
         res = json.loads(open(out).read())
         assert res["counts"] == {"N": 64, "M": 4, "S": 2, "R": 3}
         assert res["work"] == 64 * 4 * 2 * 3
+        dlmc = _write(tmp_path, "dlmc.cfg", LG_CFG.replace("rdlqmcis", "dlmc"))
+        rc = main(["estimate", dlmc, "--N", "64", "--M", "4", "--S", "1",
+                   "--R", "1", "--out", out])
+        assert rc == 0
+        assert json.loads(open(out).read())["counts"] == {"N": 64, "M": 4, "S": 1, "R": 1}
 
     def test_laplace_estimator_has_no_inner_count(self, tmp_path):
         cfg = _write(tmp_path, "la.cfg", LG_CFG.replace("rdlqmcis", "mcla"))

@@ -343,29 +343,6 @@ class TestQuadratureOracle:
             tensor_quadrature_reference(prob, 8, 8)
 
 
-class TestLogFormConsistency:
-    def test_matching_forms_accepted(self):
-        def lg(y, x, h):
-            return x[:, :, 0] * y[:, 0][:, None]
-
-        def g(y, x, h):
-            return np.exp(x[:, :, 0] * y[:, 0][:, None])
-
-        NestedProblem(d1=1, d2=1, inner=lg, outer_map="log",
-                      inner_is_log=True, inner_linear=g)
-
-    def test_mismatched_forms_rejected(self):
-        def lg(y, x, h):
-            return x[:, :, 0] * y[:, 0][:, None]
-
-        def g(y, x, h):
-            return np.exp(x[:, :, 0] * y[:, 0][:, None]) + 0.01
-
-        with pytest.raises(ValueError, match="disagree"):
-            NestedProblem(d1=1, d2=1, inner=lg, outer_map="log",
-                          inner_is_log=True, inner_linear=g)
-
-
 class TestWorkModel:
     def test_dlmc_work_is_n_times_m(self):
         def g(y, x, h):

@@ -10,34 +10,32 @@ from nestiq.models import (
     LinearGaussianModel,
     PKModel,
     SyntheticDiscretizedModel,
-    linear_gaussian_forward,
     pk_designs,
-    pk_forward,
     pk_prior,
-    synthetic_discretized_forward,
 )
 
 
 class TestPkForward:
     def test_reference_point(self):
         # 20 * (1/0.9) * (e^-0.1 - e^-1), re-keyed by hand
-        out = pk_forward(np.array([1.0, 0.1, 20.0]), np.array([1.0]))
-        assert out[0] == pytest.approx(11.93239948587816, rel=1e-12)
+        out = PKModel().evaluate(np.array([1.0, 0.1, 20.0]), np.array([1.0]))
+        assert out[0, 0] == pytest.approx(11.93239948587816, rel=1e-12)
 
     def test_equal_rates_limit(self):
-        out = pk_forward(np.array([0.5, 0.5, 20.0]), np.array([2.0]))
-        assert out[0] == pytest.approx(20.0 * 0.5 * 2.0 * math.exp(-1.0), rel=1e-9)
+        model = PKModel()
+        out = model.evaluate(np.array([0.5, 0.5, 20.0]), np.array([2.0]))
+        assert out[0, 0] == pytest.approx(20.0 * 0.5 * 2.0 * math.exp(-1.0), rel=1e-9)
         # continuity against a nearby regular evaluation
-        near = pk_forward(np.array([0.5, 0.5 + 1e-9, 20.0]), np.array([2.0]))
-        assert out[0] == pytest.approx(near[0], rel=1e-6)
+        near = model.evaluate(np.array([0.5, 0.5 + 1e-9, 20.0]), np.array([2.0]))
+        assert out[0, 0] == pytest.approx(near[0, 0], rel=1e-6)
 
     def test_vanishes_at_time_zero(self):
-        out = pk_forward(np.array([1.0, 0.1, 20.0]), np.array([1e-14]))
-        assert abs(out[0]) < 1e-10
+        out = PKModel().evaluate(np.array([1.0, 0.1, 20.0]), np.array([1e-14]))
+        assert abs(out[0, 0]) < 1e-10
 
     def test_positive_parameters_required(self):
         with pytest.raises(ValueError):
-            pk_forward(np.array([-1.0, 0.1, 20.0]), np.array([1.0]))
+            PKModel().evaluate(np.array([-1.0, 0.1, 20.0]), np.array([1.0]))
 
     def test_jacobian_matches_central_differences(self):
         model = PKModel()
@@ -100,12 +98,12 @@ class TestPkPrior:
 
 class TestLinearGaussian:
     def test_identity(self):
-        out = linear_gaussian_forward(np.array([1.0, 2.0]), np.eye(2))
-        np.testing.assert_allclose(out, [1.0, 2.0])
+        out = LinearGaussianModel(matrix=np.eye(2)).evaluate(np.array([1.0, 2.0]))
+        np.testing.assert_allclose(out[0], [1.0, 2.0])
 
     def test_zero_map(self):
-        out = linear_gaussian_forward(np.array([1.0, 2.0]), np.zeros((2, 2)))
-        np.testing.assert_allclose(out, [0.0, 0.0])
+        out = LinearGaussianModel(matrix=np.zeros((2, 2))).evaluate(np.array([1.0, 2.0]))
+        np.testing.assert_allclose(out[0], [0.0, 0.0])
 
     def test_jacobian_is_matrix(self):
         model = LinearGaussianModel(matrix=[[2.0, 1.0]])
@@ -114,7 +112,7 @@ class TestLinearGaussian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            linear_gaussian_forward(np.array([1.0]), np.eye(2))
+            LinearGaussianModel(matrix=np.eye(2)).evaluate(np.array([1.0]))
 
 
 class TestSyntheticModel:
@@ -135,15 +133,10 @@ class TestSyntheticModel:
         d2 = model.evaluate(theta, xi, h=0.2) - base
         np.testing.assert_allclose(d1, 4.0 * d2, rtol=1e-12)
 
-    def test_work_counter(self):
-        model = SyntheticDiscretizedModel(gamma=2.0)
-        model.evaluate(np.array([[0.4]]), np.array([0.5]), h=0.25)
-        assert model.work == pytest.approx(16.0)
-
     def test_invalid_level(self):
         model = SyntheticDiscretizedModel()
         with pytest.raises(ValueError):
-            synthetic_discretized_forward(np.array([0.4]), np.array([0.5]), 0.0, model)
+            model.evaluate(np.array([0.4]), np.array([0.5]), h=0.0)
 
     def test_jacobian_matches_central_differences(self):
         model = SyntheticDiscretizedModel(d_theta=2)

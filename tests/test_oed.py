@@ -10,6 +10,7 @@ from nestiq.models import ForwardModel, LinearGaussianModel, PKModel, pk_designs
 from nestiq.oed import (
     LaplaceFitError,
     OEDProblem,
+    _precision_cholesky,
     closed_form_entropy_term,
     eig_conjugate_oracle,
     eig_importance_sampled,
@@ -190,6 +191,38 @@ class TestLaplaceCovariance:
         )
         cov = laplace_covariance(np.array([0.0, 0.0]), p)
         np.testing.assert_allclose(cov, np.diag([1 / 2, 1 / 5]), atol=1e-12)
+
+
+class TestLaplaceFailure:
+    """A zero Jacobian column under a uniform prior leaves that direction
+    without curvature, so the posterior precision is singular."""
+
+    @staticmethod
+    def _flat_problem():
+        return OEDProblem(
+            model=LinearGaussianModel(matrix=[[1.0, 0.0]]),
+            xi=np.zeros(0),
+            prior=PriorSpec(components=(("normal", 0.0, 1.0), ("uniform", 0.0, 1.0))),
+            noise_variances=[1.0],
+        )
+
+    def test_first_bad_sample_reported(self):
+        good = np.eye(2)
+        prec = np.stack([good, good, np.diag([1.0, 0.0]), np.diag([1.0, -1.0])])
+        with pytest.raises(LaplaceFitError) as err:
+            _precision_cholesky(prec)
+        assert err.value.index == 2
+
+    def test_laplace_covariance_raises(self):
+        with pytest.raises(LaplaceFitError) as err:
+            laplace_covariance(np.array([0.0, 0.5]), self._flat_problem())
+        assert err.value.index == 0
+
+    def test_laplace_only_raises(self):
+        with pytest.raises(LaplaceFitError) as err:
+            eig_laplace_only(self._flat_problem(), 64, sampler="mc",
+                             key=RandomizationKey(50))
+        assert err.value.index == 0
 
 
 class TestConjugateOracle:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
@@ -14,7 +14,6 @@ from nestiq.stats import (
     TruncationSetting,
     inv_norm_cdf,
     log_sum_exp,
-    map_to_prior,
     norm_cdf,
     replicate_variance,
     truncated_inv_norm_cdf,
@@ -117,23 +116,25 @@ class TestTruncationRadius:
 
 
 class TestMapToPrior:
+    """Inverse-CDF map of unit-cube rows onto the prior (PriorSpec.transform)."""
+
     def test_uniform_midpoint(self):
         prior = PriorSpec(components=(("uniform", 0.0, 2.0),))
-        assert map_to_prior(np.array([[0.5]]), prior)[0, 0] == 1.0
+        assert prior.transform(np.array([[0.5]]))[0, 0] == 1.0
 
     def test_lognormal_median(self):
         prior = PriorSpec(components=(("lognormal", 0.0, 0.05),))
-        assert map_to_prior(np.array([[0.5]]), prior)[0, 0] == pytest.approx(1.0)
+        assert prior.transform(np.array([[0.5]]))[0, 0] == pytest.approx(1.0)
 
     def test_normal_quantile(self):
         prior = PriorSpec(components=(("normal", 3.0, 2.0),))
-        out = map_to_prior(np.array([[0.975]]), prior)[0, 0]
+        out = prior.transform(np.array([[0.975]]))[0, 0]
         assert out == pytest.approx(3.0 + 2.0 * 1.959963984540054, abs=1e-8)
 
     def test_dimension_mismatch(self):
         prior = PriorSpec(components=(("uniform", 0.0, 1.0),))
         with pytest.raises(ValueError):
-            map_to_prior(np.zeros((4, 2)) + 0.5, prior)
+            prior.transform(np.zeros((4, 2)) + 0.5)
 
     @pytest.mark.parametrize(
         "comp,cdf",
@@ -146,7 +147,7 @@ class TestMapToPrior:
     def test_grid_quantiles_match_distribution(self, comp, cdf):
         prior = PriorSpec(components=(comp,))
         u = ((np.arange(10**4) + 0.5) / 10**4)[:, None]
-        samples = map_to_prior(u, prior)[:, 0]
+        samples = prior.transform(u)[:, 0]
         assert kstest(cdf(samples), "uniform").statistic < 0.02
 
     def test_invariants(self):
@@ -203,6 +204,7 @@ class TestReplicateVariance:
             replicate_variance([1.0])
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=12), st.floats(0.1, 10))
+    @example(values=[0.1] * 3, scale=0.109375)
     @settings(max_examples=100, deadline=None)
     def test_permutation_invariant_and_scaling(self, values, scale):
         v = np.array(values)
