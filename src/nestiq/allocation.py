@@ -269,12 +269,15 @@ def fit_pilot_inner(
 
     ref = per_rung[-1]
     est_ref, se_ref = float(ref.mean()), float(ref.std(ddof=1) / math.sqrt(r))
+    # a bias within a few ulps of the values is rounding, never significant,
+    # even when identical replicates give standard errors of 0
+    bias_floor = 16.0 * _EPS * max(1.0, abs(est_ref))
     biases, significant = [], False
     for m, reps in zip(ladder, per_rung[:-1]):
         est, se = float(reps.mean()), float(reps.std(ddof=1) / math.sqrt(r))
         b = abs(est - est_ref)
         biases.append(b)
-        if b >= 2.0 * math.hypot(se, se_ref):
+        if b > bias_floor and b >= 2.0 * math.hypot(se, se_ref):
             significant = True
     c_q3 = fit_bias_constant(ladder, biases, delta)
     return InnerPilot(

@@ -165,6 +165,12 @@ def _load_pilot(path: str) -> tuple[PilotConstants, dict]:
         c_q3=data["c_q3"], delta=data["delta"], c_disc=data.get("c_disc", 0.0),
         eta=data.get("eta", 1.0), gamma=data.get("gamma", 0.0), metadata=meta,
     )
+    if meta.get("c_q3_low_confidence"):
+        print(
+            f"warning: pilot {path}: inner bias not resolved from noise "
+            "(c_q3_low_confidence), so C_Q3 and M* may be unreliable",
+            file=sys.stderr,
+        )
     return consts, meta
 
 

@@ -29,6 +29,7 @@ from .lds import (
     SobolParams,
     _owen_lanes,
     _scramble_values,
+    _sobol_rows,
     fold_index_array,
     lattice_points,
     load_direction_numbers,
@@ -286,14 +287,22 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
     )
 
 
-def _outer_points(problem, N, s, key, sampler: SamplerKind, params):
+def _outer_points(problem, N, s, key, sampler: SamplerKind, params, lo=0, hi=None):
+    """Rows [lo, hi) of the N outer points of randomization s: (hi - lo, d1).
+
+    Owen scrambling acts on each point on its own, so a Sobol row range is
+    generated and scrambled alone, bit-identical to those rows of the whole
+    scrambled set.
+    """
+    hi = N if hi is None else hi
     if sampler.kind == "mc":
-        return key.child("outer", s).uniforms((N, problem.d1), salt="y")
+        return key.child("outer", s).uniforms((N, problem.d1), salt="y")[lo:hi]
     if sampler.kind == "rqmc-sobol-owen":
-        base = sobol_sequence(params, problem.d1, int(math.log2(N)))
-        return owen_scramble(base, key.child("outer", s)).values
+        base = _sobol_rows(params, problem.d1, int(math.log2(N)), lo, hi)
+        tree, fill = _owen_lanes(key.child("outer", s).subroot("owen"), problem.d1)
+        return _scramble_values(base, tree, fill)
     base = lattice_points(sampler.vector_for(problem.d1), N)
-    return random_shift(base, key.child("outer", s)).values
+    return random_shift(base, key.child("outer", s)).values[lo:hi]
 
 
 def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler: SamplerKind, params):
@@ -352,7 +361,7 @@ def rdlqmc_estimate(
 
     def run_chunk(task):
         s, lo, hi = task
-        y = _outer_points(problem, N, s, key, sampler, params)[lo:hi]
+        y = _outer_points(problem, N, s, key, sampler, params, lo, hi)
         x = _inner_blocks(problem, lo, hi, M, R, s, key, sampler, params)
         return s, _outer_values(problem, y, x)
 

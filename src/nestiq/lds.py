@@ -35,6 +35,14 @@ _GOLD_INT = 0x9E3779B97F4A7C15
 _GOLD = np.uint64(_GOLD_INT)
 _TREE_SALT = np.uint64(0xA0761D6478BD642F)
 _FILL_SALT = np.uint64(0xE7037ED1A0B428DB)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_TOP_BIT = np.uint64(1 << 63)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+# Elements per block of the scramble kernel: its five uint64 work buffers
+# (1.25 MiB) stay in a core's L2 cache.
+_SCRAMBLE_BLOCK = 1 << 15
 
 # Smallest/largest coordinates a PointSet may carry.  The lower bound keeps
 # inverse-CDF transforms finite; the upper bound is the largest double < 1.
@@ -54,9 +62,19 @@ def mix64(z: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer on uint64 arrays."""
     z = np.asarray(z, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
+
+
+def _mix64_rounds_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """The two multiply rounds of :func:`mix64`, in place; ``tmp`` is scratch."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
 
 
 def _fold_int(root: int, value) -> int:
@@ -408,21 +426,42 @@ def sobol_sequence(params: SobolParams, dimension: int, log2_count: int) -> Digi
     The point set equals the first block of the sequence; for dimension 1
     the integers are exactly {i * 2^(32-k) : 0 <= i < 2^k} as a set.
     """
+    return DigitalSequence(values=_sobol_rows(params, dimension, log2_count))
+
+
+def _sobol_rows(params: SobolParams, dimension: int, log2_count: int, lo: int = 0,
+                hi: int | None = None) -> np.ndarray:
+    """Rows [lo, hi) of the first 2^log2_count Sobol points: (hi - lo, dimension) uint32.
+
+    Point i is the xor of the direction numbers picked by the bits of its
+    Gray code i ^ (i >> 1), so a row range starts there and then toggles one
+    direction number per point, without generating the rows before it.
+    """
     if not 1 <= dimension <= params.dimension:
         raise ValueError(
             f"dimension {dimension} out of range [1, {params.dimension}]"
         )
     if not 0 <= log2_count <= 31:
         raise ValueError(f"log2_count {log2_count} out of range [0, 31]")
-    m = 1 << log2_count
-    values = np.zeros((m, dimension), dtype=np.uint32)
-    if m > 1:
-        idx = np.arange(1, m, dtype=np.int64)
+    count = 1 << log2_count
+    hi = count if hi is None else hi
+    if not 0 <= lo < hi <= count:
+        raise ValueError(f"rows [{lo}, {hi}) out of range [0, {count})")
+    directions = params.directions[:dimension, :]
+    gray = lo ^ (lo >> 1)
+    first = np.zeros(dimension, dtype=np.uint32)
+    for b in range(gray.bit_length()):
+        if gray >> b & 1:
+            first ^= directions[:, b]
+    values = np.empty((hi - lo, dimension), dtype=np.uint32)
+    values[0] = first
+    if hi - lo > 1:
+        idx = np.arange(lo + 1, hi, dtype=np.int64)
         # lowest set bit of i selects the direction number toggled at step i
         ctz = np.log2(idx & -idx).astype(np.int64)
-        steps = params.directions[:dimension, :][:, ctz]  # (d, m-1)
-        values[1:] = np.bitwise_xor.accumulate(steps, axis=1).T
-    return DigitalSequence(values=values)
+        steps = directions[:, ctz]  # (d, hi-lo-1)
+        values[1:] = first ^ np.bitwise_xor.accumulate(steps, axis=1).T
+    return values
 
 
 def _owen_lanes(root, dimension: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,23 +488,61 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray)
     original digits (heap-indexed node id), which realizes Owen scrambling
     without materializing permutation trees.  Digits 33-64 are filled with
     uniform bits hashed from the full 32-digit path.
+
+    The output is computed in blocks of about ``_SCRAMBLE_BLOCK`` elements
+    (lanes of point rows) with in-place arithmetic on buffers local to the
+    call; point digits and lane keys are expanded to the block once, so no
+    depth pays for broadcasting.  Only bit 63 of each depth's :func:`mix64`
+    hash is used, and the final xor-shift of :func:`mix64` leaves that bit
+    alone, so each depth runs just the two multiply rounds.
     """
-    x = values_u32.astype(np.uint64)  # (M, d)
-    tree = np.asarray(tree, dtype=np.uint64)[..., None, :]  # (..., 1, d)
+    tree = np.asarray(tree, dtype=np.uint64)[..., None, :]
     fill = np.asarray(fill, dtype=np.uint64)[..., None, :]
-    one = np.uint64(1)
-    out = np.zeros(np.broadcast_shapes(tree.shape, x.shape), dtype=np.uint64)
+    shape = np.broadcast_shapes(tree.shape, fill.shape, np.shape(values_u32))
+    lanes, (m, d) = shape[:-2], shape[-2:]
+    x = np.broadcast_to(np.asarray(values_u32, dtype=np.uint64), (m, d))
+    tree = np.broadcast_to(tree, lanes + (1, d)).reshape(-1, 1, d)
+    fill = np.broadcast_to(fill, lanes + (1, d)).reshape(-1, 1, d)
+    n_lanes = tree.shape[0]
+    rows = min(m, max(1, _SCRAMBLE_BLOCK // max(d, 1)))
+    lanes_per_block = min(n_lanes, max(1, _SCRAMBLE_BLOCK // max(rows * d, 1)))
+    buffers = np.empty((5, lanes_per_block * rows * d), dtype=np.uint64)
+    out = np.empty((n_lanes, m, d))
+    lead = np.uint64(1 << _N_BITS)
     with np.errstate(over="ignore"):
-        for k in range(_N_BITS):
-            prefix = x >> np.uint64(_N_BITS - k)
-            node = (one << np.uint64(k)) | prefix
-            h = mix64((node * _GOLD) ^ tree)
-            digit = (x >> np.uint64(_N_BITS - 1 - k)) & one
-            out |= ((digit ^ (h >> np.uint64(63))) << np.uint64(63 - k))
-        low = mix64((x * _GOLD) ^ fill) & np.uint64(0xFFFFFFFF)
-        out |= low
-    u = (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.maximum(u, COORD_MIN)
+        for p0 in range(0, m, rows):
+            nm = min(rows, m - p0)
+            for l0 in range(0, n_lanes, lanes_per_block):
+                nl = min(lanes_per_block, n_lanes - l0)
+                z, tmp, flips, path, lane_tree = buffers[:, :nl * nm * d].reshape(5, nl, nm, d)
+                # path >> (32 - k) is the heap-indexed node 2^k | (k leading digits)
+                np.bitwise_or(x[p0:p0 + nm], lead, out=path)
+                np.copyto(lane_tree, tree[l0:l0 + nl])
+                flips.fill(0)
+                for k in range(_N_BITS):
+                    np.right_shift(path, np.uint64(_N_BITS - k), out=z)
+                    z *= _GOLD
+                    z ^= lane_tree
+                    _mix64_rounds_inplace(z, tmp)
+                    z &= _TOP_BIT
+                    z >>= np.uint64(k)
+                    flips |= z
+                # fill digits 33-64 from a full mix64 of the 32-digit value
+                np.bitwise_xor(path, lead, out=z)
+                z *= _GOLD
+                z ^= fill[l0:l0 + nl]
+                _mix64_rounds_inplace(z, tmp)
+                np.right_shift(z, np.uint64(31), out=tmp)
+                z ^= tmp
+                z &= _LOW32
+                np.left_shift(path, np.uint64(_N_BITS), out=tmp)  # digits in bits 63..32
+                flips ^= tmp
+                flips |= z
+                flips >>= np.uint64(11)
+                block = out[l0:l0 + nl, p0:p0 + nm]
+                np.multiply(flips, 2.0**-53, out=block)
+                np.maximum(block, COORD_MIN, out=block)
+    return out.reshape(shape)
 
 
 def owen_scramble(seq: DigitalSequence, key: RandomizationKey) -> PointSet:

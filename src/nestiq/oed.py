@@ -58,6 +58,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Inner points per block of the nested inner integrand (see build_nested_problem).
+_INNER_BLOCK = 1 << 15
+
 
 class MapConvergenceError(ArithmeticError):
     """Posterior-mode search did not converge; carries the last iterate."""
@@ -373,27 +376,39 @@ def build_nested_problem(
         g_true = problem.model.evaluate(theta, problem.xi, h_level)
         y_data = g_true[:, None, :] + noise  # (B, N_e, d_y)
         b, k = x.shape[0], x.shape[1]
-        if family == "plain":
-            vartheta = problem.prior.transform(x.reshape(b * k, d_theta))
-            g_in = problem.model.evaluate(vartheta, problem.xi, h_level)
-            return _batch_loglik(problem, y_data, g_in.reshape(b, k, -1))
-        if laplace_mode == "optimized-map":
-            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
-        else:
-            theta_hat = theta
-        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)
-        z = inv_norm_cdf(x)  # (B, K, d_theta)
-        vartheta = theta_hat[:, None, :] + np.einsum("bij,bkj->bki", cov_chol, z)
-        g_in = problem.model.evaluate(
-            vartheta.reshape(b * k, d_theta), problem.xi, h_level
-        ).reshape(b, k, -1)
-        ll = _batch_loglik(problem, y_data, g_in)
-        log_prior = problem.prior.logpdf(vartheta)
-        log_proposal = (
-            -0.5 * (d_theta * _LOG_2PI + log_det_cov)[:, None]
-            - 0.5 * np.einsum("bkj,bkj->bk", z, z)
-        )
-        return ll + log_prior - log_proposal
+        if family == "is":
+            if laplace_mode == "optimized-map":
+                theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
+            else:
+                theta_hat = theta
+            cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)
+        out = np.empty((b, k))
+        # each row's values depend on that row alone, so the inner points are
+        # evaluated a few rows at a time and the (rows, K, d_y) temporaries
+        # stay the same size whatever K is
+        step = max(1, _INNER_BLOCK // k)
+        for lo in range(0, b, step):
+            rows = slice(lo, lo + step)
+            xb = x[rows]
+            nb = xb.shape[0]
+            if family == "plain":
+                vartheta = problem.prior.transform(xb.reshape(nb * k, d_theta))
+                g_in = problem.model.evaluate(vartheta, problem.xi, h_level)
+                out[rows] = _batch_loglik(problem, y_data[rows], g_in.reshape(nb, k, -1))
+                continue
+            z = inv_norm_cdf(xb)  # (rows, K, d_theta)
+            vartheta = theta_hat[rows, None, :] + np.einsum("bij,bkj->bki", cov_chol[rows], z)
+            g_in = problem.model.evaluate(
+                vartheta.reshape(nb * k, d_theta), problem.xi, h_level
+            ).reshape(nb, k, -1)
+            ll = _batch_loglik(problem, y_data[rows], g_in)
+            log_prior = problem.prior.logpdf(vartheta)
+            log_proposal = (
+                -0.5 * (d_theta * _LOG_2PI + log_det_cov[rows])[:, None]
+                - 0.5 * np.einsum("bkj,bkj->bk", z, z)
+            )
+            out[rows] = ll + log_prior - log_proposal
+        return out
 
     gamma = getattr(problem.model, "gamma", 0.0)
     eta = getattr(problem.model, "eta", 0.0)

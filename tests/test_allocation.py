@@ -126,6 +126,16 @@ class TestPilotRuns:
         assert math.isfinite(delta) and 0.0 <= delta <= 1.0
         assert 0.0 <= c_q2 < 1e-28 and c_q3 == 0.0
 
+    def test_inner_pilot_rounding_bias_not_significant(self):
+        # identical replicates give standard errors of 0; a bias at the
+        # rounding resolution must not count as resolved from noise
+        def g(y, x, h):
+            return np.full(x.shape[:2], 2.0)
+
+        prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
+        fit = fit_pilot_inner(prob, [8, 32], 4, 8, RandomizationKey(5))
+        assert fit.low_confidence is True
+
 
 class TestSolveKappa:
     def test_matches_grid_oracle_no_disc(self):

@@ -361,6 +361,29 @@ class TestWorkModel:
         assert w2 == 2 * w1
 
 
+class TestChunking:
+    def test_outer_rows_are_slices_of_the_scrambled_set(self, monkeypatch):
+        from nestiq import estimators
+        from nestiq.lds import owen_scramble, sobol_sequence
+
+        seen = []
+
+        def g(y, x, h):
+            seen.append(y.copy())
+            return np.ones(x.shape[:2])
+
+        monkeypatch.setattr(estimators, "_CHUNK", 8)
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        prob = NestedProblem(d1=2, d2=1, inner=g, outer_map="identity")
+        rdlqmc_estimate(prob, 64, 4, 2, 1, KEY)
+        assert len(seen) == 2 * 64 // 8 and all(y.shape == (8, 2) for y in seen)
+        base = sobol_sequence(estimators.default_sobol_params(), 2, 6)
+        want = np.concatenate(
+            [owen_scramble(base, KEY.child("outer", s)).values for s in range(2)]
+        )
+        np.testing.assert_array_equal(np.concatenate(seen), want)
+
+
 class TestLatticeNested:
     def test_rdlqmc_with_shifted_lattice_sampler(self):
         from nestiq.estimators import SamplerKind

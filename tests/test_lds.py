@@ -1,10 +1,12 @@
 """Sobol generation, Owen scrambling, shifts, and star discrepancy."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from nestiq import lds
 from nestiq.lds import (
     DigitalSequence,
     DirectionNumberError,
@@ -155,6 +157,69 @@ class TestOwenScramble:
             stats.append(star_discrepancy_1d(pts))
         slope = np.polyfit(list(ks), np.log2(stats), 1)[0]
         assert slope <= -0.9
+
+
+def _scramble_reference(values_u32, tree, fill):
+    """The 32-level loop of the scramble: full mix64 per depth, no blocking."""
+    x = values_u32.astype(np.uint64)
+    tree = np.asarray(tree, dtype=np.uint64)[..., None, :]
+    fill = np.asarray(fill, dtype=np.uint64)[..., None, :]
+    one = np.uint64(1)
+    out = np.zeros(np.broadcast_shapes(tree.shape, x.shape), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for k in range(32):
+            prefix = x >> np.uint64(32 - k)
+            node = (one << np.uint64(k)) | prefix
+            h = lds.mix64((node * lds._GOLD) ^ tree)
+            digit = (x >> np.uint64(31 - k)) & one
+            out |= (digit ^ (h >> np.uint64(63))) << np.uint64(63 - k)
+        out |= lds.mix64((x * lds._GOLD) ^ fill) & np.uint64(0xFFFFFFFF)
+    u = (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.maximum(u, 2.0**-64)
+
+
+class TestScrambleKernel:
+    """The blocked in-place kernel against the plain 32-level loop."""
+
+    @pytest.mark.parametrize("m, d, lanes", [
+        (1, 1, ()),            # scalar lane, one point, one dimension
+        (64, 18, ()),          # scalar lane, outer-set width
+        (16, 3, (7,)),         # (B,) lanes
+        (8, 1, (5, 3)),        # (B, R) lanes
+        (1, 18, (4, 2)),
+        (16, 3, (1500,)),      # more lanes than one block holds
+        (4096, 18, ()),        # more points than one block holds
+        (300, 3, (40, 2)),     # (B, R) lanes split unevenly across blocks
+    ])
+    def test_matches_reference(self, m, d, lanes):
+        rng = np.random.default_rng(m * 1000 + d)
+        values = rng.integers(0, 2**32, (m, d), dtype=np.uint64).astype(np.uint32)
+        roots = rng.integers(0, 2**63, lanes, dtype=np.uint64) if lanes else 99
+        tree, fill = lds._owen_lanes(roots, d)
+        got = lds._scramble_values(values, tree, fill)
+        want = _scramble_reference(values, tree, fill)
+        assert got.shape == lanes + (m, d) and got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    def test_blocks_cover_extremes(self):
+        assert 1500 * 16 * 3 > lds._SCRAMBLE_BLOCK
+        assert 4096 * 18 > lds._SCRAMBLE_BLOCK
+
+    def test_stream_digest(self):
+        # any change to the scrambled stream fails here, never silently
+        pts = owen_scramble(sobol_sequence(PARAMS, 3, 6), RandomizationKey(1))
+        digest = hashlib.sha256(pts.values.tobytes()).hexdigest()
+        assert digest == "0a358efe798b9ee936489486ffb1531e85cc7b616111067b8777a9b804db3f7f"
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (1, 2), (5, 9), (1000, 3001), (4095, 4096)])
+    def test_sobol_rows_are_slices(self, lo, hi):
+        full = sobol_sequence(PARAMS, 18, 12).values
+        np.testing.assert_array_equal(lds._sobol_rows(PARAMS, 18, 12, lo, hi), full[lo:hi])
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 4), (4, 4), (0, 4097)])
+    def test_sobol_rows_out_of_range(self, lo, hi):
+        with pytest.raises(ValueError, match="out of range"):
+            lds._sobol_rows(PARAMS, 18, 12, lo, hi)
 
 
 class TestRandomShift:

@@ -7,6 +7,7 @@ import pytest
 
 from nestiq.lds import RandomizationKey
 from nestiq.models import ForwardModel, LinearGaussianModel, PKModel, pk_designs, pk_prior
+import nestiq.oed as oed
 from nestiq.oed import (
     LaplaceFitError,
     OEDProblem,
@@ -299,6 +300,26 @@ class TestNestedEigEstimators:
         assert r.counts == {"N": 256, "M": 16, "S": 2, "R": 3}
         assert r.work == 256 * 16 * 2 * 3
 
+
+class TestInnerBlocking:
+    """The inner integrand is evaluated a few outer rows at a time; the
+    values must not depend on how many rows share a block."""
+
+    @pytest.mark.parametrize("family", ["plain", "is"])
+    def test_blocked_values_bit_identical(self, family, monkeypatch):
+        geom, _ = pk_designs()
+        problem = OEDProblem(model=PKModel(), xi=geom, prior=pk_prior("variance"),
+                             noise_variances=np.full(15, 0.01))
+        nested = oed.build_nested_problem(problem, family=family)
+        key = RandomizationKey(39)
+        y = key.child("y", 0).uniforms((37, nested.d1), salt="y")
+        x = key.child("x", 0).uniforms((37, 16, nested.d2), salt="x")
+        whole = nested.inner(y, x, nested.h)
+        # 40 inner points a block: two rows each, the last block one row
+        monkeypatch.setattr(oed, "_INNER_BLOCK", 40)
+        blocked = nested.inner(y, x, nested.h)
+        assert blocked.shape == (37, 16)
+        assert np.array_equal(blocked, whole)
 
 class TestLaplaceOnly:
     def test_conjugate_truth(self):
