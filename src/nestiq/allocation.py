@@ -20,7 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import NestedProblem, rdlqmc_estimate, _inner_blocks, _outer_points, _outer_values, _as_sampler, default_sobol_params
+from .estimators import (
+    NestedProblem,
+    _as_sampler,
+    _inner_blocks,
+    _outer_points,
+    _outer_values,
+    _prepare_state,
+    default_sobol_params,
+    rdlqmc_estimate,
+)
 from .lds import RandomizationKey
 from .stats import inv_norm_cdf
 
@@ -245,6 +254,7 @@ def fit_pilot_inner(
     sampler = _as_sampler(sampler)
     params = default_sobol_params() if sampler.kind == "rqmc-sobol-owen" else None
     y = _outer_points(problem, n_fixed, 0, key.child("pilot-inner-fixed"), sampler, params)
+    state = _prepare_state(problem, y)  # shared by every rung and replicate
 
     per_rung = []
     rungs = ladder + [4 * ladder[-1]]
@@ -253,7 +263,8 @@ def fit_pilot_inner(
             problem, 0, n_fixed, m, r, 0, key.child("pilot-inner", i), sampler, params
         ).reshape(n_fixed, r, m, problem.d2)
         reps = np.array([
-            float(np.mean(_outer_values(problem, y, blocks[:, j]))) for j in range(r)
+            float(np.mean(_outer_values(problem, y, blocks[:, j], state)))
+            for j in range(r)
         ])
         per_rung.append(reps)
 

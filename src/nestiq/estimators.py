@@ -27,6 +27,7 @@ import numpy as np
 from .lds import (
     RandomizationKey,
     SobolParams,
+    _check_log2_count,
     _owen_lanes,
     _scramble_values,
     _sobol_rows,
@@ -53,7 +54,10 @@ __all__ = [
 ]
 
 _SAMPLER_KINDS = ("mc", "rqmc-sobol-owen", "rqmc-lattice-shift")
-_CHUNK = 4096
+_CHUNK = 4096  # outer rows per chunk task; a power of two
+# Byte budget of one chunk's inner points (rows * R * M * d2 float64s); a
+# plan over budget gets fewer rows per chunk (see _chunk_rows).
+_CHUNK_BYTES = 64 << 20
 
 
 @functools.cache
@@ -70,8 +74,8 @@ def thread_count() -> int:
 
 
 def _map_ordered(fn, items):
-    """Apply fn to items, possibly in parallel, always reducing in order."""
-    items = list(items)
+    """Apply fn to a sequence of items, possibly in parallel, always reducing
+    in order."""
     n = thread_count()
     if n <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -118,10 +122,13 @@ def _as_sampler(sampler) -> SamplerKind:
 class NestedProblem:
     """Outer map f of an inner integral of g over the unit cube.
 
-    ``inner(y, x, h)`` takes outer rows y of shape (B, d1) and inner blocks x
+    ``inner(state, x, h)`` takes the state of B outer rows and inner blocks x
     of shape (B, K, d2) and returns (B, K) values; ``inner_is_log`` marks the
-    return value as log g.  ``eta``/``gamma`` describe the discretization
-    order and evaluation-cost exponent when g is approximated at level h.
+    return value as log g.  The state is ``prepare(y, h)`` of the outer rows
+    y, shape (B, d1), computed once however many inner blocks share those
+    rows; without ``prepare`` it is y itself.  ``eta``/``gamma`` describe the
+    discretization order and evaluation-cost exponent when g is approximated
+    at level h.
     """
 
     d1: int
@@ -133,6 +140,7 @@ class NestedProblem:
     eta: float = 1.0
     gamma: float = 0.0
     name: str = ""
+    prepare: callable = None
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
@@ -246,9 +254,19 @@ def rqmc_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f of the inner-block mean for each outer row; x is (B, K, d2)."""
-    raw = np.asarray(problem.inner(y, x, problem.h), dtype=np.float64)
+def _prepare_state(problem: NestedProblem, y: np.ndarray):
+    """The inner integrand's state for outer rows y."""
+    return y if problem.prepare is None else problem.prepare(y, problem.h)
+
+
+def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, state=None) -> np.ndarray:
+    """f of the inner-block mean for each outer row; x is (B, K, d2).
+
+    ``state`` is ``_prepare_state(problem, y)`` when the caller holds it.
+    """
+    if state is None:
+        state = _prepare_state(problem, y)
+    raw = np.asarray(problem.inner(state, x, problem.h), dtype=np.float64)
     k = x.shape[1]
     if problem.inner_is_log:
         log_mean = log_sum_exp(raw, axis=1) - math.log(k)
@@ -334,6 +352,20 @@ def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler: SamplerKind, param
     return pts.reshape(b, R * M, problem.d2)
 
 
+def _chunk_rows(M, R, d2):
+    """Outer rows per chunk: _CHUNK, halved while the chunk's inner points
+    (rows * R * M * d2 float64s) exceed _CHUNK_BYTES.  Every value is a power
+    of two that divides _CHUNK, whatever the thread count."""
+    rows = _CHUNK
+    while rows > 1 and rows * R * M * d2 * 8 > _CHUNK_BYTES:
+        rows //= 2
+    return rows
+
+
+def _joined(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def rdlqmc_estimate(
     problem: NestedProblem,
     N: int,
@@ -358,22 +390,39 @@ def rdlqmc_estimate(
         params = params or default_sobol_params()
         if max(problem.d1, problem.d2) > params.dimension:
             raise ValueError("Sobol parameter table has too few dimensions")
+        _check_log2_count(int(math.log2(N)))
+        _check_log2_count(int(math.log2(M)))
+
+    # a chunk task is one row range of one randomization, as many as N needs,
+    # or, when N is below the chunk size, several whole randomizations that
+    # share one inner call and one MAP batch; either way each sums[s] adds
+    # the row sums of the same (s, row range) pieces
+    rows = _chunk_rows(M, R, problem.d2)
+    per_task = max(1, rows // N)  # randomizations in one task
+    per_s = -(-N // rows)  # tasks per randomization
+
+    def segments(task):
+        group, j = divmod(task, per_s)
+        lo, hi = j * rows, min(j * rows + rows, N)
+        first = group * per_task
+        return [(s, lo, hi) for s in range(first, min(first + per_task, S))]
 
     def run_chunk(task):
-        s, lo, hi = task
-        y = _outer_points(problem, N, s, key, sampler, params, lo, hi)
-        x = _inner_blocks(problem, lo, hi, M, R, s, key, sampler, params)
-        return s, _outer_values(problem, y, x)
+        segs = segments(task)
+        y = _joined([
+            _outer_points(problem, N, s, key, sampler, params, lo, hi) for s, lo, hi in segs
+        ])
+        x = _joined([
+            _inner_blocks(problem, lo, hi, M, R, s, key, sampler, params) for s, lo, hi in segs
+        ])
+        return _outer_values(problem, y, x)
 
-    tasks = [
-        (s, lo, min(lo + _CHUNK, N))
-        for s in range(S)
-        for lo in range(0, N, _CHUNK)
-    ]
-    chunks = _map_ordered(run_chunk, tasks)
+    tasks = range(-(-S // per_task) * per_s)
     sums = np.zeros(S)
-    for s, vals in chunks:
-        sums[s] += vals.sum()
+    for task, vals in zip(tasks, _map_ordered(run_chunk, tasks)):
+        for s, lo, hi in segments(task):
+            sums[s] += vals[: hi - lo].sum()
+            vals = vals[hi - lo :]
     replicate_means = sums / N
     work = N * M * S * R * problem.work_factor()
     return _make_result(
@@ -407,7 +456,9 @@ def _quadrature_value(problem: NestedProblem, order_outer: int, order_inner: int
         hi = min(lo + _CHUNK, y_nodes.shape[0])
         y = y_nodes[lo:hi]
         x = np.broadcast_to(x_nodes, (hi - lo, k, problem.d2))
-        raw = np.asarray(problem.inner(y, x, problem.h), dtype=np.float64)
+        raw = np.asarray(
+            problem.inner(_prepare_state(problem, y), x, problem.h), dtype=np.float64
+        )
         if problem.inner_is_log:
             log_inner = log_sum_exp(raw + np.log(x_w)[None, :], axis=1)
             fv = log_inner if problem.outer_map == "log" else problem.apply_outer(

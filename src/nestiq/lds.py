@@ -429,6 +429,11 @@ def sobol_sequence(params: SobolParams, dimension: int, log2_count: int) -> Digi
     return DigitalSequence(values=_sobol_rows(params, dimension, log2_count))
 
 
+def _check_log2_count(log2_count: int):
+    if not 0 <= log2_count <= 31:
+        raise ValueError(f"log2_count {log2_count} out of range [0, 31]")
+
+
 def _sobol_rows(params: SobolParams, dimension: int, log2_count: int, lo: int = 0,
                 hi: int | None = None) -> np.ndarray:
     """Rows [lo, hi) of the first 2^log2_count Sobol points: (hi - lo, dimension) uint32.
@@ -441,8 +446,7 @@ def _sobol_rows(params: SobolParams, dimension: int, log2_count: int, lo: int = 
         raise ValueError(
             f"dimension {dimension} out of range [1, {params.dimension}]"
         )
-    if not 0 <= log2_count <= 31:
-        raise ValueError(f"log2_count {log2_count} out of range [0, 31]")
+    _check_log2_count(log2_count)
     count = 1 << log2_count
     hi = count if hi is None else hi
     if not 0 <= lo < hi <= count:

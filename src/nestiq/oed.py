@@ -24,6 +24,7 @@ from .estimators import (
     _make_result,
     _outer_points,
     _outer_values,
+    _prepare_state,
     _tensor_grid,
     default_sobol_params,
     dlmc_estimate,
@@ -207,81 +208,125 @@ def simulate_data(theta, problem: OEDProblem, noise_draw) -> np.ndarray:
 
 
 def _neg_log_post(problem, theta, y_data, h):
+    """Negative log posterior (up to a constant) and the model output at theta."""
     g = problem.model.evaluate(theta, problem.xi, h)
     r = y_data - g[:, None, :]
     quad = np.einsum("bij,j->b", r * r, 1.0 / problem.noise_variances)
-    return 0.5 * quad - problem.prior.logpdf(theta)
+    return 0.5 * quad - problem.prior.logpdf(theta), g
+
+
+def _gauss_newton_terms(a, jac, rsum=None):
+    """sum_i a_i^T jac_i, shape (B, d, d), and sum_i a_i rsum_i, shape (B, d).
+
+    a and jac are (B, n, d), rsum is (B, n) or None.  The outputs i are added
+    in order with the batch axis innermost, which gives the bits of
+    einsum("bij,bik->bjk") and einsum("bij,bi->bj") in about half the time.
+    For d = 1 einsum reduces the contiguous output axis with a vector kernel
+    whose order is not reproduced here, so einsum is kept for that case.
+    """
+    d = a.shape[2]
+    if d == 1:
+        jtr = None if rsum is None else np.einsum("bij,bi->bj", a, rsum)
+        return np.einsum("bij,bik->bjk", a, jac), jtr
+    if rsum is not None:
+        jac = np.concatenate([jac, rsum[:, :, None]], axis=2)
+    at = np.ascontiguousarray(a.transpose(1, 2, 0))  # (n, d, B)
+    jt = np.ascontiguousarray(jac.transpose(1, 2, 0))  # (n, d or d + 1, B)
+    out = at[0][:, None, :] * jt[0][None, :, :]
+    tmp = np.empty_like(out)
+    for i in range(1, at.shape[0]):
+        np.multiply(at[i][:, None, :], jt[i][None, :, :], out=tmp)
+        out += tmp
+    jtj = out[:, :d, :].transpose(2, 0, 1)
+    return jtj, None if rsum is None else out[:, d, :].T
 
 
 def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
     """Damped Gauss-Newton posterior-mode search, vectorized over samples.
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
+    Each iteration works on the rows that have not converged, and a row
+    leaves the damping loop once its trial step is accepted, so every row
+    takes the path it would take in a batch of its own.
     """
-    theta = np.array(init, dtype=np.float64)
-    b = theta.shape[0]
+    theta_out = np.array(init, dtype=np.float64)
+    iters = np.zeros(theta_out.shape[0], dtype=np.int64)
     inv_s2 = 1.0 / problem.noise_variances
     lower = problem.prior.support_lower()
     upper = problem.prior.support_upper()
-    lam = np.full(b, 1e-8)
-    obj = _neg_log_post(problem, theta, y_data, h)
-    converged = np.zeros(b, dtype=bool)
-    iters = np.zeros(b, dtype=np.int64)
+    diag = np.arange(problem.d_theta)
+    eye = np.eye(problem.d_theta)
+    # state of the unconverged rows; idx holds their batch positions in order
+    idx = np.arange(theta_out.shape[0])
+    theta, y = theta_out.copy(), y_data
+    obj, g = _neg_log_post(problem, theta, y, h)  # g: model output at theta
+    lam = np.full(idx.size, 1e-8)
+    tiny = np.zeros(idx.size, dtype=bool)  # converged by a negligible step
 
     for it in range(max_iter + 1):
-        g = problem.model.evaluate(theta, problem.xi, h)
         jac = problem.model.jacobian(theta, problem.xi, h)
-        rsum = (y_data - g[:, None, :]).sum(axis=1)
-        a = jac * inv_s2[None, :, None]
-        grad = -np.einsum("bij,bi->bj", a, rsum) - problem.prior.grad_logpdf(theta)
+        rsum = (y - g[:, None, :]).sum(axis=1)
+        jtj, jtr = _gauss_newton_terms(jac * inv_s2[None, :, None], jac, rsum)
+        grad = -jtr - problem.prior.grad_logpdf(theta)
         gnorm = np.max(np.abs(grad), axis=1)
-        converged |= gnorm < grad_tol
-        if converged.all():
+        keep = ~((gnorm < grad_tol) | tiny)
+        if not keep.all():
+            theta_out[idx[~keep]] = theta[~keep]
+            idx, theta, y, obj, g, lam = (v[keep] for v in (idx, theta, y, obj, g, lam))
+            jtj, grad, gnorm = jtj[keep], grad[keep], gnorm[keep]
+        if idx.size == 0:
             break
         if it == max_iter:
-            bad = int(np.nonzero(~converged)[0][0])
             raise MapConvergenceError(
-                f"posterior-mode search failed at sample {bad}: "
-                f"|grad| = {gnorm[bad]:.3e} after {max_iter} iterations",
-                theta_last=theta[bad],
-                grad_norm=float(gnorm[bad]),
-                index=bad,
+                f"posterior-mode search failed at sample {idx[0]}: "
+                f"|grad| = {gnorm[0]:.3e} after {max_iter} iterations",
+                theta_last=theta[0],
+                grad_norm=float(gnorm[0]),
+                index=int(idx[0]),
             )
-        iters[~converged] = it + 1
-        hess = problem.n_experiments * np.einsum("bij,bik->bjk", a, jac)
-        hd = -problem.prior.hess_diag_logpdf(theta)
-        hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
-        eye = np.eye(problem.d_theta)[None, :, :]
+        iters[idx] = it + 1
+        hess = problem.n_experiments * jtj
+        hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
+        pending = np.ones(idx.size, dtype=bool)
+        tiny = np.zeros(idx.size, dtype=bool)
         for _ in range(8):
-            active = ~converged
-            if not active.any():
+            p = np.nonzero(pending)[0]
+            if p.size == 0:
                 break
+            lam_p = lam[p]
             try:
                 step = np.linalg.solve(
-                    hess + lam[:, None, None] * eye, -grad[..., None]
+                    hess[p] + lam_p[:, None, None] * eye, -grad[p, :, None]
                 )[..., 0]
             except np.linalg.LinAlgError:
-                lam = lam * 10.0
+                lam[p] = lam_p * 10.0
                 continue
+            theta_p = theta[p]
             # a near-undamped Newton step below machine precision in theta is
             # numerical stationarity even when ill scaling keeps the absolute
             # gradient above tolerance
-            tiny = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta)), axis=1)
-            converged |= tiny & active & (lam <= 1e-3)
-            trial = theta + np.where(active[:, None], step, 0.0)
+            tiny_p = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta_p)), axis=1)
+            tiny_p &= lam_p <= 1e-3
+            trial = theta_p + step
             inside = np.all((trial > lower) & (trial < upper), axis=1)
-            safe = np.where(inside[:, None], trial, theta)
-            trial_obj = np.where(inside, _neg_log_post(problem, safe, y_data, h), np.inf)
-            slack = 1e-12 * (1.0 + np.abs(obj))
-            better = inside & (trial_obj <= obj + slack) & active
-            theta = np.where(better[:, None], trial, theta)
-            obj = np.where(better, np.minimum(trial_obj, obj), obj)
-            lam = np.where(
-                better, np.maximum(lam * 0.3, 1e-12), np.minimum(lam * 10.0, 1e12)
+            trial_obj = np.full(p.size, np.inf)
+            trial_g = np.empty_like(g[p])
+            if inside.any():
+                trial_obj[inside], trial_g[inside] = _neg_log_post(
+                    problem, trial[inside], y[p[inside]], h
+                )
+            obj_p = obj[p]
+            better = inside & (trial_obj <= obj_p + 1e-12 * (1.0 + np.abs(obj_p)))
+            acc = p[better]
+            theta[acc] = trial[better]
+            obj[acc] = np.minimum(trial_obj[better], obj_p[better])
+            g[acc] = trial_g[better]
+            lam[p] = np.where(
+                better, np.maximum(lam_p * 0.3, 1e-12), np.minimum(lam_p * 10.0, 1e12)
             )
-            if (better | converged).all():
-                break
-    return theta, iters
+            tiny[p] = tiny_p
+            pending[p] = ~(better | tiny_p)
+    return theta_out, iters
 
 
 def map_estimate(y_data, problem: OEDProblem, init=None) -> np.ndarray:
@@ -297,7 +342,7 @@ def map_estimate(y_data, problem: OEDProblem, init=None) -> np.ndarray:
 def _precision_batch(problem, theta_hat, h=None):
     jac = problem.model.jacobian(theta_hat, problem.xi, h)
     a = jac * (1.0 / problem.noise_variances)[None, :, None]
-    prec = problem.n_experiments * np.einsum("bij,bik->bjk", a, jac)
+    prec = problem.n_experiments * _gauss_newton_terms(a, jac)[0]
     hd = -problem.prior.hess_diag_logpdf(theta_hat)
     prec[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
     return 0.5 * (prec + np.swapaxes(prec, 1, 2))
@@ -361,7 +406,12 @@ def build_nested_problem(
     h: float | None = None,
 ) -> NestedProblem:
     """Unit-cube nested problem whose outer map is log and whose inner
-    integrand is the (importance-weighted) likelihood in log form."""
+    integrand is the (importance-weighted) likelihood in log form.
+
+    ``prepare`` simulates each outer row's data and, for importance
+    sampling, solves its posterior mode and Laplace factor once; the inner
+    integrand reads that state for every inner block.
+    """
     if family not in ("plain", "is"):
         raise ValueError("family must be 'plain' or 'is'")
     if laplace_mode not in ("optimized-map", "data-generating-theta"):
@@ -370,18 +420,25 @@ def build_nested_problem(
     d_theta = problem.d_theta
     h = problem.h if h is None else h
 
-    def inner_log(y, x, h_level):
+    def prepare(y, h_level):
+        """Data of each outer row and, for importance sampling, its Laplace
+        proposal: the posterior mode and the covariance Cholesky factor."""
         theta = problem.prior.transform(y[:, :d_theta])
         noise = _noise_values(problem, y[:, d_theta:])
         g_true = problem.model.evaluate(theta, problem.xi, h_level)
         y_data = g_true[:, None, :] + noise  # (B, N_e, d_y)
+        if family == "plain":
+            return (y_data,)
+        if laplace_mode == "optimized-map":
+            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
+        else:
+            theta_hat = theta
+        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)
+        return y_data, theta_hat, cov_chol, log_det_cov
+
+    def inner_log(state, x, h_level):
+        y_data = state[0]
         b, k = x.shape[0], x.shape[1]
-        if family == "is":
-            if laplace_mode == "optimized-map":
-                theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
-            else:
-                theta_hat = theta
-            cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)
         out = np.empty((b, k))
         # each row's values depend on that row alone, so the inner points are
         # evaluated a few rows at a time and the (rows, K, d_y) temporaries
@@ -396,6 +453,7 @@ def build_nested_problem(
                 g_in = problem.model.evaluate(vartheta, problem.xi, h_level)
                 out[rows] = _batch_loglik(problem, y_data[rows], g_in.reshape(nb, k, -1))
                 continue
+            _, theta_hat, cov_chol, log_det_cov = state
             z = inv_norm_cdf(xb)  # (rows, K, d_theta)
             vartheta = theta_hat[rows, None, :] + np.einsum("bij,bkj->bki", cov_chol[rows], z)
             g_in = problem.model.evaluate(
@@ -416,6 +474,7 @@ def build_nested_problem(
         d1=problem.d_outer,
         d2=problem.d_inner,
         inner=inner_log,
+        prepare=prepare,
         outer_map="log",
         inner_is_log=True,
         h=h,
@@ -494,10 +553,11 @@ def inner_replicate_spread(
     params = default_sobol_params()
     sampler = _as_sampler("rqmc-sobol-owen")
     y = _outer_points(nested, N, 0, key, sampler, params)
+    state = _prepare_state(nested, y)
     blocks = _inner_blocks(nested, 0, N, M, R, 0, key, sampler, params)
     blocks = blocks.reshape(N, R, M, nested.d2)
     per_rep = np.stack(
-        [_outer_values(nested, y, blocks[:, j]) for j in range(R)], axis=1
+        [_outer_values(nested, y, blocks[:, j], state) for j in range(R)], axis=1
     )  # (N, R)
     return float(np.max(per_rep.max(axis=1) - per_rep.min(axis=1)))
 

@@ -69,6 +69,25 @@ class TestVarianceFits:
 
 
 class TestPilotRuns:
+    def test_inner_pilot_prepares_once_with_the_same_result(self):
+        from nestiq.models import PKModel, pk_designs, pk_prior
+        from nestiq.oed import OEDProblem, build_nested_problem
+
+        problem = OEDProblem(model=PKModel(), xi=pk_designs()[0],
+                             prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
+        nested = build_nested_problem(problem, family="is")
+        prepared = []
+        prepare = nested.prepare
+        nested.prepare = lambda y, h: prepared.append(y.shape) or prepare(y, h)
+        folded = NestedProblem(
+            d1=nested.d1, d2=nested.d2, outer_map="log", inner_is_log=True,
+            inner=lambda y, x, h: nested.inner(prepare(y, h), x, h),
+        )
+        key = RandomizationKey(8, tag="prep")
+        fit = fit_pilot_inner(nested, [8, 16], 4, 8, key)
+        assert prepared == [(4, nested.d1)]  # once for every rung and replicate
+        assert fit == fit_pilot_inner(folded, [8, 16], 4, 8, key)
+
     def test_outer_pilot_on_toy(self):
         fit = fit_pilot_outer(
             toy_problem(), [32, 128, 512], 64, 16, RandomizationKey(3, tag="po")

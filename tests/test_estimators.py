@@ -384,6 +384,110 @@ class TestChunking:
         np.testing.assert_array_equal(np.concatenate(seen), want)
 
 
+class TestSharedChunks:
+    """Below one chunk of rows, several outer randomizations share a chunk,
+    one inner call and one MAP batch; each randomization's mean must keep
+    the bits it has when evaluated alone."""
+
+    @staticmethod
+    def _pk_problem():
+        from nestiq.models import PKModel, pk_designs, pk_prior
+        from nestiq.oed import OEDProblem, build_nested_problem
+
+        problem = OEDProblem(model=PKModel(), xi=pk_designs()[0],
+                             prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
+        return build_nested_problem(problem, family="is")
+
+    @staticmethod
+    def _alone(problem, N, M, S, R, key, sampler, chunk):
+        """Replicate means with every randomization evaluated on its own, in
+        pieces of at most `chunk` rows."""
+        from nestiq import estimators
+
+        sampler = estimators._as_sampler(sampler)
+        params = estimators.default_sobol_params()
+        sums = np.zeros(S)
+        for s in range(S):
+            for lo in range(0, N, chunk):
+                hi = min(lo + chunk, N)
+                y = estimators._outer_points(problem, N, s, key, sampler, params, lo, hi)
+                x = estimators._inner_blocks(problem, lo, hi, M, R, s, key, sampler, params)
+                sums[s] += estimators._outer_values(problem, y, x).sum()
+        return sums / N
+
+    @pytest.mark.parametrize("sampler, chunk, N, S, calls", [
+        ("rqmc-sobol-owen", 4096, 16, 8, [128]),
+        ("rqmc-sobol-owen", 8, 4, 5, [8, 8, 4]),
+        ("rqmc-sobol-owen", 8, 8, 3, [8, 8, 8]),
+        ("mc", 8, 3, 5, [6, 6, 3]),  # two whole randomizations a chunk
+        ("mc", 8, 12, 2, [8, 4, 8, 4]),  # pieces never cross randomizations
+    ])
+    def test_replicates_bit_identical_to_one_randomization_at_a_time(
+        self, sampler, chunk, N, S, calls, monkeypatch
+    ):
+        from nestiq import estimators
+
+        monkeypatch.setattr(estimators, "_CHUNK", chunk)
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        problem = self._pk_problem()
+        seen = []
+        inner = problem.inner
+        problem.inner = lambda state, x, h: seen.append(x.shape[0]) or inner(state, x, h)
+        res = rdlqmc_estimate(problem, N, 4, S, 2, KEY, sampler=sampler)
+        assert seen == calls
+        problem.inner = inner
+        np.testing.assert_array_equal(
+            res.replicate_values, self._alone(problem, N, 4, S, 2, KEY, sampler, chunk)
+        )
+
+    def test_thread_count_does_not_change_bits(self, monkeypatch):
+        from nestiq import estimators
+
+        monkeypatch.setattr(estimators, "_CHUNK", 8)
+        problem = self._pk_problem()
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        one = rdlqmc_estimate(problem, 4, 4, 5, 1, KEY).replicate_values
+        monkeypatch.setenv("NESTIQ_THREADS", "2")
+        two = rdlqmc_estimate(problem, 4, 4, 5, 1, KEY).replicate_values
+        np.testing.assert_array_equal(one, two)
+
+
+class TestChunkMemory:
+    def test_rows_fit_the_budget_in_powers_of_two(self):
+        from nestiq import estimators
+
+        budget = estimators._CHUNK_BYTES
+        # the drug-model workloads keep whole chunks: (M, R, d2) of eig-wide-inner
+        assert estimators._chunk_rows(256, 1, 3) == estimators._CHUNK
+        for m in (2**10, 2**14, 2**17, 2**30):
+            rows = estimators._chunk_rows(m, 2, 3)
+            assert estimators._CHUNK % rows == 0 and rows & (rows - 1) == 0
+            assert rows == 1 or rows * 2 * m * 3 * 8 <= budget
+
+    def test_large_inner_plan_stays_under_ceiling(self, monkeypatch):
+        import tracemalloc
+
+        from nestiq import estimators
+
+        budget = 1 << 20
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", budget)
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        prob = toy_log_problem()
+        N, M = 1024, 1024  # one 1024-row chunk would hold 8 MiB of inner points
+        assert estimators._chunk_rows(M, 1, prob.d2) == 128
+        tracemalloc.start()
+        try:
+            res = rdlqmc_estimate(prob, N, M, 1, 1, KEY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * budget
+        # the same plan in whole chunks moves the estimate only by rounding
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 64 * budget)
+        whole = rdlqmc_estimate(prob, N, M, 1, 1, KEY)
+        assert res.estimate == pytest.approx(whole.estimate, rel=1e-13)
+
+
 class TestLatticeNested:
     def test_rdlqmc_with_shifted_lattice_sampler(self):
         from nestiq.estimators import SamplerKind

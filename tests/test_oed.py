@@ -172,6 +172,154 @@ class TestMapEstimate:
         np.testing.assert_allclose(th, theta_true, rtol=1e-3)
 
 
+class CubicModel(ForwardModel):
+    """Scalar observable theta^3: a Gauss-Newton step from a small theta
+    overshoots far past the mode."""
+
+    d_theta = 1
+    d_y = 1
+
+    def evaluate(self, theta, xi=None, h=None):
+        return np.atleast_2d(theta) ** 3
+
+    def jacobian(self, theta, xi=None, h=None):
+        return (3.0 * np.atleast_2d(theta) ** 2)[:, :, None]
+
+
+def _map_reference(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
+    """The whole-batch damped Gauss-Newton loop that _map_batch replaced:
+    every iteration evaluates every row, and the damping loop keeps stepping
+    accepted rows while any other row is rejected."""
+    theta = np.array(init, dtype=np.float64)
+    b = theta.shape[0]
+    inv_s2 = 1.0 / problem.noise_variances
+    lower = problem.prior.support_lower()
+    upper = problem.prior.support_upper()
+    lam = np.full(b, 1e-8)
+    obj = oed._neg_log_post(problem, theta, y_data, h)[0]
+    converged = np.zeros(b, dtype=bool)
+    iters = np.zeros(b, dtype=np.int64)
+    for it in range(max_iter + 1):
+        g = problem.model.evaluate(theta, problem.xi, h)
+        jac = problem.model.jacobian(theta, problem.xi, h)
+        rsum = (y_data - g[:, None, :]).sum(axis=1)
+        a = jac * inv_s2[None, :, None]
+        grad = -np.einsum("bij,bi->bj", a, rsum) - problem.prior.grad_logpdf(theta)
+        gnorm = np.max(np.abs(grad), axis=1)
+        converged |= gnorm < grad_tol
+        if converged.all():
+            break
+        if it == max_iter:
+            bad = int(np.nonzero(~converged)[0][0])
+            raise oed.MapConvergenceError(
+                "reference", theta_last=theta[bad], grad_norm=float(gnorm[bad]), index=bad
+            )
+        iters[~converged] = it + 1
+        hess = problem.n_experiments * np.einsum("bij,bik->bjk", a, jac)
+        hd = -problem.prior.hess_diag_logpdf(theta)
+        hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
+        eye = np.eye(problem.d_theta)[None, :, :]
+        for _ in range(8):
+            active = ~converged
+            if not active.any():
+                break
+            try:
+                step = np.linalg.solve(hess + lam[:, None, None] * eye, -grad[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                lam = lam * 10.0
+                continue
+            tiny = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta)), axis=1)
+            converged |= tiny & active & (lam <= 1e-3)
+            trial = theta + np.where(active[:, None], step, 0.0)
+            inside = np.all((trial > lower) & (trial < upper), axis=1)
+            safe = np.where(inside[:, None], trial, theta)
+            trial_obj = np.where(inside, oed._neg_log_post(problem, safe, y_data, h)[0], np.inf)
+            slack = 1e-12 * (1.0 + np.abs(obj))
+            better = inside & (trial_obj <= obj + slack) & active
+            theta = np.where(better[:, None], trial, theta)
+            obj = np.where(better, np.minimum(trial_obj, obj), obj)
+            lam = np.where(better, np.maximum(lam * 0.3, 1e-12), np.minimum(lam * 10.0, 1e12))
+            if (better | converged).all():
+                break
+    return theta, iters
+
+
+def _pk_map_inputs(design, n, seed):
+    """n PK data sets simulated from prior draws, and those draws as starts."""
+    xi = pk_designs()[design]
+    problem = OEDProblem(model=PKModel(), xi=xi, prior=pk_prior("variance"),
+                         noise_variances=np.full(15, 0.01))
+    u = RandomizationKey(seed).uniforms((n, problem.d_outer), salt="map")
+    theta = problem.prior.transform(u[:, :3])
+    g = problem.model.evaluate(theta, problem.xi)
+    y_data = g[:, None, :] + oed._noise_values(problem, u[:, 3:])
+    return problem, y_data, theta
+
+
+class TestGaussNewtonTerms:
+    @pytest.mark.parametrize("b", [1, 7, 4096])
+    @pytest.mark.parametrize("n", [1, 15])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bit_equal_to_einsum(self, b, n, d):
+        rng = np.random.default_rng(b * 100 + n * 10 + d)
+        # magnitudes over ten decades, so that any change of summation
+        # order shows in the last bits
+        a = rng.standard_normal((b, n, d)) * 10.0 ** rng.uniform(-5, 5, (b, n, d))
+        jac = rng.standard_normal((b, n, d))
+        rsum = rng.standard_normal((b, n))
+        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        assert np.array_equal(jtj, np.einsum("bij,bik->bjk", a, jac))
+        assert np.array_equal(jtr, np.einsum("bij,bi->bj", a, rsum))
+        jtj_only, none = oed._gauss_newton_terms(a, jac)
+        assert none is None and np.array_equal(jtj_only, jtj)
+
+
+class TestActiveSetMap:
+    @pytest.mark.parametrize("design", [0, 1])
+    def test_batch_equals_single_row_solves(self, design):
+        problem, y_data, init = _pk_map_inputs(design, 256, 50 + design)
+        theta, iters = oed._map_batch(problem, y_data, init)
+        ref_theta, ref_iters = _map_reference(problem, y_data, init)
+        assert np.array_equal(theta, ref_theta) and np.array_equal(iters, ref_iters)
+        for i in range(256):
+            t1, i1 = oed._map_batch(problem, y_data[i:i + 1], init[i:i + 1])
+            assert np.array_equal(t1[0], theta[i]) and i1[0] == iters[i]
+
+    def test_rejected_neighbour_leaves_other_rows_alone(self):
+        p = OEDProblem(model=CubicModel(), xi=np.zeros(0),
+                       prior=PriorSpec(components=(("normal", 0.0, 1.0),)),
+                       noise_variances=[0.01])
+        y_data = np.array([1.0, 1.3, 0.8, 1.0, 2.0])[:, None, None]
+        init = np.array([[0.9], [1.2], [0.7], [0.1], [1.1]])
+        # row 3's first Gauss-Newton step (lambda = 1e-8) overshoots from
+        # 0.1 to about 2.76 and raises the objective, so it is rejected
+        t0, y0 = 0.1, 1.0
+        obj = lambda t: 0.5 * (y0 - t**3) ** 2 / 0.01 + 0.5 * t**2  # noqa: E731
+        grad = -(y0 - t0**3) * 3 * t0**2 / 0.01 + t0
+        trial = t0 - grad / (9 * t0**4 / 0.01 + 1.0 + 1e-8)
+        assert obj(trial) > obj(t0)
+        theta, iters = oed._map_batch(p, y_data, init)
+        for i in range(5):
+            t1, i1 = oed._map_batch(p, y_data[i:i + 1], init[i:i + 1])
+            assert np.array_equal(t1[0], theta[i]) and i1[0] == iters[i]
+
+    def test_failure_names_first_unconverged_sample(self):
+        problem, y_data, init = _pk_map_inputs(0, 16, 52)
+        # rows 0-2 start at their modes and converge at once; row 3 is the
+        # first sample of the batch that one iteration cannot solve
+        modes, _ = oed._map_batch(problem, y_data[:3], init[:3])
+        init = init.copy()
+        init[:3] = modes
+        with pytest.raises(oed.MapConvergenceError) as ref:
+            _map_reference(problem, y_data, init, max_iter=1)
+        with pytest.raises(oed.MapConvergenceError) as got:
+            oed._map_batch(problem, y_data, init, max_iter=1)
+        assert got.value.index == ref.value.index == 3
+        assert np.array_equal(got.value.theta_last, ref.value.theta_last)
+        assert got.value.grad_norm == ref.value.grad_norm
+        assert "sample 3" in str(got.value)
+
+
 class TestLaplaceCovariance:
     def test_conjugate_value(self):
         p = linear_gaussian_problem()
@@ -279,6 +427,24 @@ class TestNestedEigEstimators:
         )
         assert spread < 1e-10
 
+    def test_replicate_spread_unchanged_by_prepare_once(self):
+        from nestiq.estimators import _inner_blocks, _outer_points, _outer_values
+
+        geom, _ = pk_designs()
+        problem = OEDProblem(model=PKModel(), xi=geom, prior=pk_prior("variance"),
+                             noise_variances=np.full(15, 0.01))
+        key = RandomizationKey(306)
+        spread = inner_replicate_spread(problem, 16, 4, 3, key=key)
+        # the same diagnostic with the Laplace proposal solved for every replicate
+        nested = oed.build_nested_problem(problem, family="is")
+        params = oed.default_sobol_params()
+        sampler = oed._as_sampler("rqmc-sobol-owen")
+        y = _outer_points(nested, 16, 0, key, sampler, params)
+        blocks = _inner_blocks(nested, 0, 16, 4, 3, 0, key, sampler, params).reshape(16, 3, 4, 3)
+        per_rep = np.stack([_outer_values(nested, y, blocks[:, j]) for j in range(3)], axis=1)
+        assert spread == float(np.max(per_rep.max(axis=1) - per_rep.min(axis=1)))
+        assert spread > 0.0
+
     def test_importance_weights_finite(self):
         # weighted inner values at any fixed outer sample are finite
         r = eig_importance_sampled(linear_gaussian_problem(), 64, 16, S=1, R=1,
@@ -314,10 +480,11 @@ class TestInnerBlocking:
         key = RandomizationKey(39)
         y = key.child("y", 0).uniforms((37, nested.d1), salt="y")
         x = key.child("x", 0).uniforms((37, 16, nested.d2), salt="x")
-        whole = nested.inner(y, x, nested.h)
+        state = nested.prepare(y, nested.h)
+        whole = nested.inner(state, x, nested.h)
         # 40 inner points a block: two rows each, the last block one row
         monkeypatch.setattr(oed, "_INNER_BLOCK", 40)
-        blocked = nested.inner(y, x, nested.h)
+        blocked = nested.inner(state, x, nested.h)
         assert blocked.shape == (37, 16)
         assert np.array_equal(blocked, whole)
 
