@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lds import (
+    PointSet,
     RandomizationKey,
     SobolParams,
     _check_log2_count,
+    _lattice_rows,
     _owen_lanes,
     _scramble_values,
     _sobol_rows,
@@ -286,7 +288,9 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
     """Double-loop Monte Carlo with iid uniform points in both loops.
 
     One outer and one inner randomization (counts S = R = 1);
-    replicate_values are the N per-sample values.
+    replicate_values are the N per-sample values.  Chunks are sized like
+    those of rdlqmc_estimate, so their inner points stay within
+    _CHUNK_BYTES; each chunk's streams are salted by its first row.
     """
     if N < 1 or M < 1:
         raise ValueError("N and M must be >= 1")
@@ -297,7 +301,8 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
         x = key.child("inner", 0).uniforms((hi - lo, M, problem.d2), salt=f"x{lo}")
         return _outer_values(problem, y, x)
 
-    bounds = [(lo, min(lo + _CHUNK, N)) for lo in range(0, N, _CHUNK)]
+    rows = _chunk_rows(M, 1, problem.d2)
+    bounds = [(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
     values = np.concatenate(_map_ordered(run_chunk, bounds))
     work = N * M * problem.work_factor()
     return _make_result(
@@ -308,19 +313,22 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
 def _outer_points(problem, N, s, key, sampler: SamplerKind, params, lo=0, hi=None):
     """Rows [lo, hi) of the N outer points of randomization s: (hi - lo, d1).
 
-    Owen scrambling acts on each point on its own, so a Sobol row range is
-    generated and scrambled alone, bit-identical to those rows of the whole
-    scrambled set.
+    Every sampler generates only those rows, bit-identical to the same rows
+    of the whole randomized set: iid uniforms by their stream counters,
+    lattice points by their index, and Sobol rows from the Gray code of lo,
+    Owen-scrambled (each point on its own) to the depth of all N points.
     """
     hi = N if hi is None else hi
+    d1 = problem.d1
     if sampler.kind == "mc":
-        return key.child("outer", s).uniforms((N, problem.d1), salt="y")[lo:hi]
+        return key.child("outer", s).uniforms((hi - lo, d1), salt="y", offset=lo * d1)
     if sampler.kind == "rqmc-sobol-owen":
-        base = _sobol_rows(params, problem.d1, int(math.log2(N)), lo, hi)
-        tree, fill = _owen_lanes(key.child("outer", s).subroot("owen"), problem.d1)
-        return _scramble_values(base, tree, fill)
-    base = lattice_points(sampler.vector_for(problem.d1), N)
-    return random_shift(base, key.child("outer", s)).values[lo:hi]
+        log2_n = int(math.log2(N))
+        base = _sobol_rows(params, d1, log2_n, lo, hi)
+        tree, fill = _owen_lanes(key.child("outer", s).subroot("owen"), d1)
+        return _scramble_values(base, tree, fill, log2_n)
+    base = PointSet(values=_lattice_rows(sampler.vector_for(d1), N, lo, hi))
+    return random_shift(base, key.child("outer", s)).values
 
 
 def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler: SamplerKind, params):
@@ -337,9 +345,10 @@ def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler: SamplerKind, param
     r_idx = np.arange(R, dtype=np.uint64)[None, :]
     roots = fold_index_array(fold_index_array(key.subroot("inner", s), n_idx), r_idx)
     if sampler.kind == "rqmc-sobol-owen":
-        base = sobol_sequence(params, problem.d2, int(math.log2(M)))
+        log2_m = int(math.log2(M))
+        base = sobol_sequence(params, problem.d2, log2_m)
         tree, fill = _owen_lanes(roots, problem.d2)
-        pts = _scramble_values(base.values, tree, fill)  # (B, R, M, d2)
+        pts = _scramble_values(base.values, tree, fill, log2_m)  # (B, R, M, d2)
     else:
         base = lattice_points(sampler.vector_for(problem.d2), M).values
         shift_bits = fold_index_array(

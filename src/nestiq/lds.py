@@ -38,7 +38,6 @@ _FILL_SALT = np.uint64(0xE7037ED1A0B428DB)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TOP_BIT = np.uint64(1 << 63)
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 # Elements per block of the scramble kernel: its five uint64 work buffers
 # (1.25 MiB) stay in a core's L2 cache.
@@ -125,12 +124,17 @@ class RandomizationKey:
             r = _fold_int(r, ix)
         return r
 
-    def uniforms(self, shape, salt: str = "uniform") -> np.ndarray:
-        """Deterministic iid uniforms on (0,1), clamped away from 0 and 1."""
+    def uniforms(self, shape, salt: str = "uniform", offset: int = 0) -> np.ndarray:
+        """Deterministic iid uniforms on (0,1), clamped away from 0 and 1.
+
+        They are numbers offset+1 ... offset+size of the (key, salt) stream,
+        so rows [lo, hi) of an (N, d) draw are the (hi - lo, d) draw at
+        offset lo * d.
+        """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         size = int(np.prod(shape)) if shape else 1
         base = np.uint64(self.subroot(salt))
-        ctr = np.arange(1, size + 1, dtype=np.uint64)
+        ctr = np.arange(offset + 1, offset + size + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             bits = mix64(base ^ (ctr * _GOLD))
         u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -482,16 +486,21 @@ def _owen_lanes(root, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     return tree, fill
 
 
-def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray) -> np.ndarray:
+def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,
+                     depth: int) -> np.ndarray:
     """Nested uniform scramble of 32-bit integers under per-dim lane keys.
 
     ``values_u32`` is (M, d); ``tree``/``fill`` broadcast as (..., d).
     Returns floats of shape (..., M, d) in [2^-64, 1-2^-53].
 
-    The permutation bit at tree depth k is a keyed hash of the k leading
-    original digits (heap-indexed node id), which realizes Owen scrambling
-    without materializing permutation trees.  Digits 33-64 are filled with
-    uniform bits hashed from the full 32-digit path.
+    The permutation bit at tree depth k < ``depth`` is a keyed hash of the k
+    leading original digits (heap-indexed node id), which realizes Owen
+    scrambling without materializing permutation trees.  The other
+    64 - ``depth`` bits are uniform bits: the low bits of one full
+    :func:`mix64` of the ``depth`` leading digits under the fill key.  Pass
+    depth = log2 of the whole point set's count: each depth-``depth`` node of
+    a 2^depth-point net holds one point, so the permutations below it amount
+    to iid uniform digits (Owen 1995).  ``depth=32`` hashes every digit.
 
     The output is computed in blocks of about ``_SCRAMBLE_BLOCK`` elements
     (lanes of point rows) with in-place arithmetic on buffers local to the
@@ -500,6 +509,8 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray)
     hash is used, and the final xor-shift of :func:`mix64` leaves that bit
     alone, so each depth runs just the two multiply rounds.
     """
+    if not 0 <= depth <= _N_BITS:
+        raise ValueError(f"scramble depth {depth} out of range [0, {_N_BITS}]")
     tree = np.asarray(tree, dtype=np.uint64)[..., None, :]
     fill = np.asarray(fill, dtype=np.uint64)[..., None, :]
     shape = np.broadcast_shapes(tree.shape, fill.shape, np.shape(values_u32))
@@ -513,6 +524,8 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray)
     buffers = np.empty((5, lanes_per_block * rows * d), dtype=np.uint64)
     out = np.empty((n_lanes, m, d))
     lead = np.uint64(1 << _N_BITS)
+    low = np.uint64(_MASK64 >> depth)  # the bits the fill supplies
+    high = np.uint64(_MASK64 ^ (_MASK64 >> depth))  # the permuted leading digits
     with np.errstate(over="ignore"):
         for p0 in range(0, m, rows):
             nm = min(rows, m - p0)
@@ -523,7 +536,7 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray)
                 np.bitwise_or(x[p0:p0 + nm], lead, out=path)
                 np.copyto(lane_tree, tree[l0:l0 + nl])
                 flips.fill(0)
-                for k in range(_N_BITS):
+                for k in range(depth):
                     np.right_shift(path, np.uint64(_N_BITS - k), out=z)
                     z *= _GOLD
                     z ^= lane_tree
@@ -531,15 +544,16 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray)
                     z &= _TOP_BIT
                     z >>= np.uint64(k)
                     flips |= z
-                # fill digits 33-64 from a full mix64 of the 32-digit value
-                np.bitwise_xor(path, lead, out=z)
+                # fill the low 64 - depth bits from a full mix64 of the depth-digit prefix
+                np.right_shift(x[p0:p0 + nm], np.uint64(_N_BITS - depth), out=z)
                 z *= _GOLD
                 z ^= fill[l0:l0 + nl]
                 _mix64_rounds_inplace(z, tmp)
                 np.right_shift(z, np.uint64(31), out=tmp)
                 z ^= tmp
-                z &= _LOW32
+                z &= low
                 np.left_shift(path, np.uint64(_N_BITS), out=tmp)  # digits in bits 63..32
+                tmp &= high
                 flips ^= tmp
                 flips |= z
                 flips >>= np.uint64(11)
@@ -554,9 +568,12 @@ def owen_scramble(seq: DigitalSequence, key: RandomizationKey) -> PointSet:
 
     One key scrambles the whole sequence (the same randomization applies to
     every point); every output coordinate is marginally uniform on (0,1).
+    The scramble tree is cut at depth log2(count), below which each node
+    holds one point, and the remaining digits are iid uniform bits.
     """
     tree, fill = _owen_lanes(key.subroot("owen"), seq.dimension)
-    return PointSet(values=_scramble_values(seq.values, tree, fill))
+    depth = seq.count.bit_length() - 1
+    return PointSet(values=_scramble_values(seq.values, tree, fill, depth))
 
 
 def random_shift(points: PointSet, key: RandomizationKey, shift=None) -> PointSet:
@@ -579,13 +596,18 @@ def lattice_points(generating_vector, count: int) -> PointSet:
     Exposed for comparison experiments; pair with :func:`random_shift` for
     randomization.
     """
+    return PointSet(values=_lattice_rows(generating_vector, count, 0, count))
+
+
+def _lattice_rows(generating_vector, count: int, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of :func:`lattice_points`, generated alone: (hi - lo, d)."""
     w = np.asarray(generating_vector, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("generating vector must be a nonempty 1-D sequence")
     if count < 1:
         raise ValueError("count must be >= 1")
-    m = np.arange(count, dtype=np.float64)[:, None]
-    return PointSet(values=_clamp_unit(np.mod(m * (w[None, :] / count), 1.0)))
+    m = np.arange(lo, hi, dtype=np.float64)[:, None]
+    return _clamp_unit(np.mod(m * (w[None, :] / count), 1.0))
 
 
 # ---------------------------------------------------------------------------

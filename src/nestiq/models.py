@@ -90,9 +90,13 @@ class PKModel(ForwardModel):
         t1, t2, t3 = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
         near = np.abs(t1 - t2) < _PK_SINGULAR_REL * np.abs(t1)
         denom = np.where(near, 1.0, t1 - t2)
-        general = (self.dose / t3) * (t1 / denom) * (np.exp(-t2 * xi) - np.exp(-t1 * xi))
-        limit = (self.dose / t3) * t1 * xi * np.exp(-t1 * xi)
-        return np.where(near, limit, general)
+        amp = self.dose / t3
+        e1 = np.exp(-t1 * xi)
+        out = amp * (t1 / denom) * (np.exp(-t2 * xi) - e1)
+        if near.any():
+            r = near[:, 0]
+            out[r] = amp[r] * t1[r] * xi * e1[r]
+        return out
 
     def jacobian(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
@@ -107,15 +111,19 @@ class PKModel(ForwardModel):
         e1, e2 = np.exp(-t1 * xi), np.exp(-t2 * xi)
         diff = e2 - e1
         amp = self.dose / t3
-        g = np.where(near, amp * t1 * xi * e1, amp * (t1 / denom) * diff)
-        d1 = amp * (-t2 / denom**2 * diff + (t1 / denom) * xi * e1)
-        d2 = amp * (t1 / denom**2 * diff - (t1 / denom) * xi * e2)
-        # second-order expansion of the difference quotient at th1 = th2
-        d1_lim = amp * xi * e1 * (1.0 - 0.5 * t1 * xi)
-        d2_lim = -amp * t1 * xi**2 * e1 * 0.5
+        q = t1 / denom
+        qx = q * xi
+        g = amp * q * diff
         jac = np.empty(theta.shape[:1] + (xi.shape[1], 3))
-        jac[:, :, 0] = np.where(near, d1_lim, d1)
-        jac[:, :, 1] = np.where(near, d2_lim, d2)
+        jac[:, :, 0] = amp * (-t2 / denom**2 * diff + qx * e1)
+        jac[:, :, 1] = amp * (t1 / denom**2 * diff - qx * e2)
+        if near.any():
+            r = near[:, 0]
+            a, t, e = amp[r], t1[r], e1[r]
+            g[r] = a * t * xi * e
+            # second-order expansion of the difference quotient at th1 = th2
+            jac[r, :, 0] = a * xi * e * (1.0 - 0.5 * t * xi)
+            jac[r, :, 1] = -a * t * xi**2 * e * 0.5
         jac[:, :, 2] = -g / t3
         return jac
 

@@ -61,6 +61,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Inner points per block of the nested inner integrand (see build_nested_problem).
 _INNER_BLOCK = 1 << 15
+# Gradient tolerance of the importance-sampling proposal's posterior mode.  A
+# mode off by H^-1 grad leaves the weighted inner integrand a slope of about
+# |grad| |L z| in the inner normal z, so an exact Gaussian posterior gives
+# weights constant to rounding only when the gradient is far below 1e-10.
+_PROPOSAL_GRAD_TOL = 1e-12
 
 
 class MapConvergenceError(ArithmeticError):
@@ -430,7 +435,9 @@ def build_nested_problem(
         if family == "plain":
             return (y_data,)
         if laplace_mode == "optimized-map":
-            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
+            theta_hat, _ = _map_batch(
+                problem, y_data, theta, h=h_level, grad_tol=_PROPOSAL_GRAD_TOL
+            )
         else:
             theta_hat = theta
         cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)

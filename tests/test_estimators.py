@@ -9,6 +9,7 @@ import pytest
 from nestiq.estimators import (
     InnerUnderflowError,
     NestedProblem,
+    SamplerKind,
     dlmc_estimate,
     mc_estimate,
     rdlqmc_estimate,
@@ -383,6 +384,25 @@ class TestChunking:
         )
         np.testing.assert_array_equal(np.concatenate(seen), want)
 
+    @pytest.mark.parametrize("kind", ["mc", "rqmc-lattice-shift"])
+    @pytest.mark.parametrize("N, lo, hi", [(64, 0, 8), (64, 24, 40), (64, 63, 64), (12, 8, 12)])
+    def test_outer_rows_generated_alone(self, kind, N, lo, hi):
+        from nestiq import estimators
+        from nestiq.lds import lattice_points, random_shift
+
+        sampler = SamplerKind(kind, generating_vectors={2: [1.0, 5.0]})
+        prob = NestedProblem(d1=2, d2=1, inner=None)
+        got = estimators._outer_points(prob, N, 3, KEY, sampler, None, lo, hi)
+        if kind == "mc":
+            whole = KEY.child("outer", 3).uniforms((N, 2), salt="y")
+        else:
+            whole = random_shift(lattice_points([1.0, 5.0], N), KEY.child("outer", 3)).values
+        np.testing.assert_array_equal(got, whole[lo:hi])
+
+
+LATTICE = SamplerKind("rqmc-lattice-shift",
+                      generating_vectors={18: np.arange(1.0, 37.0, 2.0), 3: [1.0, 5.0, 7.0]})
+
 
 class TestSharedChunks:
     """Below one chunk of rows, several outer randomizations share a chunk,
@@ -421,6 +441,7 @@ class TestSharedChunks:
         ("rqmc-sobol-owen", 8, 8, 3, [8, 8, 8]),
         ("mc", 8, 3, 5, [6, 6, 3]),  # two whole randomizations a chunk
         ("mc", 8, 12, 2, [8, 4, 8, 4]),  # pieces never cross randomizations
+        pytest.param(LATTICE, 8, 12, 2, [8, 4, 8, 4], id="lattice-8-12-2"),
     ])
     def test_replicates_bit_identical_to_one_randomization_at_a_time(
         self, sampler, chunk, N, S, calls, monkeypatch
@@ -486,6 +507,29 @@ class TestChunkMemory:
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", 64 * budget)
         whole = rdlqmc_estimate(prob, N, M, 1, 1, KEY)
         assert res.estimate == pytest.approx(whole.estimate, rel=1e-13)
+
+    def test_dlmc_large_inner_plan_stays_under_ceiling(self, monkeypatch):
+        import tracemalloc
+
+        from nestiq import estimators
+
+        budget = 1 << 20
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", budget)
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        prob = toy_log_problem()
+        rows = []
+        inner = prob.inner
+        prob.inner = lambda y, x, h: rows.append(x.shape[0]) or inner(y, x, h)
+        N, M = 1024, 1024  # one 1024-row chunk would hold 8 MiB of inner points
+        tracemalloc.start()
+        try:
+            res = dlmc_estimate(prob, N, M, KEY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [128] * 8
+        assert peak < 6 * budget
+        assert abs(res.estimate - TOY_ORACLE) < 5 * res.stderr + 1e-4
 
 
 class TestLatticeNested:

@@ -178,6 +178,27 @@ def _scramble_reference(values_u32, tree, fill):
     return np.maximum(u, 2.0**-64)
 
 
+def _truncated_reference(values_u32, tree, fill, depth):
+    """The scramble cut at `depth`: `depth` hashed levels, then the low
+    64 - depth bits from one mix64 of the depth-digit prefix."""
+    x = values_u32.astype(np.uint64)
+    tree = np.asarray(tree, dtype=np.uint64)[..., None, :]
+    fill = np.asarray(fill, dtype=np.uint64)[..., None, :]
+    one = np.uint64(1)
+    out = np.zeros(np.broadcast_shapes(tree.shape, x.shape), dtype=np.uint64)
+    low = np.uint64((1 << (64 - depth)) - 1)
+    with np.errstate(over="ignore"):
+        for k in range(depth):
+            node = (one << np.uint64(k)) | (x >> np.uint64(32 - k))
+            h = lds.mix64((node * lds._GOLD) ^ tree)
+            digit = (x >> np.uint64(31 - k)) & one
+            out |= (digit ^ (h >> np.uint64(63))) << np.uint64(63 - k)
+        prefix = x >> np.uint64(32 - depth)
+        out |= lds.mix64((prefix * lds._GOLD) ^ fill) & low
+    u = (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.maximum(u, 2.0**-64)
+
+
 class TestScrambleKernel:
     """The blocked in-place kernel against the plain 32-level loop."""
 
@@ -196,10 +217,62 @@ class TestScrambleKernel:
         values = rng.integers(0, 2**32, (m, d), dtype=np.uint64).astype(np.uint32)
         roots = rng.integers(0, 2**63, lanes, dtype=np.uint64) if lanes else 99
         tree, fill = lds._owen_lanes(roots, d)
-        got = lds._scramble_values(values, tree, fill)
+        got = lds._scramble_values(values, tree, fill, 32)
         want = _scramble_reference(values, tree, fill)
         assert got.shape == lanes + (m, d) and got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("depth", [0, 1, 4, 8, 31])
+    def test_leading_digits_match_the_full_tree(self, depth):
+        rng = np.random.default_rng(depth)
+        values = rng.integers(0, 2**32, (64, 3), dtype=np.uint64).astype(np.uint32)
+        roots = rng.integers(0, 2**63, (5,), dtype=np.uint64)
+        tree, fill = lds._owen_lanes(roots, 3)
+        got = lds._scramble_values(values, tree, fill, depth)
+        full = _scramble_reference(values, tree, fill)
+        np.testing.assert_array_equal(np.floor(got * 2.0**depth), np.floor(full * 2.0**depth))
+        np.testing.assert_array_equal(got, _truncated_reference(values, tree, fill, depth))
+        if depth == 0:  # every point of a lane gets the same 64 uniform bits
+            assert np.all(got == got[:, :1]) and len(np.unique(got[:, 0])) == 15
+
+    @pytest.mark.parametrize("m, d, lanes, depth", [
+        (64, 18, (), 6),
+        (16, 3, (1500,), 4),    # more lanes than one block holds
+        (4096, 18, (), 12),     # more points than one block holds
+        (300, 3, (40, 2), 9),
+    ])
+    def test_matches_truncated_reference(self, m, d, lanes, depth):
+        rng = np.random.default_rng(m + d + depth)
+        values = rng.integers(0, 2**32, (m, d), dtype=np.uint64).astype(np.uint32)
+        roots = rng.integers(0, 2**63, lanes, dtype=np.uint64) if lanes else 5
+        tree, fill = lds._owen_lanes(roots, d)
+        np.testing.assert_array_equal(
+            lds._scramble_values(values, tree, fill, depth),
+            _truncated_reference(values, tree, fill, depth),
+        )
+
+    @pytest.mark.parametrize("depth", [-1, 33])
+    def test_depth_out_of_range(self, depth):
+        tree, fill = lds._owen_lanes(1, 1)
+        with pytest.raises(ValueError, match="depth"):
+            lds._scramble_values(np.zeros((1, 1), dtype=np.uint32), tree, fill, depth)
+
+    @pytest.mark.parametrize("log2_m", [4, 8])
+    def test_cut_tree_keeps_the_rqmc_variance(self, log2_m):
+        # digits below depth log2(M) are iid under Owen's scramble, so cutting
+        # the tree there leaves the variance of a smooth integral unchanged
+        keys = 2000
+        seq = sobol_sequence(PARAMS, 3, log2_m)
+        roots = RandomizationKey(11, tag="var").subroot("owen") ^ np.arange(keys, dtype=np.uint64)
+        tree, fill = lds._owen_lanes(lds.mix64(roots), 3)
+
+        def means(depth):
+            u = lds._scramble_values(seq.values, tree, fill, depth)
+            return np.exp(u.sum(axis=-1)).mean(axis=-1)
+
+        cut, full = means(log2_m), means(32)
+        assert abs(cut.mean() - (math.e - 1) ** 3) < 4 * math.sqrt(cut.var() / keys)
+        assert 0.85 <= cut.var() / full.var() <= 1.15
 
     def test_blocks_cover_extremes(self):
         assert 1500 * 16 * 3 > lds._SCRAMBLE_BLOCK
@@ -207,9 +280,14 @@ class TestScrambleKernel:
 
     def test_stream_digest(self):
         # any change to the scrambled stream fails here, never silently
-        pts = owen_scramble(sobol_sequence(PARAMS, 3, 6), RandomizationKey(1))
-        digest = hashlib.sha256(pts.values.tobytes()).hexdigest()
+        seq = sobol_sequence(PARAMS, 3, 6)
+        tree, fill = lds._owen_lanes(RandomizationKey(1).subroot("owen"), 3)
+        full = lds._scramble_values(seq.values, tree, fill, 32)
+        digest = hashlib.sha256(full.tobytes()).hexdigest()
         assert digest == "0a358efe798b9ee936489486ffb1531e85cc7b616111067b8777a9b804db3f7f"
+        pts = owen_scramble(seq, RandomizationKey(1))  # cut at depth 6
+        digest = hashlib.sha256(pts.values.tobytes()).hexdigest()
+        assert digest == "a29cdb531e846d37e261c0876f49a87aebbd4f47c8056515f056f4043d254db9"
 
     @pytest.mark.parametrize("lo, hi", [(0, 1), (1, 2), (5, 9), (1000, 3001), (4095, 4096)])
     def test_sobol_rows_are_slices(self, lo, hi):

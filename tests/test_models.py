@@ -60,6 +60,66 @@ class TestPkForward:
         np.testing.assert_allclose(jac, jac_near, rtol=1e-4, atol=1e-6)
 
 
+def _pk_evaluate_reference(model, theta, xi):
+    """Both branches in full, selected by np.where."""
+    xi = xi[None, :]
+    t1, t2, t3 = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
+    near = np.abs(t1 - t2) < 1e-10 * np.abs(t1)
+    denom = np.where(near, 1.0, t1 - t2)
+    general = (model.dose / t3) * (t1 / denom) * (np.exp(-t2 * xi) - np.exp(-t1 * xi))
+    limit = (model.dose / t3) * t1 * xi * np.exp(-t1 * xi)
+    return np.where(near, limit, general)
+
+
+def _pk_jacobian_reference(model, theta, xi):
+    """Both branches in full, selected by np.where."""
+    xi = xi[None, :]
+    t1, t2, t3 = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
+    near = np.abs(t1 - t2) < 1e-6 * np.abs(t1)
+    denom = np.where(near, 1.0, t1 - t2)
+    e1, e2 = np.exp(-t1 * xi), np.exp(-t2 * xi)
+    diff = e2 - e1
+    amp = model.dose / t3
+    g = np.where(near, amp * t1 * xi * e1, amp * (t1 / denom) * diff)
+    d1 = amp * (-t2 / denom**2 * diff + (t1 / denom) * xi * e1)
+    d2 = amp * (t1 / denom**2 * diff - (t1 / denom) * xi * e2)
+    d1_lim = amp * xi * e1 * (1.0 - 0.5 * t1 * xi)
+    d2_lim = -amp * t1 * xi**2 * e1 * 0.5
+    jac = np.empty(theta.shape[:1] + (xi.shape[1], 3))
+    jac[:, :, 0] = np.where(near, d1_lim, d1)
+    jac[:, :, 1] = np.where(near, d2_lim, d2)
+    jac[:, :, 2] = -g / t3
+    return jac
+
+
+class TestPkKernelBits:
+    """evaluate/jacobian compute the th1 ~ th2 limit on the near rows only,
+    with the same operations in the same order as the full-branch forms."""
+
+    @staticmethod
+    def _theta(rows, near_rows):
+        rng = np.random.default_rng(rows)
+        theta = pk_prior().transform(rng.uniform(0.01, 0.99, size=(rows, 3)))
+        idx = rng.choice(rows, size=3 * near_rows, replace=False)
+        eq, n10, n6 = np.split(idx, 3)
+        theta[eq, 1] = theta[eq, 0]  # exactly equal rates
+        theta[n10, 1] = theta[n10, 0] * (1 + 1e-11)  # inside both windows
+        theta[n6, 1] = theta[n6, 0] * (1 + 1e-8)  # inside the Jacobian's window only
+        return theta
+
+    @pytest.mark.parametrize("design", [0, 1])
+    @pytest.mark.parametrize("rows, near_rows", [(4096, 40), (257, 0), (9, 3)])
+    def test_bit_identical_to_both_branch_forms(self, design, rows, near_rows):
+        model, xi = PKModel(), pk_designs()[design]
+        theta = self._theta(rows, near_rows)
+        np.testing.assert_array_equal(
+            model.evaluate(theta, xi), _pk_evaluate_reference(model, theta, xi)
+        )
+        np.testing.assert_array_equal(
+            model.jacobian(theta, xi), _pk_jacobian_reference(model, theta, xi)
+        )
+
+
 class TestPkDesigns:
     def test_first_entries(self):
         geom, even = pk_designs()
