@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,8 @@ from .allocation import (
     FitQualityError,
     InfeasiblePlanError,
     PilotConstants,
+    _bias_value,
+    _stat_variance,
     fit_pilot_inner,
     fit_pilot_outer,
     fit_variance_power_law,
@@ -225,10 +228,15 @@ def cmd_estimate(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     h = None
+    predicted_stddev = predicted_bias = None
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as fh:
             plan = json.load(fh)
         n, m, h = plan["n_star"], plan["m_star"], plan.get("h_star")
+        # the plan's error model for one randomization at (N*, M*, h*)
+        consts = PilotConstants(**plan["constants"])
+        predicted_stddev = math.sqrt(_stat_variance(consts, n, m))
+        predicted_bias = _bias_value(consts, m, h)
     elif args.N is not None:
         n, m = args.N, args.M
     else:
@@ -240,6 +248,8 @@ def cmd_estimate(args) -> int:
         "model": cfg.values["model"],
         "estimate": result.estimate,
         "stderr": result.stderr,
+        "predicted_stddev": predicted_stddev,
+        "predicted_bias": predicted_bias,
         "variance_of_mean": result.variance_of_mean,
         "counts": result.counts,
         "work": result.work,
@@ -251,6 +261,8 @@ def cmd_estimate(args) -> int:
     _summary([
         ("estimate", result.estimate),
         ("stderr", result.stderr),
+        ("predicted stddev", predicted_stddev),
+        ("predicted bias", predicted_bias),
         ("counts", result.counts),
         ("work", result.work),
         ("out", args.out),

@@ -11,6 +11,7 @@ linear-Gaussian models round out the family.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -61,11 +62,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Inner points per block of the nested inner integrand (see build_nested_problem).
 _INNER_BLOCK = 1 << 15
-# Gradient tolerance of the importance-sampling proposal's posterior mode.  A
-# mode off by H^-1 grad leaves the weighted inner integrand a slope of about
-# |grad| |L z| in the inner normal z, so an exact Gaussian posterior gives
-# weights constant to rounding only when the gradient is far below 1e-10.
-_PROPOSAL_GRAD_TOL = 1e-12
+# Newton-decrement tolerance of every posterior-mode search: a row has
+# converged when grad^T H^-1 grad <= _MAP_TOL**2.  A mode off by H^-1 grad
+# leaves the weighted inner integrand a slope in the inner normal z of about
+# the whitened gradient |L^-1 grad| (H = L L^T), so an exact Gaussian
+# posterior gives importance weights constant to rounding only when that is
+# far below 1e-10.
+_MAP_TOL = 1e-12
 
 
 class MapConvergenceError(ArithmeticError):
@@ -223,36 +226,42 @@ def _neg_log_post(problem, theta, y_data, h):
 def _gauss_newton_terms(a, jac, rsum=None):
     """sum_i a_i^T jac_i, shape (B, d, d), and sum_i a_i rsum_i, shape (B, d).
 
-    a and jac are (B, n, d), rsum is (B, n) or None.  The outputs i are added
-    in order with the batch axis innermost, which gives the bits of
-    einsum("bij,bik->bjk") and einsum("bij,bi->bj") in about half the time.
-    For d = 1 einsum reduces the contiguous output axis with a vector kernel
-    whose order is not reproduced here, so einsum is kept for that case.
+    a and jac are (B, n, d), rsum is (B, n) or None.  Both are batched
+    matmul products, so each row's bits depend on that row alone.
     """
-    d = a.shape[2]
-    if d == 1:
-        jtr = None if rsum is None else np.einsum("bij,bi->bj", a, rsum)
-        return np.einsum("bij,bik->bjk", a, jac), jtr
-    if rsum is not None:
-        jac = np.concatenate([jac, rsum[:, :, None]], axis=2)
-    at = np.ascontiguousarray(a.transpose(1, 2, 0))  # (n, d, B)
-    jt = np.ascontiguousarray(jac.transpose(1, 2, 0))  # (n, d or d + 1, B)
-    out = at[0][:, None, :] * jt[0][None, :, :]
-    tmp = np.empty_like(out)
-    for i in range(1, at.shape[0]):
-        np.multiply(at[i][:, None, :], jt[i][None, :, :], out=tmp)
-        out += tmp
-    jtj = out[:, :d, :].transpose(2, 0, 1)
-    return jtj, None if rsum is None else out[:, d, :].T
+    at = np.swapaxes(a, 1, 2)
+    jtr = None if rsum is None else (at @ rsum[:, :, None])[:, :, 0]
+    return at @ jac, jtr
 
 
-def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
+def _solve_rows(a, b):
+    """x with a_i x_i = b_i for a batch a (B, d, d), b (B, d); a row whose
+    matrix is singular is NaN, and every other row has the bits of its own
+    one-row solve."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(b.shape[0]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[i] = np.linalg.solve(a[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+        return x
+
+
+def _map_batch(problem, y_data, init, h=None, max_iter=100):
     """Damped Gauss-Newton posterior-mode search, vectorized over samples.
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
-    Each iteration works on the rows that have not converged, and a row
-    leaves the damping loop once its trial step is accepted, so every row
-    takes the path it would take in a batch of its own.
+    A row has converged when its Newton decrement grad^T H^-1 grad, with H
+    the Gauss-Newton Hessian of the negative log posterior, is positive and
+    at most _MAP_TOL**2: the gradient measured in the posterior's own
+    metric, whatever the parameters' scale.  A negligible near-undamped step
+    also ends a row.  The solve behind the decrement gives the undamped
+    step -H^-1 grad, which a row tries first while its damping lam is 0; a
+    rejected step (or a singular H) raises lam, and accepted steps decay it
+    back to 0.  Each iteration works on the rows that have not converged,
+    and a row leaves the damping loop once its trial step is accepted, so
+    every row takes the path it would take in a batch of its own.
     """
     theta_out = np.array(init, dtype=np.float64)
     iters = np.zeros(theta_out.shape[0], dtype=np.int64)
@@ -265,7 +274,7 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
     idx = np.arange(theta_out.shape[0])
     theta, y = theta_out.copy(), y_data
     obj, g = _neg_log_post(problem, theta, y, h)  # g: model output at theta
-    lam = np.full(idx.size, 1e-8)
+    lam = np.zeros(idx.size)
     tiny = np.zeros(idx.size, dtype=bool)  # converged by a negligible step
 
     for it in range(max_iter + 1):
@@ -273,25 +282,27 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
         rsum = (y - g[:, None, :]).sum(axis=1)
         jtj, jtr = _gauss_newton_terms(jac * inv_s2[None, :, None], jac, rsum)
         grad = -jtr - problem.prior.grad_logpdf(theta)
-        gnorm = np.max(np.abs(grad), axis=1)
-        keep = ~((gnorm < grad_tol) | tiny)
+        hess = problem.n_experiments * jtj
+        hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
+        newton = _solve_rows(hess, -grad)
+        dec = -np.sum(grad * newton, axis=1)  # grad^T H^-1 grad
+        keep = ~(((dec > 0.0) & (dec <= _MAP_TOL**2)) | tiny)  # NaN keeps a row
         if not keep.all():
             theta_out[idx[~keep]] = theta[~keep]
             idx, theta, y, obj, g, lam = (v[keep] for v in (idx, theta, y, obj, g, lam))
-            jtj, grad, gnorm = jtj[keep], grad[keep], gnorm[keep]
+            hess, grad, newton = hess[keep], grad[keep], newton[keep]
         if idx.size == 0:
             break
         if it == max_iter:
+            gnorm = float(np.max(np.abs(grad[0])))
             raise MapConvergenceError(
                 f"posterior-mode search failed at sample {idx[0]}: "
-                f"|grad| = {gnorm[0]:.3e} after {max_iter} iterations",
+                f"|grad| = {gnorm:.3e} after {max_iter} iterations",
                 theta_last=theta[0],
-                grad_norm=float(gnorm[0]),
+                grad_norm=gnorm,
                 index=int(idx[0]),
             )
         iters[idx] = it + 1
-        hess = problem.n_experiments * jtj
-        hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
         pending = np.ones(idx.size, dtype=bool)
         tiny = np.zeros(idx.size, dtype=bool)
         for _ in range(8):
@@ -299,23 +310,23 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
             if p.size == 0:
                 break
             lam_p = lam[p]
-            try:
-                step = np.linalg.solve(
-                    hess[p] + lam_p[:, None, None] * eye, -grad[p, :, None]
-                )[..., 0]
-            except np.linalg.LinAlgError:
-                lam[p] = lam_p * 10.0
-                continue
+            step = newton[p]
+            damped = lam_p > 0.0
+            if damped.any():
+                q = p[damped]
+                step[damped] = _solve_rows(
+                    hess[q] + lam_p[damped, None, None] * eye, -grad[q]
+                )
             theta_p = theta[p]
             # a near-undamped Newton step below machine precision in theta is
-            # numerical stationarity even when ill scaling keeps the absolute
-            # gradient above tolerance
+            # numerical stationarity even when rounding in the gradient keeps
+            # the decrement above tolerance
             tiny_p = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta_p)), axis=1)
             tiny_p &= lam_p <= 1e-3
             trial = theta_p + step
-            inside = np.all((trial > lower) & (trial < upper), axis=1)
+            inside = np.all((trial > lower) & (trial < upper), axis=1)  # False on NaN
             trial_obj = np.full(p.size, np.inf)
-            trial_g = np.empty_like(g[p])
+            trial_g = np.empty((p.size, g.shape[1]))
             if inside.any():
                 trial_obj[inside], trial_g[inside] = _neg_log_post(
                     problem, trial[inside], y[p[inside]], h
@@ -326,8 +337,11 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
             theta[acc] = trial[better]
             obj[acc] = np.minimum(trial_obj[better], obj_p[better])
             g[acc] = trial_g[better]
+            decayed = lam_p * 0.3
             lam[p] = np.where(
-                better, np.maximum(lam_p * 0.3, 1e-12), np.minimum(lam_p * 10.0, 1e12)
+                better,
+                np.where(decayed < 1e-12, 0.0, decayed),
+                np.clip(lam_p * 10.0, 1e-8, 1e12),
             )
             tiny[p] = tiny_p
             pending[p] = ~(better | tiny_p)
@@ -356,12 +370,19 @@ def _precision_batch(problem, theta_hat, h=None):
 def _precision_cholesky(prec):
     """Lower Cholesky factors L (prec = L L^T) and log det(prec) of a batch
     of precisions; LaplaceFitError carries the first sample that is not
-    positive definite."""
+    finite or not positive definite."""
+    finite = np.isfinite(prec).all(axis=(1, 2))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise LaplaceFitError(f"posterior precision not finite at sample {bad}", index=bad)
     try:
         l_prec = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
         eig = np.linalg.eigvalsh(prec)
-        bad = int(np.nonzero(eig[:, 0] <= 0)[0][0])
+        nonpos = eig[:, 0] <= 0
+        # rounding can fail a factorization whose eigenvalues are all
+        # positive; then the worst-conditioned sample is named
+        bad = int(np.argmax(nonpos) if nonpos.any() else np.argmin(eig[:, 0] / eig[:, -1]))
         raise LaplaceFitError(
             f"posterior precision not positive definite at sample {bad}", index=bad
         ) from None
@@ -435,9 +456,7 @@ def build_nested_problem(
         if family == "plain":
             return (y_data,)
         if laplace_mode == "optimized-map":
-            theta_hat, _ = _map_batch(
-                problem, y_data, theta, h=h_level, grad_tol=_PROPOSAL_GRAD_TOL
-            )
+            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
         else:
             theta_hat = theta
         cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)

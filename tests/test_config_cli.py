@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from nestiq.allocation import PilotConstants, _bias_value, _stat_variance
 from nestiq.cli import main
 from nestiq.config import ConfigError, ExperimentConfig
 
@@ -194,6 +195,25 @@ class TestEstimateCommand:
         assert abs(res["estimate"] - 0.5 * math.log(2)) < 6 * res["stderr"]
         assert res["seed"] == 7
         assert len(res["config_hash"]) == 64
+
+    def test_predicted_error_from_plan(self, tmp_path, lg_config, pilot_file):
+        plan_out = str(tmp_path / "plan.json")
+        main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", plan_out])
+        plan = json.loads(open(plan_out).read())
+        consts = PilotConstants(**plan["constants"])
+        n, m, h = plan["n_star"], plan["m_star"], plan["h_star"]
+        for s in (1, 4):
+            out = str(tmp_path / f"res{s}.json")
+            assert main(["estimate", lg_config, "--plan", plan_out, "--S", str(s),
+                         "--out", out]) == 0
+            res = json.loads(open(out).read())
+            assert res["predicted_stddev"] == math.sqrt(_stat_variance(consts, n, m))
+            assert res["predicted_bias"] == _bias_value(consts, m, h)
+            assert (res["stderr"] is None) == (s == 1)
+        out = str(tmp_path / "res_nm.json")
+        assert main(["estimate", lg_config, "--N", "64", "--M", "4", "--out", out]) == 0
+        res = json.loads(open(out).read())
+        assert res["predicted_stddev"] is None and res["predicted_bias"] is None
 
     def test_counts_passthrough(self, tmp_path, lg_config):
         out = str(tmp_path / "res.json")

@@ -186,16 +186,18 @@ class CubicModel(ForwardModel):
         return (3.0 * np.atleast_2d(theta) ** 2)[:, :, None]
 
 
-def _map_reference(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
+def _map_reference(problem, y_data, init, h=None, max_iter=100):
     """The whole-batch damped Gauss-Newton loop that _map_batch replaced:
     every iteration evaluates every row, and the damping loop keeps stepping
-    accepted rows while any other row is rejected."""
+    accepted rows while any other row is rejected.  A row has converged when
+    its Newton decrement grad^T H^-1 grad lies in (0, 1e-24], and a damping
+    lam of 0 gives the undamped step."""
     theta = np.array(init, dtype=np.float64)
     b = theta.shape[0]
     inv_s2 = 1.0 / problem.noise_variances
     lower = problem.prior.support_lower()
     upper = problem.prior.support_upper()
-    lam = np.full(b, 1e-8)
+    lam = np.zeros(b)
     obj = oed._neg_log_post(problem, theta, y_data, h)[0]
     converged = np.zeros(b, dtype=bool)
     iters = np.zeros(b, dtype=np.int64)
@@ -203,31 +205,28 @@ def _map_reference(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
         g = problem.model.evaluate(theta, problem.xi, h)
         jac = problem.model.jacobian(theta, problem.xi, h)
         rsum = (y_data - g[:, None, :]).sum(axis=1)
-        a = jac * inv_s2[None, :, None]
-        grad = -np.einsum("bij,bi->bj", a, rsum) - problem.prior.grad_logpdf(theta)
-        gnorm = np.max(np.abs(grad), axis=1)
-        converged |= gnorm < grad_tol
+        at = np.swapaxes(jac * inv_s2[None, :, None], 1, 2)
+        grad = -(at @ rsum[:, :, None])[:, :, 0] - problem.prior.grad_logpdf(theta)
+        hess = problem.n_experiments * (at @ jac)
+        hd = -problem.prior.hess_diag_logpdf(theta)
+        hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
+        dec = -np.sum(grad * np.linalg.solve(hess, -grad[..., None])[..., 0], axis=1)
+        converged |= (dec > 0) & (dec <= 1e-24)
         if converged.all():
             break
         if it == max_iter:
             bad = int(np.nonzero(~converged)[0][0])
             raise oed.MapConvergenceError(
-                "reference", theta_last=theta[bad], grad_norm=float(gnorm[bad]), index=bad
+                "reference", theta_last=theta[bad],
+                grad_norm=float(np.max(np.abs(grad[bad]))), index=bad,
             )
         iters[~converged] = it + 1
-        hess = problem.n_experiments * np.einsum("bij,bik->bjk", a, jac)
-        hd = -problem.prior.hess_diag_logpdf(theta)
-        hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
         eye = np.eye(problem.d_theta)[None, :, :]
         for _ in range(8):
             active = ~converged
             if not active.any():
                 break
-            try:
-                step = np.linalg.solve(hess + lam[:, None, None] * eye, -grad[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                lam = lam * 10.0
-                continue
+            step = np.linalg.solve(hess + lam[:, None, None] * eye, -grad[..., None])[..., 0]
             tiny = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta)), axis=1)
             converged |= tiny & active & (lam <= 1e-3)
             trial = theta + np.where(active[:, None], step, 0.0)
@@ -238,7 +237,8 @@ def _map_reference(problem, y_data, init, h=None, max_iter=100, grad_tol=1e-10):
             better = inside & (trial_obj <= obj + slack) & active
             theta = np.where(better[:, None], trial, theta)
             obj = np.where(better, np.minimum(trial_obj, obj), obj)
-            lam = np.where(better, np.maximum(lam * 0.3, 1e-12), np.minimum(lam * 10.0, 1e12))
+            decayed = np.where(lam * 0.3 < 1e-12, 0.0, lam * 0.3)
+            lam = np.where(better, decayed, np.clip(lam * 10.0, 1e-8, 1e12))
             if (better | converged).all():
                 break
     return theta, iters
@@ -262,16 +262,43 @@ class TestGaussNewtonTerms:
     @pytest.mark.parametrize("d", [1, 3])
     def test_bit_equal_to_einsum(self, b, n, d):
         rng = np.random.default_rng(b * 100 + n * 10 + d)
-        # magnitudes over ten decades, so that any change of summation
-        # order shows in the last bits
-        a = rng.standard_normal((b, n, d)) * 10.0 ** rng.uniform(-5, 5, (b, n, d))
-        jac = rng.standard_normal((b, n, d))
-        rsum = rng.standard_normal((b, n))
+        # integers: every product and partial sum is exact in any order, so
+        # any contraction other than einsum's shows as a bit difference
+        a = rng.integers(-1000, 1000, (b, n, d)).astype(np.float64)
+        jac = rng.integers(-1000, 1000, (b, n, d)).astype(np.float64)
+        rsum = rng.integers(-1000, 1000, (b, n)).astype(np.float64)
         jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
         assert np.array_equal(jtj, np.einsum("bij,bik->bjk", a, jac))
         assert np.array_equal(jtr, np.einsum("bij,bi->bj", a, rsum))
         jtj_only, none = oed._gauss_newton_terms(a, jac)
         assert none is None and np.array_equal(jtj_only, jtj)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_agrees_with_einsum(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((4096, 15, d))
+        jac = rng.standard_normal((4096, 15, d))
+        rsum = rng.standard_normal((4096, 15))
+        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        # relative to the sum of magnitudes, so cancellation cannot inflate it
+        scale = np.einsum("bij,bik->bjk", np.abs(a), np.abs(jac))
+        assert np.all(np.abs(jtj - np.einsum("bij,bik->bjk", a, jac)) <= 1e-12 * scale)
+        scale = np.einsum("bij,bi->bj", np.abs(a), np.abs(rsum))
+        assert np.all(np.abs(jtr - np.einsum("bij,bi->bj", a, rsum)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_row_bits_independent_of_batch(self, d):
+        rng = np.random.default_rng(d)
+        # magnitudes over ten decades, so that any change of summation
+        # order shows in the last bits
+        a = rng.standard_normal((4096, 15, d)) * 10.0 ** rng.uniform(-5, 5, (4096, 15, d))
+        jac = rng.standard_normal((4096, 15, d))
+        rsum = rng.standard_normal((4096, 15))
+        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        for i in range(4096):
+            one = slice(i, i + 1)
+            jtj1, jtr1 = oed._gauss_newton_terms(a[one], jac[one], rsum[one])
+            assert np.array_equal(jtj1[0], jtj[i]) and np.array_equal(jtr1[0], jtr[i])
 
 
 class TestActiveSetMap:
@@ -303,6 +330,20 @@ class TestActiveSetMap:
             t1, i1 = oed._map_batch(p, y_data[i:i + 1], init[i:i + 1])
             assert np.array_equal(t1[0], theta[i]) and i1[0] == iters[i]
 
+    def test_singular_hessian_row_leaves_other_rows_alone(self):
+        # under a flat prior the cubic's Hessian 9 theta^4 / sigma^2 is
+        # singular at theta = 0, so the batched solve fails for row 1 only
+        p = OEDProblem(model=CubicModel(), xi=np.zeros(0),
+                       prior=PriorSpec(components=(("uniform", -1.0, 2.0),)),
+                       noise_variances=[0.01])
+        y_data = np.array([1.0, 1.2, 0.5])[:, None, None]
+        init = np.array([[0.9], [0.0], [0.7]])
+        theta, iters = oed._map_batch(p, y_data, init)
+        assert theta[1, 0] == 0.0  # a zero gradient there: damping takes no step
+        for i in range(3):
+            t1, i1 = oed._map_batch(p, y_data[i:i + 1], init[i:i + 1])
+            assert np.array_equal(t1[0], theta[i]) and i1[0] == iters[i]
+
     def test_failure_names_first_unconverged_sample(self):
         problem, y_data, init = _pk_map_inputs(0, 16, 52)
         # rows 0-2 start at their modes and converge at once; row 3 is the
@@ -318,6 +359,47 @@ class TestActiveSetMap:
         assert np.array_equal(got.value.theta_last, ref.value.theta_last)
         assert got.value.grad_norm == ref.value.grad_norm
         assert "sample 3" in str(got.value)
+
+
+class TestMapStoppingRule:
+    """Every mode the search returns is stationary in the posterior's own
+    metric: its Newton decrement grad^T H^-1 grad is at most _MAP_TOL**2.
+
+    Gauss-Newton converges linearly, so the last decrements sit just below
+    the tolerance; they are recomputed here from the kernel's own pieces,
+    whose bits the search saw, rather than from a re-summed formula."""
+
+    @staticmethod
+    def _decrement(problem, y_data, theta):
+        g = problem.model.evaluate(theta, problem.xi)
+        jac = problem.model.jacobian(theta, problem.xi)
+        a = jac * (1.0 / problem.noise_variances)[None, :, None]
+        rsum = (y_data - g[:, None, :]).sum(axis=1)
+        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        grad = -jtr - problem.prior.grad_logpdf(theta)
+        hess = problem.n_experiments * jtj
+        hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += (
+            -problem.prior.hess_diag_logpdf(theta)
+        )
+        return -np.sum(grad * np.linalg.solve(hess, -grad[..., None])[..., 0], axis=1)
+
+    @pytest.mark.parametrize("design", [0, 1])
+    def test_pk_modes_meet_decrement_tolerance(self, design):
+        problem, y_data, init = _pk_map_inputs(design, 256, 60 + design)
+        theta, _ = oed._map_batch(problem, y_data, init)
+        dec = self._decrement(problem, y_data, theta)
+        assert np.all((dec > 0) & (dec <= oed._MAP_TOL**2))
+
+    def test_exact_importance_sampling_spread(self):
+        # with an exact Gaussian posterior the weighted inner log integrand
+        # has slope L^-1 grad in the inner normal z, whose squared norm is
+        # the decrement; a spread at rounding level needs it far below 1e-10
+        problem = linear_gaussian_problem()
+        spreads = [
+            inner_replicate_spread(problem, 64, 1, 4, key=RandomizationKey(k))
+            for k in range(300, 340)
+        ]
+        assert max(spreads) <= 1e-12
 
 
 class TestLaplaceCovariance:
@@ -361,6 +443,24 @@ class TestLaplaceFailure:
         with pytest.raises(LaplaceFitError) as err:
             _precision_cholesky(prec)
         assert err.value.index == 2
+
+    @pytest.mark.parametrize("value, bad", [(np.nan, 2), (np.inf, 1), (-np.inf, 3)])
+    def test_non_finite_precision_raises(self, value, bad):
+        prec = np.stack([np.eye(2)] * 4)
+        prec[bad, 0, 1] = value
+        with pytest.raises(LaplaceFitError) as err:
+            _precision_cholesky(prec)
+        assert err.value.index == bad
+
+    def test_rounding_failure_with_positive_eigenvalues(self):
+        # Cholesky fails on this matrix by rounding, yet both of the
+        # eigenvalues eigvalsh returns are positive
+        near = np.array([[3.67156589071382, -1.1616639570428582],
+                         [-1.1616639570428582, 0.36754430922935477]])
+        prec = np.stack([np.eye(2), near, np.eye(2)])
+        with pytest.raises(LaplaceFitError) as err:
+            _precision_cholesky(prec)
+        assert err.value.index == 1
 
     def test_laplace_covariance_raises(self):
         with pytest.raises(LaplaceFitError) as err:
