@@ -33,7 +33,6 @@ from .stats import (
 from .estimators import (
     EstimatorResult,
     NestedProblem,
-    SamplerKind,
     dlmc_estimate,
     mc_estimate,
     rdlqmc_estimate,

@@ -20,16 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (
-    NestedProblem,
-    _as_sampler,
-    _inner_blocks,
-    _outer_points,
-    _outer_values,
-    _prepare_state,
-    default_sobol_params,
-    rdlqmc_estimate,
-)
+from .estimators import NestedProblem, _inner_replicates, rdlqmc_estimate
 from .lds import RandomizationKey
 from .stats import inv_norm_cdf
 
@@ -251,22 +242,13 @@ def fit_pilot_inner(
     ladder = _check_ladder(ladder)
     if r < 8:
         raise ValueError("inner pilot needs R >= 8 randomizations")
-    sampler = _as_sampler(sampler)
-    params = default_sobol_params() if sampler.kind == "rqmc-sobol-owen" else None
-    y = _outer_points(problem, n_fixed, 0, key.child("pilot-inner-fixed"), sampler, params)
-    state = _prepare_state(problem, y)  # shared by every rung and replicate
-
+    fixed = key.child("pilot-inner-fixed")
     per_rung = []
-    rungs = ladder + [4 * ladder[-1]]
-    for i, m in enumerate(rungs):
-        blocks = _inner_blocks(
-            problem, 0, n_fixed, m, r, 0, key.child("pilot-inner", i), sampler, params
-        ).reshape(n_fixed, r, m, problem.d2)
-        reps = np.array([
-            float(np.mean(_outer_values(problem, y, blocks[:, j], state)))
-            for j in range(r)
-        ])
-        per_rung.append(reps)
+    for i, m in enumerate(ladder + [4 * ladder[-1]]):
+        grid = _inner_replicates(
+            problem, n_fixed, m, r, fixed, key.child("pilot-inner", i), sampler
+        )
+        per_rung.append(np.array([float(np.mean(reps)) for reps in grid.T]))
 
     # with an exact inner estimator (importance sampling from a Gaussian
     # posterior) the variance is rounding noise and can come out exactly 0;

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import SamplerKind
 from .lds import RandomizationKey
 from .models import LinearGaussianModel, PKModel, SyntheticDiscretizedModel, pk_designs, pk_prior
 from .oed import (
@@ -247,11 +246,11 @@ class ExperimentConfig:
             return "laplace"
         return "plain"
 
-    def sampler_kind(self) -> SamplerKind:
+    def sampler_kind(self) -> str:
         """iid points for the MC estimator ids, scrambled Sobol for the others."""
         if self.estimator in ("mc", "dlmc", "dlmcis", "mcla"):
-            return SamplerKind("mc")
-        return SamplerKind("rqmc-sobol-owen")
+            return "mc"
+        return "rqmc-sobol-owen"
 
     def run_estimator(
         self,
@@ -268,7 +267,7 @@ class ExperimentConfig:
         if family == "laplace":
             return eig_laplace_only(
                 problem, N, sampler=sampler,
-                key=key, s_replicates=max(S, 2) if sampler.kind != "mc" else S,
+                key=key, s_replicates=max(S, 2) if sampler != "mc" else S,
             )
         if M is None:
             raise ConfigError(f"estimator {self.estimator} needs an inner count M")

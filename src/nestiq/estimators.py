@@ -25,25 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lds import (
-    PointSet,
     RandomizationKey,
     SobolParams,
     _check_log2_count,
-    _lattice_rows,
     _owen_lanes,
     _scramble_values,
     _sobol_rows,
     fold_index_array,
-    lattice_points,
     load_direction_numbers,
     owen_scramble,
-    random_shift,
     sobol_sequence,
 )
 from .stats import log_sum_exp, replicate_variance
 
 __all__ = [
-    "SamplerKind",
     "NestedProblem",
     "EstimatorResult",
     "InnerUnderflowError",
@@ -55,7 +50,8 @@ __all__ = [
     "tensor_quadrature_reference",
 ]
 
-_SAMPLER_KINDS = ("mc", "rqmc-sobol-owen", "rqmc-lattice-shift")
+# point families: iid uniforms, or Owen-scrambled Sobol points
+_SAMPLERS = ("mc", "rqmc-sobol-owen")
 _CHUNK = 4096  # outer rows per chunk task; a power of two
 # Byte budget of one chunk's inner points (rows * R * M * d2 float64s); a
 # plan over budget gets fewer rows per chunk (see _chunk_rows).
@@ -93,31 +89,10 @@ class AccuracyWarning(UserWarning):
     pass
 
 
-@dataclass
-class SamplerKind:
-    """Point-set family for an estimator loop.
-
-    ``generating_vectors`` maps dimension -> vector for the lattice sampler
-    (generating vectors are user-supplied; no construction is performed).
-    """
-
-    kind: str = "rqmc-sobol-owen"
-    generating_vectors: dict | None = None
-
-    def __post_init__(self):
-        if self.kind not in _SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-
-    def vector_for(self, dim: int) -> np.ndarray:
-        if not self.generating_vectors or dim not in self.generating_vectors:
-            raise ValueError(
-                f"lattice sampler needs a generating vector for dimension {dim}"
-            )
-        return np.asarray(self.generating_vectors[dim], dtype=np.float64)
-
-
-def _as_sampler(sampler) -> SamplerKind:
-    return sampler if isinstance(sampler, SamplerKind) else SamplerKind(str(sampler))
+def _check_sampler(sampler) -> str:
+    if sampler not in _SAMPLERS:
+        raise ValueError(f"unknown sampler kind {sampler!r}")
+    return sampler
 
 
 @dataclass
@@ -218,14 +193,11 @@ def mc_estimate(integrand, dim: int, M: int, key: RandomizationKey) -> Estimator
     return _make_result(values, {"M": M}, key, work=M, divisor=M)
 
 
-def _replicate_points(dim, M, r, key, sampler: SamplerKind, params):
-    if sampler.kind == "mc":
+def _replicate_points(dim, M, r, key, sampler, params):
+    if sampler == "mc":
         return key.child("rep", r).uniforms((M, dim), salt="mc")
-    if sampler.kind == "rqmc-sobol-owen":
-        base = sobol_sequence(params, dim, int(math.log2(M)))
-        return owen_scramble(base, key.child("rep", r)).values
-    base = lattice_points(sampler.vector_for(dim), M)
-    return random_shift(base, key.child("rep", r)).values
+    base = sobol_sequence(params, dim, int(math.log2(M)))
+    return owen_scramble(base, key.child("rep", r)).values
 
 
 def rqmc_estimate(
@@ -238,12 +210,11 @@ def rqmc_estimate(
     params: SobolParams | None = None,
 ) -> EstimatorResult:
     """Randomized QMC mean over R independent randomizations of one point set."""
-    sampler = _as_sampler(sampler)
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    if sampler.kind == "rqmc-sobol-owen":
+    if _check_sampler(sampler) == "rqmc-sobol-owen":
         _check_pow2(M, "M")
         params = params or default_sobol_params()
+    if R < 1:
+        raise ValueError("R must be >= 1")
     means = [
         float(np.mean(integrand(_replicate_points(dim, M, r, key, sampler, params))))
         for r in range(R)
@@ -261,14 +232,9 @@ def _prepare_state(problem: NestedProblem, y: np.ndarray):
     return y if problem.prepare is None else problem.prepare(y, problem.h)
 
 
-def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, state=None) -> np.ndarray:
-    """f of the inner-block mean for each outer row; x is (B, K, d2).
-
-    ``state`` is ``_prepare_state(problem, y)`` when the caller holds it.
-    """
-    if state is None:
-        state = _prepare_state(problem, y)
-    raw = np.asarray(problem.inner(state, x, problem.h), dtype=np.float64)
+def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f of the inner-block mean for each outer row; x is (B, K, d2)."""
+    raw = np.asarray(problem.inner(_prepare_state(problem, y), x, problem.h), dtype=np.float64)
     k = x.shape[1]
     if problem.inner_is_log:
         log_mean = log_sum_exp(raw, axis=1) - math.log(k)
@@ -288,76 +254,57 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
     """Double-loop Monte Carlo with iid uniform points in both loops.
 
     One outer and one inner randomization (counts S = R = 1);
-    replicate_values are the N per-sample values.  Chunks are sized like
-    those of rdlqmc_estimate, so their inner points stay within
-    _CHUNK_BYTES; each chunk's streams are salted by its first row.
+    replicate_values are the N per-sample values.  Each chunk's streams are
+    salted by its first row.
     """
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be >= 1")
 
-    def run_chunk(bounds):
-        lo, hi = bounds
+    def points(s, lo, hi):
         y = key.child("outer", 0).uniforms((hi - lo, problem.d1), salt=f"y{lo}")
         x = key.child("inner", 0).uniforms((hi - lo, M, problem.d2), salt=f"x{lo}")
-        return _outer_values(problem, y, x)
+        return y, x
 
-    rows = _chunk_rows(M, 1, problem.d2)
-    bounds = [(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
-    values = np.concatenate(_map_ordered(run_chunk, bounds))
+    pieces = _nested_values(problem, N, M, 1, 1, "mc", None, points)
+    values = _joined([v for _, v in pieces])
     work = N * M * problem.work_factor()
     return _make_result(
         values, {"N": N, "M": M, "S": 1, "R": 1}, key, work=work, divisor=N
     )
 
 
-def _outer_points(problem, N, s, key, sampler: SamplerKind, params, lo=0, hi=None):
+def _outer_points(problem, N, s, key, sampler, params, lo=0, hi=None):
     """Rows [lo, hi) of the N outer points of randomization s: (hi - lo, d1).
 
-    Every sampler generates only those rows, bit-identical to the same rows
-    of the whole randomized set: iid uniforms by their stream counters,
-    lattice points by their index, and Sobol rows from the Gray code of lo,
-    Owen-scrambled (each point on its own) to the depth of all N points.
+    Both samplers generate only those rows, bit-identical to the same rows
+    of the whole randomized set: iid uniforms by their stream counters, and
+    Sobol rows from the Gray code of lo, Owen-scrambled (each point on its
+    own) to the depth of all N points.
     """
     hi = N if hi is None else hi
     d1 = problem.d1
-    if sampler.kind == "mc":
+    if sampler == "mc":
         return key.child("outer", s).uniforms((hi - lo, d1), salt="y", offset=lo * d1)
-    if sampler.kind == "rqmc-sobol-owen":
-        log2_n = int(math.log2(N))
-        base = _sobol_rows(params, d1, log2_n, lo, hi)
-        tree, fill = _owen_lanes(key.child("outer", s).subroot("owen"), d1)
-        return _scramble_values(base, tree, fill, log2_n)
-    base = PointSet(values=_lattice_rows(sampler.vector_for(d1), N, lo, hi))
-    return random_shift(base, key.child("outer", s)).values
+    log2_n = int(math.log2(N))
+    base = _sobol_rows(params, d1, log2_n, lo, hi)
+    tree, fill = _owen_lanes(key.child("outer", s).subroot("owen"), d1)
+    return _scramble_values(base, tree, fill, log2_n)
 
 
-def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler: SamplerKind, params):
+def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler, params):
     """Inner points for outer samples [n_lo, n_hi): shape (B, R*M, d2).
 
     Each (s, n, r) triple gets an independent randomization of the same base
     point set.
     """
     b = n_hi - n_lo
-    if sampler.kind == "mc":
-        u = key.child("inner-mc", s).uniforms((b, R * M, problem.d2), salt=f"x{n_lo}")
-        return u
+    if sampler == "mc":
+        return key.child("inner-mc", s).uniforms((b, R * M, problem.d2), salt=f"x{n_lo}")
     n_idx = np.arange(n_lo, n_hi, dtype=np.uint64)[:, None]
     r_idx = np.arange(R, dtype=np.uint64)[None, :]
     roots = fold_index_array(fold_index_array(key.subroot("inner", s), n_idx), r_idx)
-    if sampler.kind == "rqmc-sobol-owen":
-        log2_m = int(math.log2(M))
-        base = sobol_sequence(params, problem.d2, log2_m)
-        tree, fill = _owen_lanes(roots, problem.d2)
-        pts = _scramble_values(base.values, tree, fill, log2_m)  # (B, R, M, d2)
-    else:
-        base = lattice_points(sampler.vector_for(problem.d2), M).values
-        shift_bits = fold_index_array(
-            roots[..., None, None],
-            np.arange(problem.d2, dtype=np.uint64)[None, None, None, :],
-        )
-        shifts = (shift_bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        pts = np.mod(base[None, None, :, :] + shifts, 1.0)
-        pts = np.clip(pts, 2.0**-64, float(np.nextafter(1.0, 0.0)))
+    log2_m = int(math.log2(M))
+    base = sobol_sequence(params, problem.d2, log2_m)
+    tree, fill = _owen_lanes(roots, problem.d2)
+    pts = _scramble_values(base.values, tree, fill, log2_m)  # (B, R, M, d2)
     return pts.reshape(b, R * M, problem.d2)
 
 
@@ -375,6 +322,72 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _nested_values(problem, N, M, S, R, sampler, params, points):
+    """f at every outer row of S randomizations of N rows, chunk by chunk.
+
+    ``points(s, lo, hi)`` returns the outer rows y and the inner blocks x,
+    R randomizations of M points each, of rows [lo, hi) of randomization s.
+    A chunk task is one row range of one randomization, as many as N needs,
+    or, when N is below the chunk size, several whole randomizations that
+    share one inner call and one MAP batch.  _chunk_rows sizes the ranges,
+    so a task's inner points stay within _CHUNK_BYTES.  Tasks may run on
+    several threads; the result lists ((s, lo, hi), values) for every
+    segment in task order, each segment's values split from its task's by
+    len(y).
+    """
+    if _check_sampler(sampler) == "rqmc-sobol-owen":
+        _check_pow2(N, "N")
+        _check_pow2(M, "M")
+        if max(problem.d1, problem.d2) > params.dimension:
+            raise ValueError("Sobol parameter table has too few dimensions")
+        _check_log2_count(int(math.log2(N)))
+        _check_log2_count(int(math.log2(M)))
+    if N < 1 or M < 1:
+        raise ValueError("N and M must be >= 1")
+    if S < 1 or R < 1:
+        raise ValueError("S and R must be >= 1")
+
+    rows = _chunk_rows(M, R, problem.d2)
+    per_task = max(1, rows // N)  # randomizations in one task
+    per_s = -(-N // rows)  # tasks per randomization
+
+    def segments(task):
+        group, j = divmod(task, per_s)
+        lo, hi = j * rows, min(j * rows + rows, N)
+        first = group * per_task
+        return [(s, lo, hi) for s in range(first, min(first + per_task, S))]
+
+    def run_chunk(task):
+        y, x = zip(*(points(*seg) for seg in segments(task)))
+        values = _outer_values(problem, _joined(y), _joined(x))
+        return np.split(values, np.cumsum([len(part) for part in y[:-1]]))
+
+    tasks = range(-(-S // per_task) * per_s)
+    return [
+        (seg, values)
+        for task, pieces in zip(tasks, _map_ordered(run_chunk, tasks))
+        for seg, values in zip(segments(task), pieces)
+    ]
+
+
+def _inner_replicates(problem, n, M, R, outer_key, inner_key, sampler="rqmc-sobol-owen"):
+    """f at the n outer points of outer_key for each of R inner
+    randomizations of inner_key: shape (n, R).
+
+    Every (row, inner randomization) pair is one row of the nested
+    executor: its outer row repeated beside each of its R inner blocks.
+    """
+    params = default_sobol_params() if sampler == "rqmc-sobol-owen" else None
+
+    def points(s, lo, hi):
+        y = _outer_points(problem, n, s, outer_key, sampler, params, lo, hi)
+        x = _inner_blocks(problem, lo, hi, M, R, s, inner_key, sampler, params)
+        return np.repeat(y, R, axis=0), x.reshape((hi - lo) * R, M, problem.d2)
+
+    pieces = _nested_values(problem, n, M, 1, R, sampler, params, points)
+    return _joined([v for _, v in pieces]).reshape(n, R)
+
+
 def rdlqmc_estimate(
     problem: NestedProblem,
     N: int,
@@ -390,48 +403,20 @@ def rdlqmc_estimate(
     With S = R = 1 this is the single-randomization production estimator;
     replicate_values are the S outer-randomization means.
     """
-    sampler = _as_sampler(sampler)
-    if S < 1 or R < 1:
-        raise ValueError("S and R must be >= 1")
-    if sampler.kind == "rqmc-sobol-owen":
-        _check_pow2(N, "N")
-        _check_pow2(M, "M")
+    if sampler == "rqmc-sobol-owen":
         params = params or default_sobol_params()
-        if max(problem.d1, problem.d2) > params.dimension:
-            raise ValueError("Sobol parameter table has too few dimensions")
-        _check_log2_count(int(math.log2(N)))
-        _check_log2_count(int(math.log2(M)))
 
-    # a chunk task is one row range of one randomization, as many as N needs,
-    # or, when N is below the chunk size, several whole randomizations that
-    # share one inner call and one MAP batch; either way each sums[s] adds
-    # the row sums of the same (s, row range) pieces
-    rows = _chunk_rows(M, R, problem.d2)
-    per_task = max(1, rows // N)  # randomizations in one task
-    per_s = -(-N // rows)  # tasks per randomization
+    def points(s, lo, hi):
+        return (
+            _outer_points(problem, N, s, key, sampler, params, lo, hi),
+            _inner_blocks(problem, lo, hi, M, R, s, key, sampler, params),
+        )
 
-    def segments(task):
-        group, j = divmod(task, per_s)
-        lo, hi = j * rows, min(j * rows + rows, N)
-        first = group * per_task
-        return [(s, lo, hi) for s in range(first, min(first + per_task, S))]
-
-    def run_chunk(task):
-        segs = segments(task)
-        y = _joined([
-            _outer_points(problem, N, s, key, sampler, params, lo, hi) for s, lo, hi in segs
-        ])
-        x = _joined([
-            _inner_blocks(problem, lo, hi, M, R, s, key, sampler, params) for s, lo, hi in segs
-        ])
-        return _outer_values(problem, y, x)
-
-    tasks = range(-(-S // per_task) * per_s)
+    # each sums[s] adds the row sums of the same (s, row range) pieces,
+    # however the tasks group them
     sums = np.zeros(S)
-    for task, vals in zip(tasks, _map_ordered(run_chunk, tasks)):
-        for s, lo, hi in segments(task):
-            sums[s] += vals[: hi - lo].sum()
-            vals = vals[hi - lo :]
+    for (s, _, _), values in _nested_values(problem, N, M, S, R, sampler, params, points):
+        sums[s] += values.sum()
     replicate_means = sums / N
     work = N * M * S * R * problem.work_factor()
     return _make_result(

@@ -596,18 +596,13 @@ def lattice_points(generating_vector, count: int) -> PointSet:
     Exposed for comparison experiments; pair with :func:`random_shift` for
     randomization.
     """
-    return PointSet(values=_lattice_rows(generating_vector, count, 0, count))
-
-
-def _lattice_rows(generating_vector, count: int, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of :func:`lattice_points`, generated alone: (hi - lo, d)."""
     w = np.asarray(generating_vector, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("generating vector must be a nonempty 1-D sequence")
     if count < 1:
         raise ValueError("count must be >= 1")
-    m = np.arange(lo, hi, dtype=np.float64)[:, None]
-    return _clamp_unit(np.mod(m * (w[None, :] / count), 1.0))
+    m = np.arange(count, dtype=np.float64)[:, None]
+    return PointSet(values=_clamp_unit(np.mod(m * (w[None, :] / count), 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,9 @@ import numpy as np
 from .estimators import (
     EstimatorResult,
     NestedProblem,
-    _as_sampler,
-    _inner_blocks,
+    _check_sampler,
+    _inner_replicates,
     _make_result,
-    _outer_points,
-    _outer_values,
-    _prepare_state,
     _tensor_grid,
     default_sobol_params,
     dlmc_estimate,
@@ -61,7 +58,9 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Inner points per block of the nested inner integrand (see build_nested_problem).
-_INNER_BLOCK = 1 << 15
+# A block's temporaries (about 0.4 KiB a point on the PK model) sit beside the
+# whole chunk's inner points and values, so they count toward peak memory.
+_INNER_BLOCK = 1 << 14
 # Newton-decrement tolerance of every posterior-mode search: a row has
 # converged when grad^T H^-1 grad <= _MAP_TOL**2.  A mode off by H^-1 grad
 # leaves the weighted inner integrand a slope in the inner normal z of about
@@ -253,8 +252,8 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100):
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
     A row has converged when its Newton decrement grad^T H^-1 grad, with H
-    the Gauss-Newton Hessian of the negative log posterior, is positive and
-    at most _MAP_TOL**2: the gradient measured in the posterior's own
+    the Gauss-Newton Hessian of the negative log posterior, is in
+    [0, _MAP_TOL**2]: the gradient measured in the posterior's own
     metric, whatever the parameters' scale.  A negligible near-undamped step
     also ends a row.  The solve behind the decrement gives the undamped
     step -H^-1 grad, which a row tries first while its damping lam is 0; a
@@ -286,7 +285,7 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100):
         hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
         newton = _solve_rows(hess, -grad)
         dec = -np.sum(grad * newton, axis=1)  # grad^T H^-1 grad
-        keep = ~(((dec > 0.0) & (dec <= _MAP_TOL**2)) | tiny)  # NaN keeps a row
+        keep = ~(((dec >= 0.0) & (dec <= _MAP_TOL**2)) | tiny)  # NaN keeps a row
         if not keep.all():
             theta_out[idx[~keep]] = theta[~keep]
             idx, theta, y, obj, g, lam = (v[keep] for v in (idx, theta, y, obj, g, lam))
@@ -462,36 +461,39 @@ def build_nested_problem(
         cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)
         return y_data, theta_hat, cov_chol, log_det_cov
 
+    def block_log(state, rows, xb, h_level):
+        """Log integrand of the outer rows ``rows`` at their inner points xb."""
+        y_data = state[0][rows]
+        nb, k = xb.shape[0], xb.shape[1]
+        if family == "plain":
+            vartheta = problem.prior.transform(xb.reshape(nb * k, d_theta))
+            g_in = problem.model.evaluate(vartheta, problem.xi, h_level)
+            return _batch_loglik(problem, y_data, g_in.reshape(nb, k, -1))
+        _, theta_hat, cov_chol, log_det_cov = state
+        z = inv_norm_cdf(xb)  # (rows, K, d_theta)
+        vartheta = theta_hat[rows, None, :] + np.einsum("bij,bkj->bki", cov_chol[rows], z)
+        g_in = problem.model.evaluate(
+            vartheta.reshape(nb * k, d_theta), problem.xi, h_level
+        ).reshape(nb, k, -1)
+        ll = _batch_loglik(problem, y_data, g_in)
+        log_prior = problem.prior.logpdf(vartheta)
+        log_proposal = (
+            -0.5 * (d_theta * _LOG_2PI + log_det_cov[rows])[:, None]
+            - 0.5 * np.einsum("bkj,bkj->bk", z, z)
+        )
+        return ll + log_prior - log_proposal
+
     def inner_log(state, x, h_level):
-        y_data = state[0]
         b, k = x.shape[0], x.shape[1]
         out = np.empty((b, k))
         # each row's values depend on that row alone, so the inner points are
         # evaluated a few rows at a time and the (rows, K, d_y) temporaries
-        # stay the same size whatever K is
+        # stay the same size whatever K is; a block's temporaries are freed
+        # when block_log returns, before the next block's are made
         step = max(1, _INNER_BLOCK // k)
         for lo in range(0, b, step):
             rows = slice(lo, lo + step)
-            xb = x[rows]
-            nb = xb.shape[0]
-            if family == "plain":
-                vartheta = problem.prior.transform(xb.reshape(nb * k, d_theta))
-                g_in = problem.model.evaluate(vartheta, problem.xi, h_level)
-                out[rows] = _batch_loglik(problem, y_data[rows], g_in.reshape(nb, k, -1))
-                continue
-            _, theta_hat, cov_chol, log_det_cov = state
-            z = inv_norm_cdf(xb)  # (rows, K, d_theta)
-            vartheta = theta_hat[rows, None, :] + np.einsum("bij,bkj->bki", cov_chol[rows], z)
-            g_in = problem.model.evaluate(
-                vartheta.reshape(nb * k, d_theta), problem.xi, h_level
-            ).reshape(nb, k, -1)
-            ll = _batch_loglik(problem, y_data[rows], g_in)
-            log_prior = problem.prior.logpdf(vartheta)
-            log_proposal = (
-                -0.5 * (d_theta * _LOG_2PI + log_det_cov[rows])[:, None]
-                - 0.5 * np.einsum("bkj,bkj->bk", z, z)
-            )
-            out[rows] = ll + log_prior - log_proposal
+            out[rows] = block_log(state, rows, x[rows], h_level)
         return out
 
     gamma = getattr(problem.model, "gamma", 0.0)
@@ -520,8 +522,7 @@ def _assemble_eig(problem: OEDProblem, term: EstimatorResult) -> EstimatorResult
 
 
 def _run_nested(nested, N, M, S, R, sampler, key):
-    sampler = _as_sampler(sampler)
-    if sampler.kind == "mc" and S == 1 and R == 1:
+    if sampler == "mc" and S == 1 and R == 1:
         return dlmc_estimate(nested, N, M, key)
     return rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
 
@@ -576,15 +577,7 @@ def inner_replicate_spread(
     """
     key = key or RandomizationKey(0)
     nested = build_nested_problem(problem, family="is", laplace_mode=laplace_mode)
-    params = default_sobol_params()
-    sampler = _as_sampler("rqmc-sobol-owen")
-    y = _outer_points(nested, N, 0, key, sampler, params)
-    state = _prepare_state(nested, y)
-    blocks = _inner_blocks(nested, 0, N, M, R, 0, key, sampler, params)
-    blocks = blocks.reshape(N, R, M, nested.d2)
-    per_rep = np.stack(
-        [_outer_values(nested, y, blocks[:, j], state) for j in range(R)], axis=1
-    )  # (N, R)
+    per_rep = _inner_replicates(nested, N, M, R, key, key)
     return float(np.max(per_rep.max(axis=1) - per_rep.min(axis=1)))
 
 
@@ -602,7 +595,7 @@ def eig_laplace_only(
     in place of an optimized mode.
     """
     key = key or RandomizationKey(0)
-    sampler = _as_sampler(sampler)
+    sampler = _check_sampler(sampler)
     d = problem.d_theta
 
     def integrand(u):
@@ -619,7 +612,7 @@ def eig_laplace_only(
     if problem.h is not None and getattr(problem.model, "gamma", 0.0) > 0:
         work_factor = problem.h ** (-problem.model.gamma)
 
-    if sampler.kind == "mc":
+    if sampler == "mc":
         u = key.uniforms((N, d), salt="laplace")
         values = integrand(u)
         res = _make_result(values, {"N": N}, key, work=N * work_factor, divisor=N)

@@ -254,7 +254,8 @@ def log_sum_exp(values, axis=None):
         raise ValueError("log_sum_exp of an empty list")
     m = np.max(v, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
-    s = np.sum(np.exp(v - m_safe), axis=axis, keepdims=True)
+    shifted = np.atleast_1d(v - m_safe)  # exponentiated in place: one temporary
+    s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
         out = np.where(np.isfinite(m), m_safe + np.log(s), m)
     out = np.squeeze(out, axis=axis) if axis is not None else out.reshape(())

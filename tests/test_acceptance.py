@@ -18,7 +18,6 @@ from nestiq.allocation import constraints_satisfied
 from nestiq.cli import main as cli_main
 from nestiq.estimators import (
     NestedProblem,
-    _as_sampler,
     _inner_blocks,
     default_sobol_params,
     mc_estimate,
@@ -189,7 +188,7 @@ def test_criterion_5_convergence_rate_separation():
     def gbar(y):
         return (np.exp(y) - 1.0) / np.maximum(y, 1e-300)
 
-    spl = _as_sampler("rqmc-sobol-owen")
+    spl = "rqmc-sobol-owen"
     params = default_sobol_params()
     key = RandomizationKey(7, tag="bias")
     n, reps = 256, 200

@@ -118,6 +118,11 @@ class TestPilotCommand:
         rc = main(["pilot", lg_config, "--S", "1", "--out", str(tmp_path / "p.json")])
         assert rc == 2
 
+    def test_non_power_of_two_fixed_rows_refused(self, tmp_path, lg_config, capsys):
+        rc = main(["pilot", lg_config, "--n-fixed", "3", "--out", str(tmp_path / "p.json")])
+        assert rc == 2
+        assert "N must be a power of two, got 3" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, tmp_path, lg_config):
         outs = []
         for name in ("a.json", "b.json"):

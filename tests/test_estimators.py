@@ -9,7 +9,6 @@ import pytest
 from nestiq.estimators import (
     InnerUnderflowError,
     NestedProblem,
-    SamplerKind,
     dlmc_estimate,
     mc_estimate,
     rdlqmc_estimate,
@@ -98,13 +97,6 @@ class TestRqmcEstimate:
         assert r.variance_of_mean == pytest.approx(
             replicate_variance(r.replicate_values)
         )
-
-    def test_lattice_sampler(self):
-        from nestiq.estimators import SamplerKind
-
-        sampler = SamplerKind("rqmc-lattice-shift", generating_vectors={1: [1.0]})
-        r = rqmc_estimate(lambda p: p[:, 0], 1, 101, 8, KEY, sampler=sampler)
-        assert abs(r.estimate - 0.5) < 1e-2
 
 
 class TestDlmcEstimate:
@@ -252,9 +244,9 @@ class TestRates:
                 k = rng_key.child(m, rep)
                 y = k.uniforms((n, 1), salt="outer")
                 prob = toy_problem()
-                from nestiq.estimators import _inner_blocks, _as_sampler, default_sobol_params
+                from nestiq.estimators import _inner_blocks, default_sobol_params
 
-                spl = _as_sampler("rqmc-sobol-owen")
+                spl = "rqmc-sobol-owen"
                 x = _inner_blocks(prob, 0, n, m, 1, 0, k, spl, default_sobol_params())
                 g = np.exp(x[:, :, 0] * y)
                 dq.append(np.mean(np.log(g.mean(axis=1)) - np.log(gbar(y[:, 0]))))
@@ -270,12 +262,12 @@ class TestRates:
 
     def test_inner_randomization_unbiased_at_fixed_outer(self):
         """Mean over inner rescrambles equals the analytic inner integral."""
-        from nestiq.estimators import _inner_blocks, _as_sampler, default_sobol_params
+        from nestiq.estimators import _inner_blocks, default_sobol_params
 
         key = RandomizationKey(5, tag="fixed-outer")
         y = np.array([[0.7]])
         prob = toy_problem()
-        spl = _as_sampler("rqmc-sobol-owen")
+        spl = "rqmc-sobol-owen"
         means = []
         for rep in range(500):
             x = _inner_blocks(prob, 0, 1, 8, 1, rep, key, spl, default_sobol_params())
@@ -384,24 +376,15 @@ class TestChunking:
         )
         np.testing.assert_array_equal(np.concatenate(seen), want)
 
-    @pytest.mark.parametrize("kind", ["mc", "rqmc-lattice-shift"])
+    @pytest.mark.parametrize("kind", ["mc"])
     @pytest.mark.parametrize("N, lo, hi", [(64, 0, 8), (64, 24, 40), (64, 63, 64), (12, 8, 12)])
     def test_outer_rows_generated_alone(self, kind, N, lo, hi):
         from nestiq import estimators
-        from nestiq.lds import lattice_points, random_shift
 
-        sampler = SamplerKind(kind, generating_vectors={2: [1.0, 5.0]})
         prob = NestedProblem(d1=2, d2=1, inner=None)
-        got = estimators._outer_points(prob, N, 3, KEY, sampler, None, lo, hi)
-        if kind == "mc":
-            whole = KEY.child("outer", 3).uniforms((N, 2), salt="y")
-        else:
-            whole = random_shift(lattice_points([1.0, 5.0], N), KEY.child("outer", 3)).values
+        got = estimators._outer_points(prob, N, 3, KEY, kind, None, lo, hi)
+        whole = KEY.child("outer", 3).uniforms((N, 2), salt="y")
         np.testing.assert_array_equal(got, whole[lo:hi])
-
-
-LATTICE = SamplerKind("rqmc-lattice-shift",
-                      generating_vectors={18: np.arange(1.0, 37.0, 2.0), 3: [1.0, 5.0, 7.0]})
 
 
 class TestSharedChunks:
@@ -424,7 +407,6 @@ class TestSharedChunks:
         pieces of at most `chunk` rows."""
         from nestiq import estimators
 
-        sampler = estimators._as_sampler(sampler)
         params = estimators.default_sobol_params()
         sums = np.zeros(S)
         for s in range(S):
@@ -441,7 +423,6 @@ class TestSharedChunks:
         ("rqmc-sobol-owen", 8, 8, 3, [8, 8, 8]),
         ("mc", 8, 3, 5, [6, 6, 3]),  # two whole randomizations a chunk
         ("mc", 8, 12, 2, [8, 4, 8, 4]),  # pieces never cross randomizations
-        pytest.param(LATTICE, 8, 12, 2, [8, 4, 8, 4], id="lattice-8-12-2"),
     ])
     def test_replicates_bit_identical_to_one_randomization_at_a_time(
         self, sampler, chunk, N, S, calls, monkeypatch
@@ -531,20 +512,91 @@ class TestChunkMemory:
         assert peak < 6 * budget
         assert abs(res.estimate - TOY_ORACLE) < 5 * res.stderr + 1e-4
 
+    @pytest.mark.parametrize("caller", ["pilot", "spread"])
+    def test_inner_replicates_honour_the_byte_cap(self, caller, monkeypatch):
+        """The inner pilot and the spread diagnostic chunk like the estimate:
+        no inner call holds more than _chunk_rows outer rows' inner points,
+        and neither the chunks nor the thread count move a bit."""
+        from nestiq import estimators, oed
+        from nestiq.allocation import fit_pilot_inner
+        from nestiq.models import PKModel, pk_designs, pk_prior
 
-class TestLatticeNested:
-    def test_rdlqmc_with_shifted_lattice_sampler(self):
-        from nestiq.estimators import SamplerKind
+        problem = oed.OEDProblem(model=PKModel(), xi=pk_designs()[0],
+                                 prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
+        key = RandomizationKey(11, tag="cap")
+        seen = []
+        build = oed.build_nested_problem
 
-        sampler = SamplerKind(
-            "rqmc-lattice-shift", generating_vectors={1: [1.0]}
+        def spied(*args, **kwargs):
+            nested = build(*args, **kwargs)
+            inner = nested.inner
+            nested.inner = lambda state, x, h: seen.append(x.shape) or inner(state, x, h)
+            return nested
+
+        monkeypatch.setattr(oed, "build_nested_problem", spied)
+        # each cap holds the R inner blocks of one outer row at the largest M
+        if caller == "pilot":  # 16 fixed rows, R = 8, reference rung M = 128
+            R, cap = 8, 8 * 128 * 3 * 8
+
+            def run():
+                nested = oed.build_nested_problem(problem, family="is")
+                return fit_pilot_inner(nested, [16, 32], 16, R, key)
+        else:  # N = 16, M = 64, R = 4
+            R, cap = 4, 4 * 64 * 3 * 8
+
+            def run():
+                return oed.inner_replicate_spread(problem, 16, 64, R, key=key)
+
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        whole = run()
+        whole_calls = len(seen)
+        seen.clear()
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", cap)
+        capped = run()
+        assert len(seen) > whole_calls  # the cap split a rung into chunks
+        for b, m, d2 in seen:
+            assert b <= R * estimators._chunk_rows(m, R, d2)
+            assert b * m * d2 * 8 <= cap
+        monkeypatch.setenv("NESTIQ_THREADS", "2")
+        assert capped == whole == run()
+
+
+class TestPinnedStreams:
+    """Values recorded before the nested loops shared one executor: moving
+    the loops must move no random stream and no reduction order."""
+
+    def test_dlmc_over_two_chunks(self):
+        import hashlib
+
+        res = dlmc_estimate(toy_log_problem(), 2**13, 4, KEY)  # two 4096-row chunks
+        assert res.estimate.hex() == "0x1.08defdc478e00p-2"
+        assert hashlib.sha256(res.replicate_values.tobytes()).hexdigest() == (
+            "7c53ff79d3fba5027c0996899ccf2ebf9083c5d01ef29d4b5aa230bccbb56ef3"
         )
-        r = rdlqmc_estimate(toy_problem(), 2**8, 2**5, 8, 2, KEY, sampler=sampler)
-        assert abs(r.estimate - TOY_ORACLE) < max(6 * r.stderr, 2e-3)
 
-    def test_missing_generating_vector_rejected(self):
-        from nestiq.estimators import SamplerKind
+    def test_rdlqmc_mc_sampler(self):
+        res = rdlqmc_estimate(toy_problem(), 64, 8, 2, 2, KEY, sampler="mc")
+        assert [v.hex() for v in res.replicate_values] == [
+            "0x1.3108058e75576p-2", "0x1.037200bc0b966p-2",
+        ]
 
-        sampler = SamplerKind("rqmc-lattice-shift", generating_vectors={2: [1.0, 3.0]})
-        with pytest.raises(ValueError, match="generating vector"):
-            rdlqmc_estimate(toy_problem(), 2**6, 2**4, 1, 1, KEY, sampler=sampler)
+    def test_pk_inner_pilot(self):
+        from nestiq.allocation import fit_pilot_inner
+
+        nested = TestSharedChunks._pk_problem()
+        fit = fit_pilot_inner(nested, [32, 64], 4, 8, RandomizationKey(5, tag="pin"))
+        assert [v.hex() for v in fit.rung_variances] == [
+            "0x1.4b76e25eddaf5p-17", "0x1.a54f4797e63b2p-19",
+        ]
+        assert [v.hex() for v in fit.rung_biases] == [
+            "0x1.eae16e3590000p-15", "0x1.bc2b7babef000p-11",
+        ]
+        assert (fit.c_q2.hex(), fit.c_q3.hex(), fit.delta.hex()) == (
+            "0x1.8fa50ab9ba418p-7", "0x1.78540a5a189dbp-4", "0x1.4ed5862590e56p-1",
+        )
+
+
+
+def test_unknown_sampler_rejected():
+    with pytest.raises(ValueError, match="unknown sampler kind 'rqmc-lattice-shift'"):
+        rdlqmc_estimate(toy_problem(), 64, 4, 1, 1, KEY, sampler="rqmc-lattice-shift")

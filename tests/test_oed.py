@@ -157,8 +157,8 @@ class TestMapEstimate:
             noise_variances=[1.0],
         )
         map_estimate(np.array([[2.0]]), p, init=np.array([1.0]))
-        # initial objective + one gradient evaluation, no damping retries
-        assert calls["n"] <= 3
+        # the initial objective only: a zero Newton decrement is converged
+        assert calls["n"] == 1
 
     def test_pk_map_recovers_truth_at_small_noise(self):
         model = PKModel()
@@ -527,6 +527,10 @@ class TestNestedEigEstimators:
         )
         assert spread < 1e-10
 
+    def test_spread_needs_power_of_two_inner_count(self):
+        with pytest.raises(ValueError, match="M must be a power of two, got 3"):
+            inner_replicate_spread(linear_gaussian_problem(), 8, 3, 4)
+
     def test_replicate_spread_unchanged_by_prepare_once(self):
         from nestiq.estimators import _inner_blocks, _outer_points, _outer_values
 
@@ -538,7 +542,7 @@ class TestNestedEigEstimators:
         # the same diagnostic with the Laplace proposal solved for every replicate
         nested = oed.build_nested_problem(problem, family="is")
         params = oed.default_sobol_params()
-        sampler = oed._as_sampler("rqmc-sobol-owen")
+        sampler = "rqmc-sobol-owen"
         y = _outer_points(nested, 16, 0, key, sampler, params)
         blocks = _inner_blocks(nested, 0, 16, 4, 3, 0, key, sampler, params).reshape(16, 3, 4, 3)
         per_rep = np.stack([_outer_values(nested, y, blocks[:, j]) for j in range(3)], axis=1)
