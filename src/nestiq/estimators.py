@@ -103,9 +103,8 @@ class NestedProblem:
     of shape (B, K, d2) and returns (B, K) values; ``inner_is_log`` marks the
     return value as log g.  The state is ``prepare(y, h)`` of the outer rows
     y, shape (B, d1), computed once however many inner blocks share those
-    rows; without ``prepare`` it is y itself.  ``eta``/``gamma`` describe the
-    discretization order and evaluation-cost exponent when g is approximated
-    at level h.
+    rows; without ``prepare`` it is y itself.  ``gamma`` is the
+    evaluation-cost exponent when g is approximated at level h.
     """
 
     d1: int
@@ -114,9 +113,7 @@ class NestedProblem:
     outer_map: object = "identity"  # "identity" | "log" | callable
     inner_is_log: bool = False
     h: float | None = None
-    eta: float = 1.0
     gamma: float = 0.0
-    name: str = ""
     prepare: callable = None
 
     def __post_init__(self):
@@ -232,10 +229,12 @@ def _prepare_state(problem: NestedProblem, y: np.ndarray):
     return y if problem.prepare is None else problem.prepare(y, problem.h)
 
 
-def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f of the inner-block mean for each outer row; x is (B, K, d2)."""
+def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1) -> np.ndarray:
+    """f of the inner mean of each of `groups` equal parts of every outer
+    row's inner block; x is (B, K, d2), the result (B * groups,) row by row."""
     raw = np.asarray(problem.inner(_prepare_state(problem, y), x, problem.h), dtype=np.float64)
-    k = x.shape[1]
+    raw = raw.reshape(x.shape[0] * groups, -1)
+    k = raw.shape[1]
     if problem.inner_is_log:
         log_mean = log_sum_exp(raw, axis=1) - math.log(k)
         if problem.outer_map == "log":
@@ -253,17 +252,10 @@ def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray) -> np.nd
 def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey) -> EstimatorResult:
     """Double-loop Monte Carlo with iid uniform points in both loops.
 
-    One outer and one inner randomization (counts S = R = 1);
-    replicate_values are the N per-sample values.  Each chunk's streams are
-    salted by its first row.
+    The points of rdlqmc_estimate(problem, N, M, 1, 1, key, sampler="mc");
+    replicate_values are the N per-sample values.
     """
-
-    def points(s, lo, hi):
-        y = key.child("outer", 0).uniforms((hi - lo, problem.d1), salt=f"y{lo}")
-        x = key.child("inner", 0).uniforms((hi - lo, M, problem.d2), salt=f"x{lo}")
-        return y, x
-
-    pieces = _nested_values(problem, N, M, 1, 1, "mc", None, points)
+    pieces = _nested_values(problem, N, M, 1, 1, key, key, "mc", None)
     values = _joined([v for _, v in pieces])
     work = N * M * problem.work_factor()
     return _make_result(
@@ -293,11 +285,13 @@ def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler, params):
     """Inner points for outer samples [n_lo, n_hi): shape (B, R*M, d2).
 
     Each (s, n, r) triple gets an independent randomization of the same base
-    point set.
+    point set; iid uniforms are counted from row n_lo of the stream, like
+    the outer ones, so a row's points never depend on n_lo.
     """
     b = n_hi - n_lo
     if sampler == "mc":
-        return key.child("inner-mc", s).uniforms((b, R * M, problem.d2), salt=f"x{n_lo}")
+        shape = (b, R * M, problem.d2)
+        return key.child("inner-mc", s).uniforms(shape, salt="x", offset=n_lo * R * M * problem.d2)
     n_idx = np.arange(n_lo, n_hi, dtype=np.uint64)[:, None]
     r_idx = np.arange(R, dtype=np.uint64)[None, :]
     roots = fold_index_array(fold_index_array(key.subroot("inner", s), n_idx), r_idx)
@@ -322,20 +316,22 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _nested_values(problem, N, M, S, R, sampler, params, points):
+def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, params, groups=1):
     """f at every outer row of S randomizations of N rows, chunk by chunk.
 
-    ``points(s, lo, hi)`` returns the outer rows y and the inner blocks x,
-    R randomizations of M points each, of rows [lo, hi) of randomization s.
-    A chunk task is one row range of one randomization, as many as N needs,
-    or, when N is below the chunk size, several whole randomizations that
-    share one inner call and one MAP batch.  _chunk_rows sizes the ranges,
-    so a task's inner points stay within _CHUNK_BYTES.  Tasks may run on
-    several threads; the result lists ((s, lo, hi), values) for every
-    segment in task order, each segment's values split from its task's by
-    len(y).
+    Each chunk builds its own points: the outer rows of outer_key and, for
+    each row, R inner randomizations of M points each of inner_key.  Every
+    point depends on its (randomization, row, replicate) alone, never on
+    the chunk it falls in.  A chunk task is one row range of one
+    randomization, as many as N needs, or, when N is below the chunk size,
+    several whole randomizations that share one inner call and one MAP
+    batch.  _chunk_rows sizes the ranges, so a task's inner points stay
+    within _CHUNK_BYTES.  Tasks may run on several threads; the result lists
+    ((s, lo, hi), values) for every segment in task order, with the
+    (hi - lo) * groups values of _outer_values.
     """
     if _check_sampler(sampler) == "rqmc-sobol-owen":
+        params = params or default_sobol_params()
         _check_pow2(N, "N")
         _check_pow2(M, "M")
         if max(problem.d1, problem.d2) > params.dimension:
@@ -358,9 +354,13 @@ def _nested_values(problem, N, M, S, R, sampler, params, points):
         return [(s, lo, hi) for s in range(first, min(first + per_task, S))]
 
     def run_chunk(task):
-        y, x = zip(*(points(*seg) for seg in segments(task)))
-        values = _outer_values(problem, _joined(y), _joined(x))
-        return np.split(values, np.cumsum([len(part) for part in y[:-1]]))
+        segs = segments(task)
+        y = [_outer_points(problem, N, s, outer_key, sampler, params, lo, hi)
+             for s, lo, hi in segs]
+        x = [_inner_blocks(problem, lo, hi, M, R, s, inner_key, sampler, params)
+             for s, lo, hi in segs]
+        values = _outer_values(problem, _joined(y), _joined(x), groups)
+        return np.split(values, np.cumsum([len(part) * groups for part in y[:-1]]))
 
     tasks = range(-(-S // per_task) * per_s)
     return [
@@ -374,17 +374,10 @@ def _inner_replicates(problem, n, M, R, outer_key, inner_key, sampler="rqmc-sobo
     """f at the n outer points of outer_key for each of R inner
     randomizations of inner_key: shape (n, R).
 
-    Every (row, inner randomization) pair is one row of the nested
-    executor: its outer row repeated beside each of its R inner blocks.
+    Each outer row is prepared once and evaluated at its R inner blocks in
+    one call; each block of M values is reduced on its own.
     """
-    params = default_sobol_params() if sampler == "rqmc-sobol-owen" else None
-
-    def points(s, lo, hi):
-        y = _outer_points(problem, n, s, outer_key, sampler, params, lo, hi)
-        x = _inner_blocks(problem, lo, hi, M, R, s, inner_key, sampler, params)
-        return np.repeat(y, R, axis=0), x.reshape((hi - lo) * R, M, problem.d2)
-
-    pieces = _nested_values(problem, n, M, 1, R, sampler, params, points)
+    pieces = _nested_values(problem, n, M, 1, R, outer_key, inner_key, sampler, None, groups=R)
     return _joined([v for _, v in pieces]).reshape(n, R)
 
 
@@ -403,19 +396,10 @@ def rdlqmc_estimate(
     With S = R = 1 this is the single-randomization production estimator;
     replicate_values are the S outer-randomization means.
     """
-    if sampler == "rqmc-sobol-owen":
-        params = params or default_sobol_params()
-
-    def points(s, lo, hi):
-        return (
-            _outer_points(problem, N, s, key, sampler, params, lo, hi),
-            _inner_blocks(problem, lo, hi, M, R, s, key, sampler, params),
-        )
-
     # each sums[s] adds the row sums of the same (s, row range) pieces,
     # however the tasks group them
     sums = np.zeros(S)
-    for (s, _, _), values in _nested_values(problem, N, M, S, R, sampler, params, points):
+    for (s, _, _), values in _nested_values(problem, N, M, S, R, key, key, sampler, params):
         sums[s] += values.sum()
     replicate_means = sums / N
     work = N * M * S * R * problem.work_factor()

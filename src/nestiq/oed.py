@@ -20,6 +20,7 @@ import numpy as np
 from .estimators import (
     EstimatorResult,
     NestedProblem,
+    _check_pow2,
     _check_sampler,
     _inner_replicates,
     _make_result,
@@ -428,7 +429,6 @@ def build_nested_problem(
     problem: OEDProblem,
     family: str = "plain",
     laplace_mode: str = "optimized-map",
-    h: float | None = None,
 ) -> NestedProblem:
     """Unit-cube nested problem whose outer map is log and whose inner
     integrand is the (importance-weighted) likelihood in log form.
@@ -443,7 +443,6 @@ def build_nested_problem(
         raise ValueError("laplace_mode must be 'optimized-map' or 'data-generating-theta'")
     _check_sampler_prior(problem, family)
     d_theta = problem.d_theta
-    h = problem.h if h is None else h
 
     def prepare(y, h_level):
         """Data of each outer row and, for importance sampling, its Laplace
@@ -486,18 +485,19 @@ def build_nested_problem(
     def inner_log(state, x, h_level):
         b, k = x.shape[0], x.shape[1]
         out = np.empty((b, k))
-        # each row's values depend on that row alone, so the inner points are
-        # evaluated a few rows at a time and the (rows, K, d_y) temporaries
-        # stay the same size whatever K is; a block's temporaries are freed
-        # when block_log returns, before the next block's are made
-        step = max(1, _INNER_BLOCK // k)
+        # each value depends on its row and point alone, so the inner points
+        # are evaluated at most _INNER_BLOCK at a time, a few rows or a part
+        # of one row, and the (rows, K, d_y) temporaries stay the same size
+        # whatever K is; a block's temporaries are freed when block_log
+        # returns, before the next block's are made
+        step, width = max(1, _INNER_BLOCK // k), min(k, _INNER_BLOCK)
         for lo in range(0, b, step):
             rows = slice(lo, lo + step)
-            out[rows] = block_log(state, rows, x[rows], h_level)
+            for k_lo in range(0, k, width):
+                pts = slice(k_lo, k_lo + width)
+                out[rows, pts] = block_log(state, rows, x[rows, pts], h_level)
         return out
 
-    gamma = getattr(problem.model, "gamma", 0.0)
-    eta = getattr(problem.model, "eta", 0.0)
     return NestedProblem(
         d1=problem.d_outer,
         d2=problem.d_inner,
@@ -505,10 +505,8 @@ def build_nested_problem(
         prepare=prepare,
         outer_map="log",
         inner_is_log=True,
-        h=h,
-        eta=eta if eta else 1.0,
-        gamma=gamma,
-        name=f"eig-{family}",
+        h=problem.h,
+        gamma=getattr(problem.model, "gamma", 0.0),
     )
 
 
@@ -613,12 +611,14 @@ def eig_laplace_only(
         work_factor = problem.h ** (-problem.model.gamma)
 
     if sampler == "mc":
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
         u = key.uniforms((N, d), salt="laplace")
         values = integrand(u)
-        res = _make_result(values, {"N": N}, key, work=N * work_factor, divisor=N)
-        return res
-    if (N & (N - 1)) != 0:
-        raise ValueError("N must be a power of two for the QMC sampler")
+        return _make_result(values, {"N": N}, key, work=N * work_factor, divisor=N)
+    _check_pow2(N, "N")
+    if s_replicates < 1:
+        raise ValueError(f"s_replicates must be >= 1, got {s_replicates}")
     params = default_sobol_params()
     base = sobol_sequence(params, d, int(math.log2(N)))
     means = []

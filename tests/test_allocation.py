@@ -85,8 +85,8 @@ class TestPilotRuns:
         )
         key = RandomizationKey(8, tag="prep")
         fit = fit_pilot_inner(nested, [8, 16], 4, 8, key)
-        # once a rung (2 rungs and the reference), on every (row, replicate) pair
-        assert prepared == [(4 * 8, nested.d1)] * 3
+        # once a rung (2 rungs and the reference), on each fixed row once
+        assert prepared == [(4, nested.d1)] * 3
         assert fit == fit_pilot_inner(folded, [8, 16], 4, 8, key)
 
     def test_outer_pilot_on_toy(self):

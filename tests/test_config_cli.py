@@ -242,6 +242,18 @@ class TestEstimateCommand:
         res = json.loads(open(out).read())
         assert "M" not in res["counts"]
 
+    @pytest.mark.parametrize("estimator, message", [
+        ("mcla", "N must be >= 1, got 0"),
+        ("rqmcla", "N must be a power of two, got 0"),
+    ])
+    def test_laplace_estimator_refuses_empty_sample(self, tmp_path, estimator, message, capsys):
+        cfg = _write(tmp_path, "la.cfg", LG_CFG.replace("rdlqmcis", estimator))
+        out = tmp_path / "res.json"
+        rc = main(["estimate", cfg, "--N", "0", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_counts_usage_error(self, tmp_path, lg_config):
         rc = main(["estimate", lg_config, "--out", str(tmp_path / "x.json")])
         assert rc == 2

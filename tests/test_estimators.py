@@ -512,6 +512,34 @@ class TestChunkMemory:
         assert peak < 6 * budget
         assert abs(res.estimate - TOY_ORACLE) < 5 * res.stderr + 1e-4
 
+    def test_dlmc_rows_do_not_depend_on_the_chunks(self, monkeypatch):
+        from nestiq import estimators
+
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        whole = dlmc_estimate(toy_problem(), 100, 16, KEY)
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 16 * 8)  # 16-row chunks
+        chunked = dlmc_estimate(toy_problem(), 100, 16, KEY)
+        np.testing.assert_array_equal(chunked.replicate_values, whole.replicate_values)
+
+    @pytest.mark.parametrize("sampler", ["mc", "rqmc-sobol-owen"])
+    def test_inner_replicate_rows_do_not_depend_on_the_chunks(self, sampler, monkeypatch):
+        from nestiq import estimators
+
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        inner_key = KEY.child("inner")
+        whole = estimators._inner_replicates(toy_problem(), 64, 16, 4, KEY, inner_key, sampler)
+        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 8 * 4 * 16 * 8)  # 8-row chunks
+        chunked = estimators._inner_replicates(toy_problem(), 64, 16, 4, KEY, inner_key, sampler)
+        assert whole.shape == (64, 4)
+        np.testing.assert_array_equal(chunked, whole)
+
+    def test_dlmc_reduces_the_points_of_the_mc_sampler(self):
+        """dlmc_estimate is rdlqmc_estimate(S=1, R=1, sampler="mc") with the
+        per-row values kept; only the order of the final sum differs."""
+        res = dlmc_estimate(toy_problem(), 2**13 + 100, 8, KEY)  # three chunks
+        ref = rdlqmc_estimate(toy_problem(), 2**13 + 100, 8, 1, 1, KEY, sampler="mc")
+        assert res.estimate == pytest.approx(ref.estimate, rel=1e-14)
+
     @pytest.mark.parametrize("caller", ["pilot", "spread"])
     def test_inner_replicates_honour_the_byte_cap(self, caller, monkeypatch):
         """The inner pilot and the spread diagnostic chunk like the estimate:
@@ -554,30 +582,32 @@ class TestChunkMemory:
         monkeypatch.setattr(estimators, "_CHUNK_BYTES", cap)
         capped = run()
         assert len(seen) > whole_calls  # the cap split a rung into chunks
-        for b, m, d2 in seen:
-            assert b <= R * estimators._chunk_rows(m, R, d2)
-            assert b * m * d2 * 8 <= cap
+        for b, k, d2 in seen:  # each outer row once, beside its R blocks of M
+            assert b <= estimators._chunk_rows(k // R, R, d2)
+            assert b * k * d2 * 8 <= cap
         monkeypatch.setenv("NESTIQ_THREADS", "2")
         assert capped == whole == run()
 
 
 class TestPinnedStreams:
-    """Values recorded before the nested loops shared one executor: moving
-    the loops must move no random stream and no reduction order."""
+    """Values recorded once every stream was indexed by (randomization, row,
+    replicate): moving the loops must move no random stream and no
+    reduction order.  The scrambled-net pilot pin predates that change,
+    which moved only iid streams."""
 
     def test_dlmc_over_two_chunks(self):
         import hashlib
 
         res = dlmc_estimate(toy_log_problem(), 2**13, 4, KEY)  # two 4096-row chunks
-        assert res.estimate.hex() == "0x1.08defdc478e00p-2"
+        assert res.estimate.hex() == "0x1.0bb85838cf3bcp-2"
         assert hashlib.sha256(res.replicate_values.tobytes()).hexdigest() == (
-            "7c53ff79d3fba5027c0996899ccf2ebf9083c5d01ef29d4b5aa230bccbb56ef3"
+            "c74939234f44fba28b3970d539cef594c5dd18c4ef90f02adc15f049f8090367"
         )
 
     def test_rdlqmc_mc_sampler(self):
         res = rdlqmc_estimate(toy_problem(), 64, 8, 2, 2, KEY, sampler="mc")
         assert [v.hex() for v in res.replicate_values] == [
-            "0x1.3108058e75576p-2", "0x1.037200bc0b966p-2",
+            "0x1.2c1210e17e948p-2", "0x1.05efa9b594142p-2",
         ]
 
     def test_pk_inner_pilot(self):

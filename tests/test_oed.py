@@ -572,8 +572,9 @@ class TestNestedEigEstimators:
 
 
 class TestInnerBlocking:
-    """The inner integrand is evaluated a few outer rows at a time; the
-    values must not depend on how many rows share a block."""
+    """The inner integrand is evaluated at most _INNER_BLOCK points at a
+    time, a few outer rows or a part of one row; the values must not depend
+    on how the points are split."""
 
     @pytest.mark.parametrize("family", ["plain", "is"])
     def test_blocked_values_bit_identical(self, family, monkeypatch):
@@ -586,11 +587,24 @@ class TestInnerBlocking:
         x = key.child("x", 0).uniforms((37, 16, nested.d2), salt="x")
         state = nested.prepare(y, nested.h)
         whole = nested.inner(state, x, nested.h)
-        # 40 inner points a block: two rows each, the last block one row
-        monkeypatch.setattr(oed, "_INNER_BLOCK", 40)
-        blocked = nested.inner(state, x, nested.h)
-        assert blocked.shape == (37, 16)
-        assert np.array_equal(blocked, whole)
+        sizes = []
+        loglik = oed._batch_loglik
+
+        def counted(p, y_data, g_inner):
+            sizes.append(g_inner.shape[0] * g_inner.shape[1])
+            return loglik(p, y_data, g_inner)
+
+        monkeypatch.setattr(oed, "_batch_loglik", counted)
+        # 40 inner points a block: two rows each, the last block one row; 5:
+        # one row a block, in parts of 5, 5, 5 and 1 points
+        for block in (40, 5):
+            monkeypatch.setattr(oed, "_INNER_BLOCK", block)
+            sizes.clear()
+            blocked = nested.inner(state, x, nested.h)
+            assert blocked.shape == (37, 16)
+            assert np.array_equal(blocked, whole)
+            assert sum(sizes) == 37 * 16 and max(sizes) <= block
+
 
 class TestLaplaceOnly:
     def test_conjugate_truth(self):
@@ -617,6 +631,16 @@ class TestLaplaceOnly:
         r = eig_laplace_only(linear_gaussian_problem(prior_var=1e-8), 2**10,
                              sampler="rqmc-sobol-owen", key=RandomizationKey(44))
         assert abs(r.estimate) < 1e-3
+
+    @pytest.mark.parametrize("sampler, kwargs, message", [
+        ("mc", {}, "N must be >= 1, got 0"),
+        ("rqmc-sobol-owen", {}, "N must be a power of two, got 0"),
+        ("rqmc-sobol-owen", {"s_replicates": 0}, "s_replicates must be >= 1, got 0"),
+    ])
+    def test_empty_sample_refused(self, sampler, kwargs, message):
+        n = 8 if kwargs else 0
+        with pytest.raises(ValueError, match=message):
+            eig_laplace_only(linear_gaussian_problem(), n, sampler=sampler, **kwargs)
 
     def test_no_inner_count_in_result(self):
         r = eig_laplace_only(linear_gaussian_problem(), 2**8, sampler="mc",
