@@ -190,13 +190,6 @@ def mc_estimate(integrand, dim: int, M: int, key: RandomizationKey) -> Estimator
     return _make_result(values, {"M": M}, key, work=M, divisor=M)
 
 
-def _replicate_points(dim, M, r, key, sampler, params):
-    if sampler == "mc":
-        return key.child("rep", r).uniforms((M, dim), salt="mc")
-    base = sobol_sequence(params, dim, int(math.log2(M)))
-    return owen_scramble(base, key.child("rep", r)).values
-
-
 def rqmc_estimate(
     integrand,
     dim: int,
@@ -209,13 +202,17 @@ def rqmc_estimate(
     """Randomized QMC mean over R independent randomizations of one point set."""
     if _check_sampler(sampler) == "rqmc-sobol-owen":
         _check_pow2(M, "M")
-        params = params or default_sobol_params()
+        base = sobol_sequence(params or default_sobol_params(), dim, int(math.log2(M)))
     if R < 1:
         raise ValueError("R must be >= 1")
-    means = [
-        float(np.mean(integrand(_replicate_points(dim, M, r, key, sampler, params))))
-        for r in range(R)
-    ]
+    means = []
+    for r in range(R):
+        rep = key.child("rep", r)
+        if sampler == "mc":
+            points = rep.uniforms((M, dim), salt="mc")
+        else:
+            points = owen_scramble(base, rep).values
+        means.append(float(np.mean(integrand(points))))
     return _make_result(means, {"M": M, "R": R}, key, work=M * R)
 
 

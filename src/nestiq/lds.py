@@ -12,6 +12,7 @@ inputs reproduce bit-identical outputs regardless of call order or threading.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _TOP_BIT = np.uint64(1 << 63)
 
-# Elements per block of the scramble kernel: its five uint64 work buffers
-# (1.25 MiB) stay in a core's L2 cache.
+# Table entries (lane-dimension columns times prefixes), and point
+# coordinates, per block of the scramble kernel: each of its eight work
+# buffers (three tables, the gather index, four per-point buffers) holds
+# about one block of 8-byte words, 2 MiB in all, so they stay in L2 cache.
 _SCRAMBLE_BLOCK = 1 << 15
 
 # Smallest/largest coordinates a PointSet may carry.  The lower bound keeps
@@ -486,6 +489,42 @@ def _owen_lanes(root, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     return tree, fill
 
 
+def _fill_bits(z: np.ndarray, tmp: np.ndarray, low: np.uint64) -> None:
+    """The fill's low bits, in place: :func:`mix64` of ``z`` masked by ``low``."""
+    _mix64_rounds_inplace(z, tmp)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    z &= low
+
+
+def _to_unit(bits: np.ndarray, out: np.ndarray) -> None:
+    """The top 53 of 64 bits as floats in [2^-64, 1 - 2^-53]; ``bits`` is scratch."""
+    bits >>= np.uint64(11)
+    np.multiply(bits, 2.0**-53, out=out)
+    np.maximum(out, COORD_MIN, out=out)
+
+
+def _tree_order(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Storage order of the top t levels of a scramble tree.
+
+    Level k's 2^k nodes fill entries [2^k, 2^(k+1)) with their prefixes in
+    bit-reversed order; entry 0 holds no node.  Returns the heap-indexed
+    node id and the level of each of the 2^t entries, and the t-digit
+    prefix that each entry of the table below level t - 1 stands for.  In
+    this order the children of a level are that level twice over: entry p
+    of level k + 1 extends the prefix at entry p mod 2^k of level k by the
+    digit p >> k.  Bit reversal is its own inverse, so prefix q sits at
+    entry ``prefix[q]``.
+    """
+    prefix = np.zeros(1, dtype=np.uint64)
+    ids, level = [prefix], [prefix]
+    for k in range(t):
+        ids.append(prefix | np.uint64(1 << k))
+        level.append(np.full(1 << k, k, dtype=np.uint64))
+        prefix = np.concatenate((prefix << np.uint64(1), (prefix << np.uint64(1)) | np.uint64(1)))
+    return np.concatenate(ids), np.concatenate(level), prefix
+
+
 def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,
                      depth: int) -> np.ndarray:
     """Nested uniform scramble of 32-bit integers under per-dim lane keys.
@@ -502,12 +541,26 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,
     a 2^depth-point net holds one point, so the permutations below it amount
     to iid uniform digits (Owen 1995).  ``depth=32`` hashes every digit.
 
-    The output is computed in blocks of about ``_SCRAMBLE_BLOCK`` elements
-    (lanes of point rows) with in-place arithmetic on buffers local to the
-    call; point digits and lane keys are expanded to the block once, so no
-    depth pays for broadcasting.  Only bit 63 of each depth's :func:`mix64`
-    hash is used, and the final xor-shift of :func:`mix64` leaves that bit
-    alone, so each depth runs just the two multiply rounds.
+    The tree is hashed per node above level t = min(depth, floor(log2 M))
+    and per point below it.  For each lane and dimension the 2^t - 1 nodes
+    of levels 0..t-1 are hashed once, in the order of :func:`_tree_order`,
+    and a table of 2^t flip words, one per t-digit prefix, is built from
+    them top down; each point gathers its word by its prefix.  Levels
+    t..depth-1 and the fill hash stay per point; they exist only when the M
+    points are fewer than 2^depth (a row range of a larger set).  Where
+    t = depth a point's whole word depends on its prefix alone, so the fill
+    hash and the float conversion run on the table too, and the gather
+    writes the output.
+
+    Blocks of about ``_SCRAMBLE_BLOCK`` table entries (several lanes of all
+    dimensions, or some dimensions of one lane) and about as many point
+    coordinates bound the work buffers, which are local to the call.  A
+    block's tables are (lane-dimension column, entry) arrays, laid out
+    column-innermost when columns times t exceed the 2^t entries, so that
+    neither the broadcasts along the entries nor the t level steps of the
+    build run many short inner loops.  Only bit 63 of a node's :func:`mix64` hash is used, and the
+    final xor-shift of :func:`mix64` leaves that bit alone, so each node
+    runs just the two multiply rounds.
     """
     if not 0 <= depth <= _N_BITS:
         raise ValueError(f"scramble depth {depth} out of range [0, {_N_BITS}]")
@@ -515,28 +568,84 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,
     fill = np.asarray(fill, dtype=np.uint64)[..., None, :]
     shape = np.broadcast_shapes(tree.shape, fill.shape, np.shape(values_u32))
     lanes, (m, d) = shape[:-2], shape[-2:]
-    x = np.broadcast_to(np.asarray(values_u32, dtype=np.uint64), (m, d))
-    tree = np.broadcast_to(tree, lanes + (1, d)).reshape(-1, 1, d)
-    fill = np.broadcast_to(fill, lanes + (1, d)).reshape(-1, 1, d)
+    x = np.broadcast_to(np.asarray(values_u32, dtype=np.uint32), (m, d))
+    tree = np.broadcast_to(tree, lanes + (1, d)).reshape(-1, d)
+    fill = np.broadcast_to(fill, lanes + (1, d)).reshape(-1, d)
     n_lanes = tree.shape[0]
-    rows = min(m, max(1, _SCRAMBLE_BLOCK // max(d, 1)))
-    lanes_per_block = min(n_lanes, max(1, _SCRAMBLE_BLOCK // max(rows * d, 1)))
-    buffers = np.empty((5, lanes_per_block * rows * d), dtype=np.uint64)
+    t = min(depth, m.bit_length() - 1)
+    size = 1 << t
+    ids, level, prefix = _tree_order(t)
+    entry_of = prefix.astype(np.intp)
+    digits = (prefix << np.uint64(_N_BITS - t)) << np.uint64(_N_BITS)  # in bits 63..64-t
+    dims = min(d, max(1, _SCRAMBLE_BLOCK // size))
+    lanes_per_block = min(n_lanes, max(1, _SCRAMBLE_BLOCK // (size * d)))
+    rows = min(m, max(1, _SCRAMBLE_BLOCK // (lanes_per_block * dims)))
+    tables = np.empty((3, lanes_per_block * dims * size), dtype=np.uint64)
+    index = np.empty((lanes_per_block + 1) * rows * dims, dtype=np.intp)
+    if t < depth:
+        buffers = np.empty((4, lanes_per_block * rows * dims), dtype=np.uint64)
     out = np.empty((n_lanes, m, d))
-    lead = np.uint64(1 << _N_BITS)
     low = np.uint64(_MASK64 >> depth)  # the bits the fill supplies
     high = np.uint64(_MASK64 ^ (_MASK64 >> depth))  # the permuted leading digits
     with np.errstate(over="ignore"):
-        for p0 in range(0, m, rows):
-            nm = min(rows, m - p0)
-            for l0 in range(0, n_lanes, lanes_per_block):
-                nl = min(lanes_per_block, n_lanes - l0)
-                z, tmp, flips, path, lane_tree = buffers[:, :nl * nm * d].reshape(5, nl, nm, d)
+        gold_ids = ids * _GOLD
+        gold_prefix = prefix * _GOLD
+        indexed = None
+        for l0, j0 in itertools.product(range(0, n_lanes, lanes_per_block), range(0, d, dims)):
+            nl, dj = min(lanes_per_block, n_lanes - l0), min(dims, d - j0)
+            cols, lane, dim = nl * dj, slice(l0, l0 + nl), slice(j0, j0 + dj)
+            flat = tables[:, :cols * size]
+            if cols * t > size:
+                nodes, table, tmp = flat.reshape(3, size, cols).transpose(0, 2, 1)
+                col_stride, entry_stride = 1, cols
+            else:
+                nodes, table, tmp = flat.reshape(3, cols, size)
+                col_stride, entry_stride = size, 1
+            # node n at level k flips digit k: its hash's top bit, moved to bit 63 - k
+            np.bitwise_xor(gold_ids, tree[lane, dim].reshape(cols, 1), out=nodes)
+            _mix64_rounds_inplace(nodes, tmp)
+            nodes &= _TOP_BIT
+            nodes >>= level
+            # top down, each node ORs in its parent's flips, then the table's
+            # entries take those of their parents at level t - 1
+            for k in range(1, t):
+                children = nodes[:, 2 << (k - 1):4 << (k - 1)].reshape(cols, 2, 1 << (k - 1))
+                np.bitwise_or(children, nodes[:, None, 1 << (k - 1):2 << (k - 1)], out=children)
+            if t:
+                np.copyto(table.reshape(cols, 2, size // 2), nodes[:, None, size // 2:])
+            else:
+                table.fill(0)
+            source = flat[1]
+            if t == depth:  # the whole word depends on the depth-digit prefix
+                np.bitwise_xor(gold_prefix, fill[lane, dim].reshape(cols, 1), out=nodes)
+                _fill_bits(nodes, tmp, low)
+                table ^= digits
+                table |= nodes
+                source = flat[0].view(np.float64)
+                _to_unit(table, nodes.view(np.float64))
+            for p0 in range(0, m, rows):
+                nm = min(rows, m - p0)
+                point = slice(p0, p0 + nm)
+                idx = index[:cols * nm].reshape(nl, nm, dj)
+                if indexed != (nl, p0, j0):  # else the last block's index is this one's
+                    indexed = (nl, p0, j0)
+                    # each point's table entry by its t-digit prefix, in its column
+                    base = index[cols * nm:(cols + dj) * nm].reshape(nm, dj)
+                    np.right_shift(x[point, dim], np.uint64(_N_BITS - t), out=base)
+                    np.take(entry_of, base, out=base)
+                    base *= entry_stride
+                    base += np.arange(dj, dtype=np.intp) * col_stride
+                    lane_of = np.arange(nl, dtype=np.intp) * (dj * col_stride)
+                    np.add(base, lane_of[:, None, None], out=idx)
+                if t == depth:
+                    np.take(source, idx, out=out[lane, point, dim], mode="clip")
+                    continue
+                z, tmp, flips, path = buffers[:, :cols * nm].reshape(4, nl, nm, dj)
+                np.take(source, idx, out=flips, mode="clip")
                 # path >> (32 - k) is the heap-indexed node 2^k | (k leading digits)
-                np.bitwise_or(x[p0:p0 + nm], lead, out=path)
-                np.copyto(lane_tree, tree[l0:l0 + nl])
-                flips.fill(0)
-                for k in range(depth):
+                np.bitwise_or(x[point, dim], np.uint64(1 << _N_BITS), out=path)
+                lane_tree = tree[lane, None, dim]
+                for k in range(t, depth):
                     np.right_shift(path, np.uint64(_N_BITS - k), out=z)
                     z *= _GOLD
                     z ^= lane_tree
@@ -544,22 +653,15 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,
                     z &= _TOP_BIT
                     z >>= np.uint64(k)
                     flips |= z
-                # fill the low 64 - depth bits from a full mix64 of the depth-digit prefix
-                np.right_shift(x[p0:p0 + nm], np.uint64(_N_BITS - depth), out=z)
+                np.right_shift(x[point, dim], np.uint64(_N_BITS - depth), out=z)
                 z *= _GOLD
-                z ^= fill[l0:l0 + nl]
-                _mix64_rounds_inplace(z, tmp)
-                np.right_shift(z, np.uint64(31), out=tmp)
-                z ^= tmp
-                z &= low
+                z ^= fill[lane, None, dim]
+                _fill_bits(z, tmp, low)
                 np.left_shift(path, np.uint64(_N_BITS), out=tmp)  # digits in bits 63..32
                 tmp &= high
                 flips ^= tmp
                 flips |= z
-                flips >>= np.uint64(11)
-                block = out[l0:l0 + nl, p0:p0 + nm]
-                np.multiply(flips, 2.0**-53, out=block)
-                np.maximum(block, COORD_MIN, out=block)
+                _to_unit(flips, out[lane, point, dim])
     return out.reshape(shape)
 
 

@@ -610,6 +610,15 @@ class TestPinnedStreams:
             "0x1.2c1210e17e948p-2", "0x1.05efa9b594142p-2",
         ]
 
+    def test_rdlqmc_outer_rows_below_the_table_levels(self):
+        # two 4096-row chunks of a 2^13-point outer set: each chunk takes
+        # levels 0-11 of the scramble tree from the node table and level 12
+        # point by point; recorded before the node-table kernel
+        res = rdlqmc_estimate(toy_log_problem(), 2**13, 4, 2, 1, KEY)
+        assert [v.hex() for v in res.replicate_values] == [
+            "0x1.0dd5e2877389cp-2", "0x1.0dfd4faa1d0d8p-2",
+        ]
+
     def test_pk_inner_pilot(self):
         from nestiq.allocation import fit_pilot_inner
 

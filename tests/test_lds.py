@@ -274,9 +274,65 @@ class TestScrambleKernel:
         assert abs(cut.mean() - (math.e - 1) ** 3) < 4 * math.sqrt(cut.var() / keys)
         assert 0.85 <= cut.var() / full.var() <= 1.15
 
+    @staticmethod
+    def _values(kind, m, d, depth, rng):
+        if kind == "chunk":  # the second m-row chunk of a 2^depth-point set
+            return lds._sobol_rows(PARAMS, d, depth, m, 2 * m)
+        if kind == "sobol":
+            return sobol_sequence(PARAMS, d, max(m - 1, 0).bit_length()).values[:m]
+        values = rng.integers(0, 2**32, (m, d), dtype=np.uint64).astype(np.uint32)
+        if kind == "repeated":  # a few leading-digit prefixes, each shared by many points
+            values[:, :] = values[rng.integers(0, 5, m)]
+            values ^= rng.integers(0, 2**32, (m, d), dtype=np.uint64).astype(np.uint32) >> 12
+        return values
+
+    @pytest.mark.parametrize("kind, m, d, lanes, depth", [
+        ("sobol", 1, 3, (), 0),            # one point: no tree levels at all
+        ("sobol", 1, 18, (4, 2), 32),      # one point, every level per point
+        ("random", 300, 3, (40, 2), 9),    # M not a power of two, levels 8.. per point
+        ("random", 100, 2, (3,), 5),       # M not a power of two, M > 2^depth
+        ("sobol", 64, 3, (700,), 4),       # M > 2^depth, lanes over two lane blocks
+        ("sobol", 256, 3, (50, 3), 8),     # (B, R) lanes over four lane blocks, the last partial
+        ("sobol", 16, 3, (7,), 4),         # (B,) lanes in one block
+        ("repeated", 256, 3, (5,), 12),    # repeated prefixes, levels 8.. per point
+        ("repeated", 256, 3, (5,), 6),     # repeated prefixes, M > 2^depth
+        ("random", 64, 3, (5,), 32),       # levels 6.. and the fill per point
+        ("sobol", 4096, 18, (2,), 12),     # a lane's table spans three dimension blocks
+        ("sobol", 2**16, 1, (), 16),       # one dimension's table exceeds a block
+        ("chunk", 4096, 18, (), 15),       # an outer chunk: 12 table levels, 3 per point
+    ])
+    def test_every_branch_matches_truncated_reference(self, kind, m, d, lanes, depth):
+        rng = np.random.default_rng(m * 100 + depth)
+        values = self._values(kind, m, d, depth, rng)
+        roots = rng.integers(0, 2**63, lanes, dtype=np.uint64) if lanes else 17
+        tree, fill = lds._owen_lanes(roots, d)
+        got = lds._scramble_values(values, tree, fill, depth)
+        assert got.shape == lanes + (m, d)
+        np.testing.assert_array_equal(got, _truncated_reference(values, tree, fill, depth))
+
     def test_blocks_cover_extremes(self):
-        assert 1500 * 16 * 3 > lds._SCRAMBLE_BLOCK
-        assert 4096 * 18 > lds._SCRAMBLE_BLOCK
+        # the cases above split the work every way the kernel can
+        block = lds._SCRAMBLE_BLOCK
+        lanes = block // (256 * 3)                   # (50, 3) lanes at M = 256
+        assert 150 > 3 * lanes and 150 % lanes       # four lane blocks, the last partial
+        assert block // ((block // 48) * 3) < 64     # 700 lanes, M = 64 at depth 4: row blocks
+        assert block // ((block // 768) * 3) < 300   # (40, 2) lanes, M = 300: per-point row blocks
+        assert block // 2**12 < 18                   # M = 4096, d = 18: dimension blocks
+        assert 2**16 > block                         # one column's table exceeds a block
+
+    @pytest.mark.parametrize("lanes, log2_m", [((4096,), 8), ((4, 32), 13)])
+    def test_memory_stays_within_the_output(self, lanes, log2_m):
+        import tracemalloc
+
+        values = sobol_sequence(PARAMS, 3, log2_m).values
+        tree, fill = lds._owen_lanes(np.arange(np.prod(lanes), dtype=np.uint64).reshape(lanes), 3)
+        tracemalloc.start()
+        try:
+            out = lds._scramble_values(values, tree, fill, log2_m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (8 << 20)
 
     def test_stream_digest(self):
         # any change to the scrambled stream fails here, never silently
