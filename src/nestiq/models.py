@@ -62,6 +62,12 @@ class ForwardModel:
 # ---------------------------------------------------------------------------
 
 _PK_SINGULAR_REL = 1e-10
+# Rows per pass of the PK kernels.  A pass works on (d_y, rows) planes with
+# the batch axis innermost, so every elementwise step is one long loop; at
+# 1024 rows a 15-time design's plane is 120 KiB, small enough that a pass's
+# temporaries stay in cache and come back from the heap instead of being
+# mapped and faulted in afresh, whatever the batch size.
+_PK_ROWS = 1024
 
 
 @dataclass
@@ -86,46 +92,80 @@ class PKModel(ForwardModel):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
         if np.any(theta <= 0.0):
             raise ValueError("parameters must be positive")
-        xi = np.asarray(xi, dtype=np.float64)[None, :]
-        t1, t2, t3 = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
+        xi = np.asarray(xi, dtype=np.float64)[:, None]
+        out = np.empty((theta.shape[0], xi.shape[0]))
+        for lo in range(0, theta.shape[0], _PK_ROWS):
+            rows = slice(lo, lo + _PK_ROWS)
+            out[rows] = self._evaluate_rows(theta[rows], xi).T
+        return out
+
+    def _evaluate_rows(self, theta, xi):
+        """G at a pass of rows against the (d_y, 1) design column, as a
+        (d_y, rows) plane updated in place."""
+        t1, t2, t3 = theta.T
         near = np.abs(t1 - t2) < _PK_SINGULAR_REL * np.abs(t1)
         denom = np.where(near, 1.0, t1 - t2)
         amp = self.dose / t3
-        e1 = np.exp(-t1 * xi)
-        out = amp * (t1 / denom) * (np.exp(-t2 * xi) - e1)
+        e1 = np.multiply(-t1, xi)
+        np.exp(e1, out=e1)
+        out = np.multiply(-t2, xi)
+        np.exp(out, out=out)
+        out -= e1
+        out *= amp * (t1 / denom)
         if near.any():
-            r = near[:, 0]
-            out[r] = amp[r] * t1[r] * xi * e1[r]
+            out[:, near] = amp[near] * t1[near] * xi * e1[:, near]
         return out
 
     def jacobian(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
         if np.any(theta <= 0.0):
             raise ValueError("parameters must be positive")
-        xi = np.asarray(xi, dtype=np.float64)[None, :]
-        t1, t2, t3 = theta[:, 0:1], theta[:, 1:2], theta[:, 2:3]
+        xi = np.asarray(xi, dtype=np.float64)[:, None]
+        jac = np.empty((theta.shape[0], xi.shape[0], 3))
+        for lo in range(0, theta.shape[0], _PK_ROWS):
+            rows = slice(lo, lo + _PK_ROWS)
+            self._jacobian_rows(theta[rows], xi, jac[rows])
+        return jac
+
+    def _jacobian_rows(self, theta, xi, jac):
+        """The Jacobian at a pass of rows, one (d_y, rows) plane per
+        parameter, each copied into its column of jac (rows, d_y, 3)."""
+        t1, t2, t3 = theta.T
         # wider window than the forward guard: the difference quotient in the
         # derivative cancels like (th1-th2)^-2, crossing over near 1e-6
         near = np.abs(t1 - t2) < 1e-6 * np.abs(t1)
+        lim = near.any()
         denom = np.where(near, 1.0, t1 - t2)
-        e1, e2 = np.exp(-t1 * xi), np.exp(-t2 * xi)
+        e1 = np.multiply(-t1, xi)
+        np.exp(e1, out=e1)
+        e2 = np.multiply(-t2, xi)
+        np.exp(e2, out=e2)
         diff = e2 - e1
         amp = self.dose / t3
         q = t1 / denom
         qx = q * xi
-        g = amp * q * diff
-        jac = np.empty(theta.shape[:1] + (xi.shape[1], 3))
-        jac[:, :, 0] = amp * (-t2 / denom**2 * diff + qx * e1)
-        jac[:, :, 1] = amp * (t1 / denom**2 * diff - qx * e2)
-        if near.any():
-            r = near[:, 0]
-            a, t, e = amp[r], t1[r], e1[r]
-            g[r] = a * t * xi * e
-            # second-order expansion of the difference quotient at th1 = th2
-            jac[r, :, 0] = a * xi * e * (1.0 - 0.5 * t * xi)
-            jac[r, :, 1] = -a * t * xi**2 * e * 0.5
-        jac[:, :, 2] = -g / t3
-        return jac
+        g = np.multiply(amp * q, diff)
+        if lim:
+            a, t, e = amp[near], t1[near], e1[:, near]
+            g[:, near] = a * t * xi * e
+        # amp * (-th2 / denom^2 * diff + qx * e1), then the same with th1, e2
+        col = np.multiply(-t2 / denom**2, diff)
+        qxe = np.multiply(qx, e1)
+        col += qxe
+        col *= amp
+        if lim:  # second-order expansion of the difference quotient at th1 = th2
+            col[:, near] = a * xi * e * (1.0 - 0.5 * t * xi)
+        jac[:, :, 0] = col.T
+        np.multiply(t1 / denom**2, diff, out=col)
+        np.multiply(qx, e2, out=qxe)
+        col -= qxe
+        col *= amp
+        if lim:
+            col[:, near] = -a * t * xi**2 * e * 0.5
+        jac[:, :, 1] = col.T
+        np.negative(g, out=g)
+        g /= t3
+        jac[:, :, 2] = g.T
 
 
 def pk_designs() -> tuple[np.ndarray, np.ndarray]:

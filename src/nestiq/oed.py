@@ -159,7 +159,8 @@ def _batch_loglik(problem: OEDProblem, y_data: np.ndarray, g_inner: np.ndarray) 
     """
     inv_s2 = 1.0 / problem.noise_variances
     r = y_data[:, None, :, :] - g_inner[:, :, None, :]
-    quad = np.einsum("bkij,j->bk", r * r, inv_s2)
+    r *= r
+    quad = np.einsum("bkij,j->bk", r, inv_s2)
     return _loglik_const(problem) - 0.5 * quad
 
 
@@ -219,7 +220,8 @@ def _neg_log_post(problem, theta, y_data, h):
     """Negative log posterior (up to a constant) and the model output at theta."""
     g = problem.model.evaluate(theta, problem.xi, h)
     r = y_data - g[:, None, :]
-    quad = np.einsum("bij,j->b", r * r, 1.0 / problem.noise_variances)
+    r *= r
+    quad = np.einsum("bij,j->b", r, 1.0 / problem.noise_variances)
     return 0.5 * quad - problem.prior.logpdf(theta), g
 
 
@@ -232,6 +234,21 @@ def _gauss_newton_terms(a, jac, rsum=None):
     at = np.swapaxes(a, 1, 2)
     jtr = None if rsum is None else (at @ rsum[:, :, None])[:, :, 0]
     return at @ jac, jtr
+
+
+def _gauss_newton_hessian(problem, theta, jac, rsum=None):
+    """Gauss-Newton Hessian of the negative log posterior at theta from the
+    model Jacobian there, (B, d, d) and not symmetrized, and the
+    likelihood's gradient term sum_i J_i^T S^-1 rsum_i when rsum is given."""
+    b, n, d = jac.shape
+    # jac * S^-1[None, :, None] as one n*d long pass a row, not n passes of d
+    w = np.repeat(1.0 / problem.noise_variances, d)
+    a = (jac.reshape(b, n * d) * w).reshape(jac.shape)
+    jtj, jtr = _gauss_newton_terms(a, jac, rsum)
+    hess = problem.n_experiments * jtj
+    diag = np.arange(problem.d_theta)
+    hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
+    return hess, jtr
 
 
 def _solve_rows(a, b):
@@ -248,10 +265,12 @@ def _solve_rows(a, b):
         return x
 
 
-def _map_batch(problem, y_data, init, h=None, max_iter=100):
+def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None):
     """Damped Gauss-Newton posterior-mode search, vectorized over samples.
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
+    A (B, d_theta, d_theta) ``hess_out`` receives each row's last Hessian:
+    the one whose Newton decrement ended the row, built at the mode returned.
     A row has converged when its Newton decrement grad^T H^-1 grad, with H
     the Gauss-Newton Hessian of the negative log posterior, is in
     [0, _MAP_TOL**2]: the gradient measured in the posterior's own
@@ -265,10 +284,8 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100):
     """
     theta_out = np.array(init, dtype=np.float64)
     iters = np.zeros(theta_out.shape[0], dtype=np.int64)
-    inv_s2 = 1.0 / problem.noise_variances
     lower = problem.prior.support_lower()
     upper = problem.prior.support_upper()
-    diag = np.arange(problem.d_theta)
     eye = np.eye(problem.d_theta)
     # state of the unconverged rows; idx holds their batch positions in order
     idx = np.arange(theta_out.shape[0])
@@ -280,15 +297,15 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100):
     for it in range(max_iter + 1):
         jac = problem.model.jacobian(theta, problem.xi, h)
         rsum = (y - g[:, None, :]).sum(axis=1)
-        jtj, jtr = _gauss_newton_terms(jac * inv_s2[None, :, None], jac, rsum)
+        hess, jtr = _gauss_newton_hessian(problem, theta, jac, rsum)
         grad = -jtr - problem.prior.grad_logpdf(theta)
-        hess = problem.n_experiments * jtj
-        hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
         newton = _solve_rows(hess, -grad)
         dec = -np.sum(grad * newton, axis=1)  # grad^T H^-1 grad
         keep = ~(((dec >= 0.0) & (dec <= _MAP_TOL**2)) | tiny)  # NaN keeps a row
         if not keep.all():
             theta_out[idx[~keep]] = theta[~keep]
+            if hess_out is not None:
+                hess_out[idx[~keep]] = hess[~keep]
             idx, theta, y, obj, g, lam = (v[keep] for v in (idx, theta, y, obj, g, lam))
             hess, grad, newton = hess[keep], grad[keep], newton[keep]
         if idx.size == 0:
@@ -358,13 +375,13 @@ def map_estimate(y_data, problem: OEDProblem, init=None) -> np.ndarray:
     return theta[0]
 
 
-def _precision_batch(problem, theta_hat, h=None):
-    jac = problem.model.jacobian(theta_hat, problem.xi, h)
-    a = jac * (1.0 / problem.noise_variances)[None, :, None]
-    prec = problem.n_experiments * _gauss_newton_terms(a, jac)[0]
-    hd = -problem.prior.hess_diag_logpdf(theta_hat)
-    prec[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
-    return 0.5 * (prec + np.swapaxes(prec, 1, 2))
+def _precision_batch(problem, theta_hat, h=None, hess=None):
+    """Symmetrized Gauss-Newton posterior precision at a batch of modes;
+    ``hess`` is the Hessian already built there, when a caller has it."""
+    if hess is None:
+        jac = problem.model.jacobian(theta_hat, problem.xi, h)
+        hess = _gauss_newton_hessian(problem, theta_hat, jac)[0]
+    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
 def _precision_cholesky(prec):
@@ -390,13 +407,14 @@ def _precision_cholesky(prec):
     return l_prec, log_det_prec
 
 
-def _laplace_batch(problem, theta_hat, h=None):
+def _laplace_batch(problem, theta_hat, h=None, hess=None):
     """Cholesky pieces of the Laplace surrogate for a batch of modes.
 
     Returns (chol_cov, log_det_cov) with chol_cov lower-triangular factors
-    of the covariance.
+    of the covariance.  ``hess`` is the Hessian that _map_batch built at the
+    modes; without it the precision is evaluated at theta_hat.
     """
-    prec = _precision_batch(problem, theta_hat, h)
+    prec = _precision_batch(problem, theta_hat, h, hess)
     l_prec, log_det_prec = _precision_cholesky(prec)
     eye = np.broadcast_to(np.eye(problem.d_theta), prec.shape)
     l_inv = np.linalg.solve(l_prec, eye.copy())  # L^-1 with prec = L L^T
@@ -454,10 +472,11 @@ def build_nested_problem(
         if family == "plain":
             return (y_data,)
         if laplace_mode == "optimized-map":
-            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level)
+            hess = np.empty((theta.shape[0], d_theta, d_theta))
+            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level, hess_out=hess)
         else:
-            theta_hat = theta
-        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level)
+            theta_hat, hess = theta, None
+        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level, hess=hess)
         return y_data, theta_hat, cov_chol, log_det_cov
 
     def block_log(state, rows, xb, h_level):

@@ -47,7 +47,8 @@ def norm_logpdf(x):
 def inv_norm_cdf(u):
     """Inverse standard normal CDF (SciPy ``ndtri``) on the open interval (0, 1)."""
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    # min and max are NaN when any entry is, and a NaN fails both tests
+    if u.size and not (0.0 < u.min() and u.max() < 1.0):
         raise ValueError("inv_norm_cdf requires arguments strictly inside (0, 1)")
     out = ndtri(u)
     return out if out.ndim else float(out)
@@ -62,7 +63,7 @@ def truncated_inv_norm_cdf(u, c: float):
         raise ValueError("truncation radius c must be positive")
     scalar = np.isscalar(u) or np.ndim(u) == 0
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u < 0.0) or np.any(u > 1.0):
+    if u.size and not (0.0 <= u.min() and u.max() <= 1.0):  # NaN fails too
         raise ValueError("truncated_inv_norm_cdf requires u in [0, 1]")
     phi_c = norm_cdf(c)
     arg = np.clip((2.0 * phi_c - 1.0) * u + (1.0 - phi_c), 1e-300, 1.0 - 1e-16)

@@ -107,17 +107,32 @@ class TestPkKernelBits:
         theta[n6, 1] = theta[n6, 0] * (1 + 1e-8)  # inside the Jacobian's window only
         return theta
 
-    @pytest.mark.parametrize("design", [0, 1])
-    @pytest.mark.parametrize("rows, near_rows", [(4096, 40), (257, 0), (9, 3)])
-    def test_bit_identical_to_both_branch_forms(self, design, rows, near_rows):
+    @staticmethod
+    def _check(design, theta):
         model, xi = PKModel(), pk_designs()[design]
-        theta = self._theta(rows, near_rows)
-        np.testing.assert_array_equal(
-            model.evaluate(theta, xi), _pk_evaluate_reference(model, theta, xi)
-        )
-        np.testing.assert_array_equal(
-            model.jacobian(theta, xi), _pk_jacobian_reference(model, theta, xi)
-        )
+        out, jac = model.evaluate(theta, xi), model.jacobian(theta, xi)
+        # the Gauss-Newton products read both as C-contiguous batches
+        assert out.flags.c_contiguous and jac.flags.c_contiguous
+        np.testing.assert_array_equal(out, _pk_evaluate_reference(model, theta, xi))
+        np.testing.assert_array_equal(jac, _pk_jacobian_reference(model, theta, xi))
+
+    @pytest.mark.parametrize("design", [0, 1])
+    @pytest.mark.parametrize("rows, near_rows", [(4096, 40), (257, 0), (9, 3), (1, 0)])
+    def test_bit_identical_to_both_branch_forms(self, design, rows, near_rows):
+        self._check(design, self._theta(rows, near_rows))
+
+    @pytest.mark.parametrize("design", [0, 1])
+    @pytest.mark.parametrize("layout", ["fortran", "column-slice"])
+    def test_non_contiguous_theta(self, design, layout):
+        theta = self._theta(2500, 9)  # several passes of the kernels, the last one partial
+        if layout == "fortran":
+            theta = np.asfortranarray(theta)
+        else:  # rows of a wider array
+            wide = np.zeros((theta.shape[0], 5))
+            wide[:, 1:4] = theta
+            theta = wide[:, 1:4]
+        assert not theta.flags.c_contiguous
+        self._check(design, theta)
 
 
 class TestPkDesigns:

@@ -402,6 +402,66 @@ class TestMapStoppingRule:
         assert max(spreads) <= 1e-12
 
 
+class TestHessianHandoff:
+    """prepare hands the Hessian that ended each row's posterior-mode search
+    to the Laplace factor; every output must be bit for bit the two-step
+    result, whose Laplace factor is built from a fresh Jacobian at the
+    modes."""
+
+    @staticmethod
+    def _check_prepare(problem, n, seed):
+        y = RandomizationKey(seed).uniforms((n, problem.d_outer), salt="handoff")
+        state = oed.build_nested_problem(problem, family="is").prepare(y, problem.h)
+        d = problem.d_theta
+        theta = problem.prior.transform(y[:, :d])
+        g = problem.model.evaluate(theta, problem.xi, problem.h)
+        y_data = g[:, None, :] + oed._noise_values(problem, y[:, d:])
+        theta_hat, iters = oed._map_batch(problem, y_data, theta, h=problem.h)
+        two_step = (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat, h=problem.h))
+        assert len(state) == len(two_step) == 4
+        for got, want in zip(state, two_step):
+            assert np.array_equal(got, want)
+        return y_data, theta_hat, iters
+
+    @pytest.mark.parametrize("design", [0, 1])
+    def test_pk_prepare_equals_two_step(self, design):
+        problem = OEDProblem(model=PKModel(), xi=pk_designs()[design],
+                             prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
+        _, _, iters = self._check_prepare(problem, 256, 70 + design)
+        assert iters.min() < iters.max()  # rows leave the search at different iterations
+
+    def test_linear_gaussian_tiny_step_rows(self):
+        # far from the origin, rounding in the residual keeps some rows'
+        # decrements above tolerance at the mode: those rows end one
+        # iteration later by the negligible-step rule
+        problem = OEDProblem(
+            model=LinearGaussianModel(matrix=[[1.0]]), xi=np.zeros(0),
+            prior=PriorSpec(components=(("normal", 1e5, 1.0),)), noise_variances=[1.0],
+        )
+        y_data, theta_hat, iters = self._check_prepare(problem, 64, 72)
+        dec = TestMapStoppingRule._decrement(problem, y_data, theta_hat)
+        tiny = dec > oed._MAP_TOL**2
+        assert tiny.any() and not tiny.all()
+        assert np.all(iters[tiny] == 2) and np.all(iters[~tiny] == 1)
+
+    def test_map_hessian_is_the_one_at_the_mode(self):
+        # the rejected-step fixture of TestActiveSetMap: rows stop after 6 to
+        # 9 iterations, row 3 after a rejected step
+        p = OEDProblem(model=CubicModel(), xi=np.zeros(0),
+                       prior=PriorSpec(components=(("normal", 0.0, 1.0),)),
+                       noise_variances=[0.01])
+        y_data = np.array([1.0, 1.3, 0.8, 1.0, 2.0])[:, None, None]
+        init = np.array([[0.9], [1.2], [0.7], [0.1], [1.1]])
+        hess = np.full((5, 1, 1), np.nan)
+        theta, iters = oed._map_batch(p, y_data, init, hess_out=hess)
+        assert len(set(iters.tolist())) > 1
+        jac = p.model.jacobian(theta, p.xi)
+        assert np.array_equal(hess, oed._gauss_newton_hessian(p, theta, jac)[0])
+        handed = oed._laplace_batch(p, theta, hess=hess)
+        fresh = oed._laplace_batch(p, theta)
+        assert all(np.array_equal(a, b) for a, b in zip(handed, fresh))
+
+
 class TestLaplaceCovariance:
     def test_conjugate_value(self):
         p = linear_gaussian_problem()

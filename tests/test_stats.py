@@ -59,6 +59,19 @@ class TestInvNormCdf:
             with pytest.raises(ValueError):
                 inv_norm_cdf(bad)
 
+    @pytest.mark.parametrize("bad", [
+        math.nan,
+        np.array([0.5, np.nan]),
+        np.array([[np.nan, 0.25], [0.5, 0.75]]),
+        np.array([0.5, 1.0, np.nan]),
+    ])
+    def test_nan_rejected(self, bad):
+        with pytest.raises(ValueError):
+            inv_norm_cdf(bad)
+
+    def test_empty_input_passes_through(self):
+        assert inv_norm_cdf(np.empty((0, 3))).shape == (0, 3)
+
 
 class TestTruncatedInvCdf:
     def test_center(self):
@@ -94,6 +107,13 @@ class TestTruncatedInvCdf:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             truncated_inv_norm_cdf(0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [
+        -0.1, 1.1, math.nan, np.array([0.5, np.nan]), np.array([0.0, np.nan, 1.0]),
+    ])
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError, match="requires u in"):
+            truncated_inv_norm_cdf(bad, 2.0)
 
 
 class TestTruncationRadius:
