@@ -11,10 +11,8 @@ from .lds import (
     PointSet,
     RandomizationKey,
     SobolParams,
-    lattice_points,
     load_direction_numbers,
     owen_scramble,
-    random_shift,
     sobol_sequence,
     star_discrepancy_1d,
     star_discrepancy_brute,

@@ -26,13 +26,12 @@ from .allocation import (
     _stat_variance,
     fit_pilot_inner,
     fit_pilot_outer,
-    fit_variance_power_law,
     solve_allocation,
 )
 from .config import ConfigError, ExperimentConfig
 from .estimators import InnerUnderflowError
 from .lds import RandomizationKey
-from .oed import LaplaceFitError, MapConvergenceError, build_nested_problem, eig_laplace_only
+from .oed import LaplaceFitError, MapConvergenceError, build_nested_problem
 
 _USAGE_EXIT = 2
 _INFEASIBLE_EXIT = 3
@@ -97,58 +96,41 @@ def cmd_pilot(args) -> int:
     sampler = cfg.sampler_kind()
     c_disc, eta, gamma = _model_disc_constants(cfg)
 
-    if family == "laplace":
-        variances = []
-        for i, n in enumerate(outer_ladder):
-            res = eig_laplace_only(
-                problem, n, sampler=sampler,
-                key=key.child("outer", i), s_replicates=args.S,
-            )
-            variances.append(args.S * res.variance_of_mean)
-        c_q1, beta, resid = fit_variance_power_law(outer_ladder, variances)
-        payload = {
-            "c_q1": c_q1, "beta": beta, "c_q2": 0.0, "c_q3": 0.0, "delta": 0.0,
-            "c_disc": c_disc, "eta": eta, "gamma": gamma,
-            "metadata": {
-                "estimator": cfg.estimator,
-                "outer_ladder": outer_ladder,
-                "outer_variances": variances,
-                "outer_residual": resid,
-                "S": args.S,
-                "seed": seed,
-                "config_hash": cfg.config_hash(),
-            },
-        }
-    else:
-        nested = build_nested_problem(problem, family=family)
-        outer = fit_pilot_outer(
-            nested, outer_ladder, args.m_fixed, args.S,
-            key.child("outer"), sampler=sampler,
-        )
+    nested = build_nested_problem(problem, family=family)
+    # the Laplace-only estimator has one inner point and no inner pilot
+    laplace = family == "laplace"
+    outer = fit_pilot_outer(
+        nested, outer_ladder, 1 if laplace else args.m_fixed, args.S,
+        key.child("outer"), sampler=sampler,
+    )
+    meta = {
+        "estimator": cfg.estimator,
+        "outer_ladder": outer_ladder,
+        "outer_variances": list(outer.rung_variances),
+        "outer_residual": outer.residual,
+        "S": args.S,
+        "seed": seed,
+        "config_hash": cfg.config_hash(),
+    }
+    payload = {
+        "c_q1": outer.c_q1, "beta": outer.beta, "c_q2": 0.0, "c_q3": 0.0, "delta": 0.0,
+        "c_disc": c_disc, "eta": eta, "gamma": gamma, "metadata": meta,
+    }
+    if not laplace:
         inner = fit_pilot_inner(
             nested, inner_ladder, args.n_fixed, args.R,
             key.child("inner"), sampler=sampler,
         )
-        payload = {
-            "c_q1": outer.c_q1, "beta": outer.beta,
-            "c_q2": inner.c_q2, "c_q3": inner.c_q3, "delta": inner.delta,
-            "c_disc": c_disc, "eta": eta, "gamma": gamma,
-            "metadata": {
-                "estimator": cfg.estimator,
-                "outer_ladder": outer_ladder,
-                "inner_ladder": inner_ladder,
-                "outer_variances": list(outer.rung_variances),
-                "inner_variances": list(inner.rung_variances),
-                "inner_biases": list(inner.rung_biases),
-                "outer_residual": outer.residual,
-                "inner_residual": inner.residual,
-                "c_q3_low_confidence": inner.low_confidence,
-                "S": args.S, "R": args.R,
-                "m_fixed": args.m_fixed, "n_fixed": args.n_fixed,
-                "seed": seed,
-                "config_hash": cfg.config_hash(),
-            },
-        }
+        payload.update(c_q2=inner.c_q2, c_q3=inner.c_q3, delta=inner.delta)
+        meta.update({
+            "inner_ladder": inner_ladder,
+            "inner_variances": list(inner.rung_variances),
+            "inner_biases": list(inner.rung_biases),
+            "inner_residual": inner.residual,
+            "c_q3_low_confidence": inner.low_confidence,
+            "R": args.R,
+            "m_fixed": args.m_fixed, "n_fixed": args.n_fixed,
+        })
     _write_json(args.out, payload)
     _summary([
         ("pilot", args.out),

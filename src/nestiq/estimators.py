@@ -110,7 +110,7 @@ class NestedProblem:
     d1: int
     d2: int
     inner: callable
-    outer_map: object = "identity"  # "identity" | "log" | callable
+    outer_map: str = "identity"  # "identity" | "log"
     inner_is_log: bool = False
     h: float | None = None
     gamma: float = 0.0
@@ -119,8 +119,8 @@ class NestedProblem:
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError("dimensions must be positive")
-        if isinstance(self.outer_map, str) and self.outer_map not in ("identity", "log"):
-            raise ValueError("outer_map must be 'identity', 'log', or a callable")
+        if self.outer_map not in ("identity", "log"):
+            raise ValueError("outer_map must be 'identity' or 'log'")
         if self.h is not None and self.h <= 0:
             raise ValueError("discretization level h must be positive")
 
@@ -128,11 +128,7 @@ class NestedProblem:
         return 1.0 if self.h is None else float(self.h) ** (-self.gamma)
 
     def apply_outer(self, values: np.ndarray) -> np.ndarray:
-        if self.outer_map == "identity":
-            return values
-        if self.outer_map == "log":
-            return np.log(values)
-        return self.outer_map(values)
+        return np.log(values) if self.outer_map == "log" else values
 
 
 @dataclass
@@ -190,29 +186,16 @@ def mc_estimate(integrand, dim: int, M: int, key: RandomizationKey) -> Estimator
     return _make_result(values, {"M": M}, key, work=M, divisor=M)
 
 
-def rqmc_estimate(
-    integrand,
-    dim: int,
-    M: int,
-    R: int,
-    key: RandomizationKey,
-    sampler="rqmc-sobol-owen",
-    params: SobolParams | None = None,
-) -> EstimatorResult:
-    """Randomized QMC mean over R independent randomizations of one point set."""
-    if _check_sampler(sampler) == "rqmc-sobol-owen":
-        _check_pow2(M, "M")
-        base = sobol_sequence(params or default_sobol_params(), dim, int(math.log2(M)))
+def rqmc_estimate(integrand, dim: int, M: int, R: int, key: RandomizationKey) -> EstimatorResult:
+    """Randomized QMC mean over R independent Owen scrambles of one Sobol point set."""
+    _check_pow2(M, "M")
+    base = sobol_sequence(default_sobol_params(), dim, int(math.log2(M)))
     if R < 1:
         raise ValueError("R must be >= 1")
-    means = []
-    for r in range(R):
-        rep = key.child("rep", r)
-        if sampler == "mc":
-            points = rep.uniforms((M, dim), salt="mc")
-        else:
-            points = owen_scramble(base, rep).values
-        means.append(float(np.mean(integrand(points))))
+    means = [
+        float(np.mean(integrand(owen_scramble(base, key.child("rep", r)).values)))
+        for r in range(R)
+    ]
     return _make_result(means, {"M": M, "R": R}, key, work=M * R)
 
 
@@ -234,9 +217,7 @@ def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1
     k = raw.shape[1]
     if problem.inner_is_log:
         log_mean = log_sum_exp(raw, axis=1) - math.log(k)
-        if problem.outer_map == "log":
-            return log_mean
-        return problem.apply_outer(np.exp(log_mean))
+        return log_mean if problem.outer_map == "log" else np.exp(log_mean)
     mean = raw.mean(axis=1)
     if problem.outer_map == "log" and np.any(mean <= 0.0):
         raise InnerUnderflowError(
@@ -252,7 +233,7 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
     The points of rdlqmc_estimate(problem, N, M, 1, 1, key, sampler="mc");
     replicate_values are the N per-sample values.
     """
-    pieces = _nested_values(problem, N, M, 1, 1, key, key, "mc", None)
+    pieces = _nested_values(problem, N, M, 1, 1, key, key, "mc")
     values = _joined([v for _, v in pieces])
     work = N * M * problem.work_factor()
     return _make_result(
@@ -313,7 +294,7 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, params, groups=1):
+def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1):
     """f at every outer row of S randomizations of N rows, chunk by chunk.
 
     Each chunk builds its own points: the outer rows of outer_key and, for
@@ -327,18 +308,18 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, params, g
     ((s, lo, hi), values) for every segment in task order, with the
     (hi - lo) * groups values of _outer_values.
     """
+    params = None
     if _check_sampler(sampler) == "rqmc-sobol-owen":
-        params = params or default_sobol_params()
+        params = default_sobol_params()
         _check_pow2(N, "N")
         _check_pow2(M, "M")
         if max(problem.d1, problem.d2) > params.dimension:
             raise ValueError("Sobol parameter table has too few dimensions")
         _check_log2_count(int(math.log2(N)))
         _check_log2_count(int(math.log2(M)))
-    if N < 1 or M < 1:
-        raise ValueError("N and M must be >= 1")
-    if S < 1 or R < 1:
-        raise ValueError("S and R must be >= 1")
+    for name, count in (("N", N), ("M", M), ("S", S), ("R", R)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
 
     rows = _chunk_rows(M, R, problem.d2)
     per_task = max(1, rows // N)  # randomizations in one task
@@ -374,7 +355,7 @@ def _inner_replicates(problem, n, M, R, outer_key, inner_key, sampler="rqmc-sobo
     Each outer row is prepared once and evaluated at its R inner blocks in
     one call; each block of M values is reduced on its own.
     """
-    pieces = _nested_values(problem, n, M, 1, R, outer_key, inner_key, sampler, None, groups=R)
+    pieces = _nested_values(problem, n, M, 1, R, outer_key, inner_key, sampler, groups=R)
     return _joined([v for _, v in pieces]).reshape(n, R)
 
 
@@ -386,7 +367,6 @@ def rdlqmc_estimate(
     R: int,
     key: RandomizationKey,
     sampler="rqmc-sobol-owen",
-    params: SobolParams | None = None,
 ) -> EstimatorResult:
     """Nested estimator with S outer and R-per-sample inner randomizations.
 
@@ -396,7 +376,7 @@ def rdlqmc_estimate(
     # each sums[s] adds the row sums of the same (s, row range) pieces,
     # however the tasks group them
     sums = np.zeros(S)
-    for (s, _, _), values in _nested_values(problem, N, M, S, R, key, key, sampler, params):
+    for (s, _, _), values in _nested_values(problem, N, M, S, R, key, key, sampler):
         sums[s] += values.sum()
     replicate_means = sums / N
     work = N * M * S * R * problem.work_factor()
@@ -436,9 +416,7 @@ def _quadrature_value(problem: NestedProblem, order_outer: int, order_inner: int
         )
         if problem.inner_is_log:
             log_inner = log_sum_exp(raw + np.log(x_w)[None, :], axis=1)
-            fv = log_inner if problem.outer_map == "log" else problem.apply_outer(
-                np.exp(log_inner)
-            )
+            fv = log_inner if problem.outer_map == "log" else np.exp(log_inner)
         else:
             fv = problem.apply_outer(raw @ x_w)
         total += float(fv @ y_w[lo:hi])

@@ -1,8 +1,7 @@
 """Low-discrepancy point sets and their randomizations.
 
 Sobol digital sequences in base 2 (Gray-code order), Owen nested-uniform
-scrambling, random shifts, rank-1 lattice points, and exact star-discrepancy
-diagnostics for small point sets.
+scrambling, and exact star-discrepancy diagnostics for small point sets.
 
 All randomness flows through :class:`RandomizationKey`, a counter-based keyed
 scheme: distinct (seed, tag, indices) tuples give independent bit streams,
@@ -25,8 +24,6 @@ __all__ = [
     "load_direction_numbers",
     "sobol_sequence",
     "owen_scramble",
-    "random_shift",
-    "lattice_points",
     "star_discrepancy_1d",
     "star_discrepancy_brute",
 ]
@@ -102,7 +99,7 @@ class RandomizationKey:
     """Identifier of one independent randomization stream.
 
     The (seed, tag, indices) triple is hashed into a 64-bit root from which
-    scramble trees, shift vectors and plain uniforms are derived lazily.
+    scramble trees and plain uniforms are derived lazily.
     Distinct triples yield statistically independent streams.
     """
 
@@ -418,10 +415,6 @@ class PointSet:
         return self.values.shape[1]
 
 
-def _clamp_unit(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, COORD_MIN, COORD_MAX)
-
-
 # ---------------------------------------------------------------------------
 # Sequence generation and randomization
 # ---------------------------------------------------------------------------
@@ -676,35 +669,6 @@ def owen_scramble(seq: DigitalSequence, key: RandomizationKey) -> PointSet:
     tree, fill = _owen_lanes(key.subroot("owen"), seq.dimension)
     depth = seq.count.bit_length() - 1
     return PointSet(values=_scramble_values(seq.values, tree, fill, depth))
-
-
-def random_shift(points: PointSet, key: RandomizationKey, shift=None) -> PointSet:
-    """Shift all points by one uniform vector, modulo 1.
-
-    ``shift`` overrides the drawn vector (test hook).
-    """
-    if shift is None:
-        shift = key.uniforms(points.dimension, salt="shift")
-    else:
-        shift = np.asarray(shift, dtype=np.float64)
-        if shift.shape != (points.dimension,):
-            raise ValueError("shift vector dimension mismatch")
-    return PointSet(values=_clamp_unit(np.mod(points.values + shift, 1.0)))
-
-
-def lattice_points(generating_vector, count: int) -> PointSet:
-    """Rank-1 lattice t_m = mod((m-1) * w / count, 1), m = 1..count.
-
-    Exposed for comparison experiments; pair with :func:`random_shift` for
-    randomization.
-    """
-    w = np.asarray(generating_vector, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("generating vector must be a nonempty 1-D sequence")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    m = np.arange(count, dtype=np.float64)[:, None]
-    return PointSet(values=_clamp_unit(np.mod(m * (w[None, :] / count), 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,13 @@ import numpy as np
 from .estimators import (
     EstimatorResult,
     NestedProblem,
-    _check_pow2,
-    _check_sampler,
     _inner_replicates,
-    _make_result,
     _tensor_grid,
-    default_sobol_params,
+    default_sobol_params,  # noqa: F401  (the Sobol table, importable from oed)
     dlmc_estimate,
     rdlqmc_estimate,
 )
-from .lds import RandomizationKey, owen_scramble, sobol_sequence
+from .lds import RandomizationKey
 from .models import ForwardModel
 from .stats import (
     PriorSpec,
@@ -443,23 +440,47 @@ def _check_sampler_prior(problem: OEDProblem, family: str):
         )
 
 
-def build_nested_problem(
-    problem: OEDProblem,
-    family: str = "plain",
-    laplace_mode: str = "optimized-map",
-) -> NestedProblem:
-    """Unit-cube nested problem whose outer map is log and whose inner
-    integrand is the (importance-weighted) likelihood in log form.
+def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
+    """The single-loop Laplace EIG integrand as a nested problem with one
+    inner point: ``prepare`` evaluates it at each outer row's prior sample,
+    and the inner integrand repeats that value."""
+    d_theta = problem.d_theta
 
-    ``prepare`` simulates each outer row's data and, for importance
-    sampling, solves its posterior mode and Laplace factor once; the inner
-    integrand reads that state for every inner block.
+    def prepare(y, h_level):
+        theta = problem.prior.transform(y)
+        _, log_det_prec = _precision_cholesky(_precision_batch(problem, theta, h_level))
+        return (
+            0.5 * log_det_prec
+            - 0.5 * d_theta * _LOG_2PI
+            - 0.5 * d_theta
+            - problem.prior.logpdf(theta)
+        )
+
+    return NestedProblem(
+        d1=d_theta,
+        d2=1,
+        inner=lambda values, x, h_level: np.repeat(values[:, None], x.shape[1], axis=1),
+        prepare=prepare,
+        h=problem.h,
+        gamma=getattr(problem.model, "gamma", 0.0),
+    )
+
+
+def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedProblem:
+    """Unit-cube nested problem of an EIG estimator family.
+
+    For "plain" and "is" the outer map is log and the inner integrand is
+    the (importance-weighted) likelihood in log form: ``prepare`` simulates
+    each outer row's data and, for importance sampling, solves its
+    posterior mode and Laplace factor once; the inner integrand reads that
+    state for every inner block.  "laplace" is the Laplace-only integrand
+    of eig_laplace_only, with the identity outer map.
     """
-    if family not in ("plain", "is"):
-        raise ValueError("family must be 'plain' or 'is'")
-    if laplace_mode not in ("optimized-map", "data-generating-theta"):
-        raise ValueError("laplace_mode must be 'optimized-map' or 'data-generating-theta'")
+    if family not in ("plain", "is", "laplace"):
+        raise ValueError("family must be 'plain', 'is' or 'laplace'")
     _check_sampler_prior(problem, family)
+    if family == "laplace":
+        return _laplace_only_problem(problem)
     d_theta = problem.d_theta
 
     def prepare(y, h_level):
@@ -471,11 +492,8 @@ def build_nested_problem(
         y_data = g_true[:, None, :] + noise  # (B, N_e, d_y)
         if family == "plain":
             return (y_data,)
-        if laplace_mode == "optimized-map":
-            hess = np.empty((theta.shape[0], d_theta, d_theta))
-            theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level, hess_out=hess)
-        else:
-            theta_hat, hess = theta, None
+        hess = np.empty((theta.shape[0], d_theta, d_theta))
+        theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level, hess_out=hess)
         cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level, hess=hess)
         return y_data, theta_hat, cov_chol, log_det_cov
 
@@ -567,13 +585,12 @@ def eig_importance_sampled(
     S: int = 1,
     R: int = 1,
     sampler="rqmc-sobol-owen",
-    laplace_mode: str = "optimized-map",
     key: RandomizationKey | None = None,
 ) -> EstimatorResult:
     """Nested EIG with the inner integral importance-sampled from the
     per-datum Laplace surrogate."""
     key = key or RandomizationKey(0)
-    nested = build_nested_problem(problem, family="is", laplace_mode=laplace_mode)
+    nested = build_nested_problem(problem, family="is")
     term = _run_nested(nested, N, M, S, R, sampler, key)
     return _assemble_eig(problem, term)
 
@@ -583,7 +600,6 @@ def inner_replicate_spread(
     N: int,
     M: int,
     R: int,
-    laplace_mode: str = "optimized-map",
     key: RandomizationKey | None = None,
 ) -> float:
     """Max over outer samples of the spread of R inner-rescramble estimates.
@@ -593,7 +609,7 @@ def inner_replicate_spread(
     vanishes at any M.
     """
     key = key or RandomizationKey(0)
-    nested = build_nested_problem(problem, family="is", laplace_mode=laplace_mode)
+    nested = build_nested_problem(problem, family="is")
     per_rep = _inner_replicates(nested, N, M, R, key, key)
     return float(np.max(per_rep.max(axis=1) - per_rep.min(axis=1)))
 
@@ -609,44 +625,17 @@ def eig_laplace_only(
     posterior entropy at prior samples (no inner loop).
 
     The posterior covariance is evaluated at each sampled parameter vector
-    in place of an optimized mode.
+    in place of an optimized mode.  The nested executor runs it with one
+    inner point, and s_replicates is its number S of outer randomizations,
+    as in eig_nested: iid points with S = 1 keep the N per-sample values as
+    replicate values, and otherwise the replicate values are the S means.
     """
     key = key or RandomizationKey(0)
-    sampler = _check_sampler(sampler)
-    d = problem.d_theta
-
-    def integrand(u):
-        theta = problem.prior.transform(u)
-        _, log_det_prec = _precision_cholesky(_precision_batch(problem, theta, problem.h))
-        return (
-            0.5 * log_det_prec
-            - 0.5 * d * _LOG_2PI
-            - 0.5 * d
-            - problem.prior.logpdf(theta)
-        )
-
-    work_factor = 1.0
-    if problem.h is not None and getattr(problem.model, "gamma", 0.0) > 0:
-        work_factor = problem.h ** (-problem.model.gamma)
-
-    if sampler == "mc":
-        if N < 1:
-            raise ValueError(f"N must be >= 1, got {N}")
-        u = key.uniforms((N, d), salt="laplace")
-        values = integrand(u)
-        return _make_result(values, {"N": N}, key, work=N * work_factor, divisor=N)
-    _check_pow2(N, "N")
     if s_replicates < 1:
         raise ValueError(f"s_replicates must be >= 1, got {s_replicates}")
-    params = default_sobol_params()
-    base = sobol_sequence(params, d, int(math.log2(N)))
-    means = []
-    for s in range(s_replicates):
-        pts = owen_scramble(base, key.child("laplace", s)).values
-        means.append(float(np.mean(integrand(pts))))
-    return _make_result(
-        means, {"N": N, "S": s_replicates}, key, work=N * s_replicates * work_factor
-    )
+    nested = build_nested_problem(problem, family="laplace")
+    result = _run_nested(nested, N, 1, s_replicates, 1, sampler, key)
+    return replace(result, counts={"N": N, "S": s_replicates})
 
 
 def eig_conjugate_oracle(prior_variances, noise_variances, jacobian, n_experiments: int) -> float:

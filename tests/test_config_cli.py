@@ -10,6 +10,7 @@ import pytest
 from nestiq.allocation import PilotConstants, _bias_value, _stat_variance
 from nestiq.cli import main
 from nestiq.config import ConfigError, ExperimentConfig
+from nestiq.stats import truncation_radius
 
 LG_CFG = """\
 model = linear_gaussian
@@ -67,6 +68,21 @@ class TestConfigParsing:
         reordered = "\n".join(reversed(LG_CFG.strip().splitlines())) + "\n"
         b = ExperimentConfig.from_text(reordered)
         assert a.config_hash() == b.config_hash()
+
+    def test_bool_key_parsed(self, tmp_path):
+        cfg = ExperimentConfig.from_text(
+            LG_CFG + "truncation.enabled = yes\ntruncation.tol = 1e-2\ntruncation.p = 2.0\n"
+        )
+        assert cfg.values["truncation.enabled"] is True
+        assert cfg.build_problem().truncation.radius == truncation_radius(1e-2, 2.0)
+        bad = _write(tmp_path, "bad.cfg", LG_CFG + "truncation.enabled = maybe\n")
+        rc = main(["estimate", bad, "--N", "8", "--M", "2", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+
+    def test_noise_variances_length_checked(self):
+        cfg = ExperimentConfig.from_text(LG_CFG + "noise.variances = 1.0, 2.0\n")
+        with pytest.raises(ConfigError, match="noise.variances must have 1 entries, got 2"):
+            cfg.build_problem()
 
     def test_pk_explicit_design_vector(self):
         cfg = ExperimentConfig.from_text(
@@ -134,6 +150,33 @@ class TestPilotCommand:
             assert rc == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+class TestLaplacePilot:
+    """The Laplace-only ids pilot their outer variance on the nested executor
+    with one inner point, for either point family."""
+
+    def test_mc_rung_variance_is_per_sample(self, tmp_path):
+        # the integrand is theta^2/2 plus a constant: Var = 0.5 per sample
+        cfg = _write(tmp_path, "mcla.cfg", LG_CFG.replace("rdlqmcis", "mcla"))
+        out = str(tmp_path / "pilot.json")
+        rc = main(["pilot", cfg, "--outer-ladder", "64,256,1024", "--S", "32",
+                   "--seed", "7", "--out", out])
+        assert rc == 0
+        data = json.loads(open(out).read())
+        first = data["metadata"]["outer_variances"][0]
+        assert 0.5 * (0.5 / 64) < first < 2.0 * (0.5 / 64)
+        assert (data["c_q2"], data["c_q3"], data["delta"]) == (0.0, 0.0, 0.0)
+
+    def test_rqmc_pilot_plan_estimate_chain(self, tmp_path):
+        cfg = _write(tmp_path, "rqmcla.cfg", LG_CFG.replace("rdlqmcis", "rqmcla"))
+        pilot, plan, est = (str(tmp_path / f) for f in ("p.json", "plan.json", "e.json"))
+        assert main(["pilot", cfg, "--outer-ladder", "32,128,512", "--S", "8",
+                     "--out", pilot]) == 0
+        assert main(["plan", "--pilot", pilot, "--tol", "0.01", "--out", plan]) == 0
+        assert main(["estimate", cfg, "--plan", plan, "--out", est]) == 0
+        res = json.loads(open(est).read())
+        assert abs(res["estimate"] - 0.5 * math.log(2)) < 0.01
 
 
 class TestPlanCommand:

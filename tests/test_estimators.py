@@ -636,6 +636,22 @@ class TestPinnedStreams:
 
 
 
+@pytest.mark.parametrize("estimator, counts, message", [
+    ("dlmc", (0, 4), "N must be >= 1, got 0"),
+    ("dlmc", (64, 0), "M must be >= 1, got 0"),
+    ("rdlqmc", (0, 4, 1, 1), "N must be >= 1, got 0"),
+    ("rdlqmc", (64, 0, 1, 1), "M must be >= 1, got 0"),
+    ("rdlqmc", (64, 4, 0, 1), "S must be >= 1, got 0"),
+    ("rdlqmc", (64, 4, 1, 0), "R must be >= 1, got 0"),
+])
+def test_empty_counts_refused(estimator, counts, message):
+    with pytest.raises(ValueError, match=message):
+        if estimator == "dlmc":
+            dlmc_estimate(toy_problem(), *counts, KEY)
+        else:
+            rdlqmc_estimate(toy_problem(), *counts, KEY, sampler="mc")
+
+
 def test_unknown_sampler_rejected():
     with pytest.raises(ValueError, match="unknown sampler kind 'rqmc-lattice-shift'"):
         rdlqmc_estimate(toy_problem(), 64, 4, 1, 1, KEY, sampler="rqmc-lattice-shift")

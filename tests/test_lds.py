@@ -1,4 +1,4 @@
-"""Sobol generation, Owen scrambling, shifts, and star discrepancy."""
+"""Sobol generation, Owen scrambling, and star discrepancy."""
 
 import hashlib
 import math
@@ -10,12 +10,9 @@ from nestiq import lds
 from nestiq.lds import (
     DigitalSequence,
     DirectionNumberError,
-    PointSet,
     RandomizationKey,
-    lattice_points,
     load_direction_numbers,
     owen_scramble,
-    random_shift,
     sobol_sequence,
     star_discrepancy_1d,
     star_discrepancy_brute,
@@ -354,54 +351,6 @@ class TestScrambleKernel:
     def test_sobol_rows_out_of_range(self, lo, hi):
         with pytest.raises(ValueError, match="out of range"):
             lds._sobol_rows(PARAMS, 18, 12, lo, hi)
-
-
-class TestRandomShift:
-    def test_identity_shift_hook(self):
-        pts = PointSet(values=np.array([[0.25], [0.75]]))
-        out = random_shift(pts, RandomizationKey(0), shift=np.array([0.0]))
-        np.testing.assert_allclose(out.values, pts.values, atol=2**-60)
-
-    def test_exact_wraparound(self):
-        pts = PointSet(values=np.array([[0.25], [0.75]]))
-        out = random_shift(pts, RandomizationKey(0), shift=np.array([0.5]))
-        np.testing.assert_allclose(np.sort(out.values[:, 0]), [0.25, 0.75])
-        np.testing.assert_allclose(out.values[:, 0], [0.75, 0.25])
-
-    def test_shift_preserves_lattice_gaps(self):
-        base = lattice_points(np.array([1.0]), 7)
-        shifted = random_shift(base, RandomizationKey(12))
-
-        def circular_gaps(v):
-            s = np.sort(v)
-            return np.sort(np.diff(np.concatenate([s, s[:1] + 1.0])))
-
-        np.testing.assert_allclose(
-            circular_gaps(base.values[:, 0]),
-            circular_gaps(shifted.values[:, 0]),
-            atol=1e-12,
-        )
-
-
-class TestLatticePoints:
-    def test_1d_grid(self):
-        pts = lattice_points(np.array([1.0]), 4)
-        np.testing.assert_allclose(
-            np.sort(pts.values[:, 0]), [2.0**-64, 0.25, 0.5, 0.75]
-        )
-
-    def test_diagonal(self):
-        pts = lattice_points(np.array([1.0, 1.0]), 3)
-        np.testing.assert_allclose(pts.values[:, 0], pts.values[:, 1])
-        np.testing.assert_allclose(np.sort(pts.values[:, 0]), [2.0**-64, 1 / 3, 2 / 3])
-
-    def test_single_point_clamped_off_origin(self):
-        pts = lattice_points(np.array([0.3, 0.7]), 1)
-        np.testing.assert_array_equal(pts.values, [[2.0**-64, 2.0**-64]])
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(ValueError):
-            lattice_points(np.array([]), 4)
 
 
 def _brute_1d(points, grid=200001):

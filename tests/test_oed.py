@@ -707,6 +707,41 @@ class TestLaplaceOnly:
                              key=RandomizationKey(45))
         assert "M" not in r.counts
 
+    @staticmethod
+    def _pk_problem():
+        geom, _ = pk_designs()
+        return OEDProblem(model=PKModel(), xi=geom, prior=pk_prior("variance"),
+                          noise_variances=np.full(15, 0.01))
+
+    @pytest.mark.parametrize("sampler", ["mc", "rqmc-sobol-owen"])
+    @pytest.mark.parametrize("s_replicates", [1, 4])
+    def test_thread_count_does_not_change_bits(self, sampler, s_replicates, monkeypatch):
+        # 2^13 rows are two chunks of each randomization
+        values = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NESTIQ_THREADS", threads)
+            r = eig_laplace_only(self._pk_problem(), 2**13, sampler=sampler,
+                                 key=RandomizationKey(47), s_replicates=s_replicates)
+            values.append(r.replicate_values)
+        expected = 2**13 if (sampler, s_replicates) == ("mc", 1) else s_replicates
+        assert values[0].shape == (expected,)
+        assert values[0].tobytes() == values[1].tobytes()
+
+    def test_memory_bounded_by_the_chunk(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        problem = self._pk_problem()
+        tracemalloc.start()
+        try:
+            r = eig_laplace_only(problem, 2**16, sampler="rqmc-sobol-owen",
+                                 key=RandomizationKey(48), s_replicates=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(r.estimate)
+        assert peak < 24 * 2**20
+
     # Truths from an adaptive-quadrature oracle over (theta, observation mean):
     # with Gaussian noise the repeated-experiment likelihood depends on the
     # data only through the mean, reducing the information gain to a 2-D
