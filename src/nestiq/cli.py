@@ -85,10 +85,7 @@ def _model_disc_constants(cfg: ExperimentConfig):
 
 def cmd_pilot(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    if args.S < 8 or args.R < 8:
-        raise ConfigError("pilot runs need --S >= 8 and --R >= 8 randomizations")
     outer_ladder = _parse_list(args.outer_ladder, "--outer-ladder", int)
-    inner_ladder = _parse_list(args.inner_ladder, "--inner-ladder", int)
     seed = cfg.seed if args.seed is None else args.seed
     key = RandomizationKey(seed, tag="pilot")
     problem = cfg.build_problem()
@@ -99,6 +96,9 @@ def cmd_pilot(args) -> int:
     nested = build_nested_problem(problem, family=family)
     # the Laplace-only estimator has one inner point and no inner pilot
     laplace = family == "laplace"
+    if args.S < 8 or (args.R < 8 and not laplace):
+        raise ConfigError("pilot runs need --S >= 8 (and, with an inner pilot, --R >= 8)")
+    inner_ladder = None if laplace else _parse_list(args.inner_ladder, "--inner-ladder", int)
     outer = fit_pilot_outer(
         nested, outer_ladder, 1 if laplace else args.m_fixed, args.S,
         key.child("outer"), sampler=sampler,

@@ -103,7 +103,8 @@ class NestedProblem:
     of shape (B, K, d2) and returns (B, K) values; ``inner_is_log`` marks the
     return value as log g.  The state is ``prepare(y, h)`` of the outer rows
     y, shape (B, d1), computed once however many inner blocks share those
-    rows; without ``prepare`` it is y itself.  ``gamma`` is the
+    rows; without ``prepare`` it is y itself.  With d2 = 0 the integrand
+    reads no inner points, and its blocks are empty.  ``gamma`` is the
     evaluation-cost exponent when g is approximated at level h.
     """
 
@@ -117,8 +118,8 @@ class NestedProblem:
     prepare: callable = None
 
     def __post_init__(self):
-        if self.d1 < 1 or self.d2 < 1:
-            raise ValueError("dimensions must be positive")
+        if self.d1 < 1 or self.d2 < 0:
+            raise ValueError("d1 must be positive and d2 non-negative")
         if self.outer_map not in ("identity", "log"):
             raise ValueError("outer_map must be 'identity' or 'log'")
         if self.h is not None and self.h <= 0:
@@ -267,6 +268,8 @@ def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler, params):
     the outer ones, so a row's points never depend on n_lo.
     """
     b = n_hi - n_lo
+    if problem.d2 == 0:
+        return np.empty((b, R * M, 0))
     if sampler == "mc":
         shape = (b, R * M, problem.d2)
         return key.child("inner-mc", s).uniforms(shape, salt="x", offset=n_lo * R * M * problem.d2)
@@ -391,7 +394,11 @@ def rdlqmc_estimate(
 
 
 def _tensor_grid(axes):
-    """Tensor product of per-axis (nodes, weights) rules: (K, d) nodes, (K,) weights."""
+    """Tensor product of per-axis (nodes, weights) rules: (K, d) nodes, (K,) weights.
+
+    With no axes it is the one node of the 0-dimensional cube, weight 1."""
+    if not axes:
+        return np.empty((1, 0)), np.ones(1)
     node_grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     weight_grids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     nodes = np.stack([g.ravel() for g in node_grids], axis=1)

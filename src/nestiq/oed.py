@@ -60,12 +60,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # whole chunk's inner points and values, so they count toward peak memory.
 _INNER_BLOCK = 1 << 14
 # Newton-decrement tolerance of every posterior-mode search: a row has
-# converged when grad^T H^-1 grad <= _MAP_TOL**2.  A mode off by H^-1 grad
-# leaves the weighted inner integrand a slope in the inner normal z of about
-# the whitened gradient |L^-1 grad| (H = L L^T), so an exact Gaussian
-# posterior gives importance weights constant to rounding only when that is
-# far below 1e-10.
-_MAP_TOL = 1e-12
+# converged when grad^T H^-1 grad <= _MAP_TOL**2 = 1e-12.  The mode only
+# centres the importance-sampling proposal, which is consistent for any
+# centre: one off the mode by H^-1 grad adds about the decrement, as a
+# relative amount, to the variance of the weights (Beck et al. 2018).
+_MAP_TOL = 1e-6
 
 
 class MapConvergenceError(ArithmeticError):
@@ -333,8 +332,8 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None):
                 )
             theta_p = theta[p]
             # a near-undamped Newton step below machine precision in theta is
-            # numerical stationarity even when rounding in the gradient keeps
-            # the decrement above tolerance
+            # numerical stationarity where the decrement cannot show it, as
+            # at a zero gradient with a singular H (a NaN decrement)
             tiny_p = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta_p)), axis=1)
             tiny_p &= lam_p <= 1e-3
             trial = theta_p + step
@@ -442,8 +441,8 @@ def _check_sampler_prior(problem: OEDProblem, family: str):
 
 def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
     """The single-loop Laplace EIG integrand as a nested problem with one
-    inner point: ``prepare`` evaluates it at each outer row's prior sample,
-    and the inner integrand repeats that value."""
+    inner point and no inner dimension: ``prepare`` evaluates it at each
+    outer row's prior sample, and the inner integrand repeats that value."""
     d_theta = problem.d_theta
 
     def prepare(y, h_level):
@@ -458,7 +457,7 @@ def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
 
     return NestedProblem(
         d1=d_theta,
-        d2=1,
+        d2=0,
         inner=lambda values, x, h_level: np.repeat(values[:, None], x.shape[1], axis=1),
         prepare=prepare,
         h=problem.h,

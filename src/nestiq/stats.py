@@ -179,22 +179,36 @@ class PriorSpec:
 
     def logpdf(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        out = np.zeros(theta.shape[:-1])
+        rows = theta.reshape(-1, theta.shape[-1])
+        out = np.zeros(rows.shape[0])
         for j, c in enumerate(self.components):
-            t = theta[..., j]
+            t = rows[:, j]
             if c.kind == "uniform":
-                width = c.b - c.a
                 inside = (t >= c.a) & (t <= c.b)
-                out = out + np.where(inside, -math.log(width), -np.inf)
-            elif c.kind == "normal":
-                out = out + norm_logpdf((t - c.a) / c.b) - math.log(c.b)
+                out += np.where(inside, -math.log(c.b - c.a), -np.inf)
+                continue
+            # norm_logpdf((x - a) / b) - log b with x = t or log t, computed
+            # in place with norm_logpdf's operations in its order
+            if c.kind == "normal":
+                z = t - c.a
             else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    logt = np.where(t > 0, np.log(np.maximum(t, 1e-320)), np.nan)
-                valid = t > 0
-                val = norm_logpdf((logt - c.a) / c.b) - math.log(c.b) - logt
-                out = out + np.where(valid, val, -np.inf)
-        return out
+                logt = np.maximum(t, 1e-320)
+                np.log(logt, out=logt)
+                z = logt - c.a
+            z /= c.b
+            val = np.multiply(z, -0.5)
+            val *= z
+            val -= _LOG_SQRT_2PI
+            if c.kind == "normal":
+                out += val
+                out -= math.log(c.b)
+            else:
+                val -= math.log(c.b)
+                val -= logt
+                np.copyto(val, -np.inf, where=~(t > 0))  # NaN too
+                out += val
+        # a NumPy scalar for a single parameter vector
+        return out.reshape(theta.shape[:-1])[()]
 
     def grad_logpdf(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)

@@ -168,6 +168,17 @@ class TestLaplacePilot:
         assert 0.5 * (0.5 / 64) < first < 2.0 * (0.5 / 64)
         assert (data["c_q2"], data["c_q3"], data["delta"]) == (0.0, 0.0, 0.0)
 
+    def test_inner_randomizations_not_read(self, tmp_path, lg_config):
+        # the Laplace pilot runs no inner pilot, so --R and --inner-ladder
+        # are not checked; the importance-sampling pilot still refuses them
+        cfg = _write(tmp_path, "mcla.cfg", LG_CFG.replace("rdlqmcis", "mcla"))
+        out = str(tmp_path / "pilot.json")
+        assert main(["pilot", cfg, "--outer-ladder", "64,256", "--S", "8",
+                     "--R", "1", "--inner-ladder", "x", "--out", out]) == 0
+        assert "R" not in json.loads(open(out).read())["metadata"]
+        assert main(["pilot", lg_config, "--R", "1", "--out", out]) == 2
+        assert main(["pilot", lg_config, "--inner-ladder", "x", "--out", out]) == 2
+
     def test_rqmc_pilot_plan_estimate_chain(self, tmp_path):
         cfg = _write(tmp_path, "rqmcla.cfg", LG_CFG.replace("rdlqmcis", "rqmcla"))
         pilot, plan, est = (str(tmp_path / f) for f in ("p.json", "plan.json", "e.json"))

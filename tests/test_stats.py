@@ -15,6 +15,7 @@ from nestiq.stats import (
     inv_norm_cdf,
     log_sum_exp,
     norm_cdf,
+    norm_logpdf,
     replicate_variance,
     truncated_inv_norm_cdf,
     truncation_radius,
@@ -175,6 +176,53 @@ class TestMapToPrior:
             PriorComponent("uniform", 1.0, 1.0)
         with pytest.raises(ValueError):
             PriorComponent("normal", 0.0, 0.0)
+
+
+def _logpdf_reference(prior, theta):
+    """PriorSpec.logpdf as the sum of fresh per-component arrays."""
+    out = np.zeros(theta.shape[:-1])
+    for j, c in enumerate(prior.components):
+        t = theta[..., j]
+        if c.kind == "uniform":
+            inside = (t >= c.a) & (t <= c.b)
+            out = out + np.where(inside, -math.log(c.b - c.a), -np.inf)
+        elif c.kind == "normal":
+            out = out + norm_logpdf((t - c.a) / c.b) - math.log(c.b)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logt = np.where(t > 0, np.log(np.maximum(t, 1e-320)), np.nan)
+            val = norm_logpdf((logt - c.a) / c.b) - math.log(c.b) - logt
+            out = out + np.where(t > 0, val, -np.inf)
+    return out
+
+
+class TestPriorLogpdf:
+    PRIOR = PriorSpec(components=(
+        ("lognormal", 0.1, 0.3), ("normal", -1.0, 2.0),
+        ("lognormal", 3.0, 0.05), ("uniform", -1.0, 2.0),
+    ))
+
+    def test_bit_equal_to_fresh_arrays(self):
+        rng = np.random.default_rng(3)
+        theta = rng.lognormal(0.0, 2.0, (6, 9, 4))
+        # zero, negative, NaN, infinite and subnormal entries among valid ones
+        special = np.array([0.0, -1.5, np.nan, np.inf, 5e-324])
+        mask = rng.random(theta.shape) < 0.4
+        theta[mask] = rng.choice(special, mask.sum())
+        with np.errstate(all="raise"):
+            got = self.PRIOR.logpdf(theta)
+        want = _logpdf_reference(self.PRIOR, theta)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isnan(got).any() and np.isneginf(got).any() and np.isfinite(got).any()
+        one = self.PRIOR.logpdf(theta[0, 0])
+        assert np.ndim(one) == 0 and np.array_equal(one, want[0, 0], equal_nan=True)
+
+    def test_pk_prior_bits(self):
+        from nestiq.models import pk_prior
+
+        prior = pk_prior("variance")
+        theta = prior.transform(np.random.default_rng(4).random((64, 256, 3)))
+        assert prior.logpdf(theta).tobytes() == _logpdf_reference(prior, theta).tobytes()
 
 
 class TestLogSumExp:
