@@ -8,9 +8,10 @@ constraint pair
     bias:      C_disc * h^eta    + C_Q3 / M^(1+delta)       <= (1-kappa)*tol
 
 where beta and delta in [0, 1] are the observed rate gains of randomized
-QMC over plain MC.  The solver picks kappa from the stationarity cubic,
-seeds N from the closed-form approximation, solves the N equation, and then
-verifies and repairs the power-of-two rounded plan against the constraints.
+QMC over plain MC.  The plan is the least-work power-of-two (N, M) with the
+largest h that fits, found by one exhaustive scan over N; kappa from the
+stationarity cubic and N from the N equation give the continuous solution,
+reported beside it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
 _H_MAX = 1.0  # discretization levels are normalized to at most 1
 _TOL_MARGIN = 1.0 - 1e-12
 _EPS = float(np.finfo(np.float64).eps)
+_BIAS_SPLIT = 0.5  # share of the bias budget the continuous h takes
 
 
 class FitQualityError(ArithmeticError):
@@ -308,9 +310,9 @@ def _n_seed(c: PilotConstants, kappa: float, tol: float, c_alpha: float) -> floa
 _M_CAP = 2.0**62
 
 
-def _continuous_m_h(c, kappa, n, tol, c_alpha, bias_split):
+def _continuous_m_h(c, kappa, n, tol, c_alpha):
     """Continuous (M, h) at fixed (kappa, N): variance-tight M floor-ed by the
-    bias requirement; h from the bias-budget split when discretized."""
+    bias requirement; h from an even split of the bias budget when discretized."""
     vb = (kappa * tol / c_alpha) ** 2
     bb = (1.0 - kappa) * tol
     denom = n * vb - c.c_q1 / n**c.beta
@@ -320,8 +322,8 @@ def _continuous_m_h(c, kappa, n, tol, c_alpha, bias_split):
     else:
         m_var = 0.0
     if c.c_disc > 0:
-        m_budget = (1.0 - bias_split) * bb
-        h = min((bias_split * bb / c.c_disc) ** (1.0 / c.eta), _H_MAX)
+        m_budget = (1.0 - _BIAS_SPLIT) * bb
+        h = min((_BIAS_SPLIT * bb / c.c_disc) ** (1.0 / c.eta), _H_MAX)
     else:
         m_budget = bb
         h = None
@@ -335,22 +337,38 @@ def _work(c: PilotConstants, n: float, m: float, h: float | None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# kappa cubic
+# kappa cubic and N equation
 # ---------------------------------------------------------------------------
 
 
-def _kappa_grid_minimizer(c, n, tol, c_alpha, bias_split, grid=1000):
+def _bisect(f, lo, hi):
+    """Bisect [lo, hi], on whose ends f differs in sign, until no float lies
+    between the ends; returns hi, the end on the far side of the root."""
+    sign = np.signbit(f(lo))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if np.signbit(f(mid)) == sign:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _kappa_grid_minimizer(c, n, tol, c_alpha, grid=1000):
     kappas = np.arange(1, grid) / grid
     best_k, best_w = None, math.inf
     for kappa in kappas:
         vb = (kappa * tol / c_alpha) ** 2
         if n * vb - c.c_q1 / n**c.beta <= 0:
             continue  # outer variance alone exceeds the statistical budget
-        m, h = _continuous_m_h(c, kappa, n, tol, c_alpha, bias_split)
+        m, h = _continuous_m_h(c, kappa, n, tol, c_alpha)
         if not math.isfinite(m) or m >= _M_CAP:
             continue
         w = _work(c, n, m, h)
-        if w < best_w:
+        # a tie (work flat in kappa, as without inner terms) goes to the
+        # larger kappa, which asks for the smaller N
+        if w <= best_w:
             best_k, best_w = float(kappa), w
     if best_k is None:
         raise InfeasiblePlanError(
@@ -359,12 +377,10 @@ def _kappa_grid_minimizer(c, n, tol, c_alpha, bias_split, grid=1000):
     return best_k
 
 
-def solve_kappa(
-    c: PilotConstants, n: float, tol: float, c_alpha: float, bias_split: float = 0.5
-) -> float:
+def solve_kappa(c: PilotConstants, n: float, tol: float, c_alpha: float) -> float:
     """Optimal error-split fraction at fixed N.
 
-    Root of the stationarity cubic in (0,1) by bracketed bisection; falls
+    Root of the stationarity cubic in (0,1) by bisection; falls
     back to a 10^3-point grid minimization of realized work when the cubic
     is degenerate or has no bracketed root.
     """
@@ -373,7 +389,7 @@ def solve_kappa(
     gamma_eff = c.gamma if c.c_disc > 0 else 0.0
     eta = c.eta if c.eta > 0 else 1.0
     if c.c_q2 <= 0 or c.c_q3 < 0:
-        return _kappa_grid_minimizer(c, n, tol, c_alpha, bias_split)
+        return _kappa_grid_minimizer(c, n, tol, c_alpha)
     ratio = c.c_q3 / c.c_q2
     rate = 1.0 + c.delta
     coeffs = np.array([
@@ -394,17 +410,9 @@ def solve_kappa(
     vals = cubic(grid)
     sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
     if sign_change.size == 0:
-        return _kappa_grid_minimizer(c, n, tol, c_alpha, bias_split)
-    lo, hi = grid[sign_change[0]], grid[sign_change[0] + 1]
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        if np.signbit(cubic(mid)) == np.signbit(cubic(lo)):
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+        return _kappa_grid_minimizer(c, n, tol, c_alpha)
+    i = sign_change[0]
+    return float(_bisect(cubic, grid[i], grid[i + 1]))
 
 
 def _solve_n(c: PilotConstants, kappa: float, tol: float, c_alpha: float) -> float:
@@ -432,50 +440,32 @@ def _solve_n(c: PilotConstants, kappa: float, tol: float, c_alpha: float) -> flo
                 1.0 / (1.0 + c.beta)
             )
         # delta == 0: corner at M = 1; tight variance with both terms
-        lo, hi = seed, seed
+        def excess(n):  # decreasing in N
+            return c.c_q1 / n ** (1.0 + c.beta) + c.c_q2 / n - vb
+
+        lo = seed
+        if excess(lo) <= 0.0:
+            return lo
         for _ in range(200):
-            hi *= 2.0
-            if c.c_q1 / hi ** (1.0 + c.beta) + c.c_q2 / hi <= vb:
-                break
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if c.c_q1 / mid ** (1.0 + c.beta) + c.c_q2 / mid > vb:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+            hi = 2.0 * lo
+            if excess(hi) <= 0.0:
+                return _bisect(excess, lo, hi)
+            lo = hi
+        return lo
 
     lo = seed * (1.0 + 1e-9)
-    flo = f(lo)
-    hi = lo
+    sign = np.signbit(f(lo))
     for _ in range(200):
-        hi *= 1.5
-        fhi = f(hi)
-        if np.signbit(fhi) != np.signbit(flo):
-            break
-    else:
-        return seed * 1.01
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if hi / lo < 1.0 + 1e-14:
-            break
-        if np.signbit(f(mid)) == np.signbit(flo):
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+        hi = 1.5 * lo
+        if np.signbit(f(hi)) != sign:
+            return _bisect(f, lo, hi)
+        lo = hi
+    return seed * 1.01
 
 
 # ---------------------------------------------------------------------------
 # Allocation solver
 # ---------------------------------------------------------------------------
-
-
-def _ceil_pow2(x: float) -> int:
-    n = 1
-    while n < x:
-        n <<= 1
-    return n
 
 
 def _best_m_for_n(c, tol, c_alpha, n, h_min):
@@ -508,18 +498,16 @@ def solve_allocation(
     tol: float,
     alpha: float,
     chebyshev: bool = False,
-    bias_split: float = 0.5,
     h_min: float | None = None,
 ) -> AllocationPlan:
-    """Near-optimal (kappa*, N*, M*, h*) for a target tolerance.
+    """Least-work power-of-two (N*, M*) with its h* and kappa* for a tolerance.
 
-    kappa and the raw N come from the stationarity system (cubic plus N
-    equation, seeded by the closed-form approximation); the raw M is the
-    variance-feasible value floored by the bias requirement.  N and M are
-    then rounded up to powers of two and the plan is repaired against the
-    constraints: the minimal feasible M is recomputed at the rounded N and
-    neighboring N powers are scanned so that rounding never strands the
-    plan away from the discrete optimum.
+    Every power-of-two N is tried with its least-work feasible M until N
+    alone reaches the best work found: work N * M * h^-gamma is never below
+    N, since M >= 1 and h <= 1.  Ties in work go to the smaller N.  The
+    continuous solution of the stationarity system (kappa cubic plus N
+    equation, seeded by the closed-form approximation) is reported beside
+    the plan as n_raw, m_raw and the metadata's kappa_analytic and h_raw.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -538,42 +526,23 @@ def solve_allocation(
     kappa = 0.5
     n_cont = _n_seed(c, kappa, tol, c_alpha)
     for _ in range(80):
-        kappa = solve_kappa(c, n_cont, tol, c_alpha, bias_split)
+        kappa = solve_kappa(c, n_cont, tol, c_alpha)
         n_next = _solve_n(c, kappa, tol, c_alpha)
         if abs(math.log(n_next / n_cont)) < 1e-12:
             n_cont = n_next
             break
         n_cont = math.sqrt(n_cont * n_next)
-    m_cont, h_cont = _continuous_m_h(c, kappa, n_cont, tol, c_alpha, bias_split)
+    m_cont, h_cont = _continuous_m_h(c, kappa, n_cont, tol, c_alpha)
 
-    # discrete repair: scan power-of-two N around the analytic anchor and take
-    # the minimal feasible M at each, keeping the least-work plan
-    anchor = max(_ceil_pow2(n_cont), 1)
-    lo_exp = max(int(math.log2(anchor)) - 3, 0)
-    hi_exp = int(math.log2(anchor)) + 3
     best = None
-    for _ in range(40):
-        for e in range(lo_exp, hi_exp + 1):
-            n = 1 << e
-            found = _best_m_for_n(c, tol, c_alpha, n, h_min)
-            if found is None:
-                continue
+    for e in range(63):
+        n = 1 << e
+        if best is not None and n >= best[0]:
+            break
+        found = _best_m_for_n(c, tol, c_alpha, n, h_min)
+        if found is not None and (best is None or found[2] < best[0]):
             m, h, work = found
-            cand = (work, n, m, h)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        if best is None:
-            lo_exp, hi_exp = max(lo_exp - 2, 0), hi_exp + 4
-            if hi_exp > 80:
-                break
-            continue
-        if best[1] == (1 << hi_exp):
-            hi_exp += 3
-            continue
-        if best[1] == (1 << lo_exp) and lo_exp > 0:
-            lo_exp = max(lo_exp - 3, 0)
-            continue
-        break
+            best = (work, n, m, h)
     if best is None:
         raise InfeasiblePlanError(
             f"no feasible (N, M, h) at tol={tol}",
@@ -606,7 +575,6 @@ def solve_allocation(
         metadata={
             "kappa_analytic": float(kappa),
             "h_raw": h_cont,
-            "bias_split": bias_split,
         },
     )
 

@@ -189,8 +189,7 @@ def _plan_payload(plan, consts, meta):
 def cmd_plan(args) -> int:
     consts, meta = _load_pilot(args.pilot)
     plan = solve_allocation(
-        consts, args.tol, args.alpha, chebyshev=args.chebyshev,
-        bias_split=args.bias_split, h_min=args.h_min,
+        consts, args.tol, args.alpha, chebyshev=args.chebyshev, h_min=args.h_min
     )
     _write_json(args.out, _plan_payload(plan, consts, meta))
     _summary([
@@ -339,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--chebyshev", action="store_true")
-    p.add_argument("--bias-split", type=float, default=0.5)
     p.add_argument("--h-min", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)

@@ -146,15 +146,11 @@ class EstimatorResult:
     extras: dict = field(default_factory=dict)
 
 
-def _make_result(values, counts, key: RandomizationKey, work, divisor=None, extras=None):
+def _make_result(values, counts, key: RandomizationKey, work, extras=None):
     """Assemble a result; variance of the mean needs >= 2 replicate values."""
     values = np.asarray(values, dtype=np.float64)
     estimate = float(values.mean())
-    var = None
-    if values.size >= 2:
-        var = replicate_variance(values) if divisor is None else float(
-            np.var(values, ddof=1) / divisor
-        )
+    var = replicate_variance(values) if values.size >= 2 else None
     stderr = math.sqrt(var) if var is not None else None
     return EstimatorResult(
         estimate=estimate,
@@ -184,7 +180,7 @@ def mc_estimate(integrand, dim: int, M: int, key: RandomizationKey) -> Estimator
         raise ValueError("M must be >= 1")
     points = key.uniforms((M, dim), salt="mc")
     values = np.asarray(integrand(points), dtype=np.float64)
-    return _make_result(values, {"M": M}, key, work=M, divisor=M)
+    return _make_result(values, {"M": M}, key, work=M)
 
 
 def rqmc_estimate(integrand, dim: int, M: int, R: int, key: RandomizationKey) -> EstimatorResult:
@@ -237,9 +233,7 @@ def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey)
     pieces = _nested_values(problem, N, M, 1, 1, key, key, "mc")
     values = _joined([v for _, v in pieces])
     work = N * M * problem.work_factor()
-    return _make_result(
-        values, {"N": N, "M": M, "S": 1, "R": 1}, key, work=work, divisor=N
-    )
+    return _make_result(values, {"N": N, "M": M, "S": 1, "R": 1}, key, work=work)
 
 
 def _outer_points(problem, N, s, key, sampler, params, lo=0, hi=None):

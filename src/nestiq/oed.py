@@ -141,13 +141,6 @@ def closed_form_entropy_term(n_experiments: int, noise_variances) -> float:
     return float(-(n_experiments / 2.0) * np.sum(np.log(2.0 * math.pi * nv) + 1.0))
 
 
-def _loglik_const(problem: OEDProblem) -> float:
-    return float(
-        -(problem.n_experiments / 2.0)
-        * np.sum(np.log(2.0 * math.pi * problem.noise_variances))
-    )
-
-
 def _batch_loglik(problem: OEDProblem, y_data: np.ndarray, g_inner: np.ndarray) -> np.ndarray:
     """Log-likelihood of data batches against candidate model outputs.
 
@@ -157,7 +150,11 @@ def _batch_loglik(problem: OEDProblem, y_data: np.ndarray, g_inner: np.ndarray) 
     r = y_data[:, None, :, :] - g_inner[:, :, None, :]
     r *= r
     quad = np.einsum("bkij,j->bk", r, inv_s2)
-    return _loglik_const(problem) - 0.5 * quad
+    const = float(
+        -(problem.n_experiments / 2.0)
+        * np.sum(np.log(2.0 * math.pi * problem.noise_variances))
+    )
+    return const - 0.5 * quad
 
 
 def log_likelihood(y_data, theta, problem: OEDProblem) -> float:
@@ -719,15 +716,13 @@ def eig_quadrature(
     log_w_inner = np.log(inner_w)
 
     entropy = closed_form_entropy_term(problem.n_experiments, problem.noise_variances)
-    inv_s2 = 1.0 / problem.noise_variances
-    const = _loglik_const(problem)
     total = 0.0
     ne, dy = problem.n_experiments, problem.d_y
     for t_idx in range(theta_nodes.shape[0]):
         g_t = problem.model.evaluate(theta_nodes[t_idx][None, :], problem.xi, problem.h)[0]
         y_data = g_t[None, None, :] + noise_nodes.reshape(-1, ne, dy)
-        r = y_data[:, None, :, :] - g_inner[None, :, None, :]
-        ll = const - 0.5 * np.einsum("bkij,j->bk", r * r, inv_s2)
+        g_b = np.broadcast_to(g_inner, (y_data.shape[0],) + g_inner.shape)
+        ll = _batch_loglik(problem, y_data, g_b)
         log_marg = log_sum_exp(ll + log_w_inner[None, :], axis=1)
         total += theta_w[t_idx] * float(noise_w @ log_marg)
     return entropy - total
