@@ -47,7 +47,6 @@ from .allocation import (
     fit_pilot_inner,
     fit_pilot_outer,
     solve_allocation,
-    solve_kappa,
 )
 from .models import (
     LinearGaussianModel,

@@ -9,9 +9,9 @@ constraint pair
 
 where beta and delta in [0, 1] are the observed rate gains of randomized
 QMC over plain MC.  The plan is the least-work power-of-two (N, M) with the
-largest h that fits, found by one exhaustive scan over N; kappa from the
-stationarity cubic and N from the N equation give the continuous solution,
-reported beside it.
+largest h that fits, found by one exhaustive scan over N.  The least-work
+real (N, M, h) of the same problem, found by nested one-dimensional
+searches, is reported beside it as the continuous solution.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "fit_bias_constant",
     "fit_pilot_outer",
     "fit_pilot_inner",
-    "solve_kappa",
     "solve_allocation",
     "brute_force_allocation",
     "confidence_constant",
@@ -44,7 +43,6 @@ __all__ = [
 _H_MAX = 1.0  # discretization levels are normalized to at most 1
 _TOL_MARGIN = 1.0 - 1e-12
 _EPS = float(np.finfo(np.float64).eps)
-_BIAS_SPLIT = 0.5  # share of the bias budget the continuous h takes
 
 
 class FitQualityError(ArithmeticError):
@@ -85,7 +83,11 @@ class PilotConstants:
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Near-optimal (kappa, N, M, h) for one tolerance."""
+    """Least-work power-of-two (N, M), its h and kappa, for one tolerance.
+
+    n_raw and m_raw are the least-work real N and M, the continuous
+    solution; the metadata holds its h_raw and kappa_analytic.
+    """
 
     tol: float
     alpha: float
@@ -303,192 +305,129 @@ def constraints_satisfied(
     return bool(stat_ok and bias_ok)
 
 
-def _n_seed(c: PilotConstants, kappa: float, tol: float, c_alpha: float) -> float:
-    return (c_alpha**2 * c.c_q1 / (kappa * tol) ** 2) ** (1.0 / (1.0 + c.beta))
-
-
-_M_CAP = 2.0**62
-
-
-def _continuous_m_h(c, kappa, n, tol, c_alpha):
-    """Continuous (M, h) at fixed (kappa, N): variance-tight M floor-ed by the
-    bias requirement; h from an even split of the bias budget when discretized."""
-    vb = (kappa * tol / c_alpha) ** 2
-    bb = (1.0 - kappa) * tol
-    denom = n * vb - c.c_q1 / n**c.beta
-    if c.c_q2 > 0:
-        m_var = (c.c_q2 / denom) ** (1.0 / (1.0 + c.delta)) if denom > 0 else _M_CAP
-        m_var = min(m_var, _M_CAP)
-    else:
-        m_var = 0.0
-    if c.c_disc > 0:
-        m_budget = (1.0 - _BIAS_SPLIT) * bb
-        h = min((_BIAS_SPLIT * bb / c.c_disc) ** (1.0 / c.eta), _H_MAX)
-    else:
-        m_budget = bb
-        h = None
-    m_bias = (c.c_q3 / m_budget) ** (1.0 / (1.0 + c.delta)) if c.c_q3 > 0 else 1.0
-    return max(m_var, m_bias, 1.0), h
-
-
 def _work(c: PilotConstants, n: float, m: float, h: float | None) -> float:
     factor = h ** (-c.gamma) if (h is not None and c.c_disc > 0) else 1.0
     return n * m * factor
 
 
+def _kappa(c: PilotConstants, tol: float, c_alpha: float, n: float, m: float) -> float:
+    """The share of tol the statistical error takes at (N, M), kept in (0, 1)."""
+    stat = c_alpha * math.sqrt(_stat_variance(c, n, m))
+    return min(max(stat / tol, 1e-9), 1.0 - 1e-9)
+
+
+def _h_and_work(c, tol, c_alpha, n, m, h_min):
+    """(h, work) at (N, M), or None when infeasible.
+
+    Both constraints collapse to stat + bias <= tol, and h soaks up the bias
+    budget the statistical error and the inner bias leave (at most 1, and
+    at least h_min when one is given); h is None without discretization.
+    """
+    stat = c_alpha * math.sqrt(_stat_variance(c, n, m))
+    slack = tol * _TOL_MARGIN - stat - c.c_q3 / m ** (1.0 + c.delta)
+    if not slack > 0.0:
+        return None
+    if c.c_disc <= 0:
+        return None, _work(c, n, m, None)
+    h = min((slack / c.c_disc) ** (1.0 / c.eta), _H_MAX)
+    if h_min is not None and h < h_min:
+        return None
+    return h, _work(c, n, m, h)
+
+
 # ---------------------------------------------------------------------------
-# kappa cubic and N equation
+# One-dimensional searches
 # ---------------------------------------------------------------------------
 
 
-def _bisect(f, lo, hi):
-    """Bisect [lo, hi], on whose ends f differs in sign, until no float lies
-    between the ends; returns hi, the end on the far side of the root."""
-    sign = np.signbit(f(lo))
+def _bisect(feasible, lo, hi):
+    """Least t in [lo, hi] with feasible(t), for a feasible that is false at
+    lo, true at hi and monotone between: bisection until no float lies
+    between the ends."""
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if np.signbit(f(mid)) == sign:
-            lo = mid
-        else:
+        if feasible(mid):
             hi = mid
+        else:
+            lo = mid
 
 
-def _kappa_grid_minimizer(c, n, tol, c_alpha, grid=1000):
-    kappas = np.arange(1, grid) / grid
-    best_k, best_w = None, math.inf
-    for kappa in kappas:
-        vb = (kappa * tol / c_alpha) ** 2
-        if n * vb - c.c_q1 / n**c.beta <= 0:
-            continue  # outer variance alone exceeds the statistical budget
-        m, h = _continuous_m_h(c, kappa, n, tol, c_alpha)
-        if not math.isfinite(m) or m >= _M_CAP:
-            continue
-        w = _work(c, n, m, h)
-        # a tie (work flat in kappa, as without inner terms) goes to the
-        # larger kappa, which asks for the smaller N
-        if w <= best_w:
-            best_k, best_w = float(kappa), w
-    if best_k is None:
-        raise InfeasiblePlanError(
-            f"no feasible error split at N={n}, tol={tol}", binding="statistical-error"
-        )
-    return best_k
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def solve_kappa(c: PilotConstants, n: float, tol: float, c_alpha: float) -> float:
-    """Optimal error-split fraction at fixed N.
-
-    Root of the stationarity cubic in (0,1) by bisection; falls
-    back to a 10^3-point grid minimization of realized work when the cubic
-    is degenerate or has no bracketed root.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    gamma_eff = c.gamma if c.c_disc > 0 else 0.0
-    eta = c.eta if c.eta > 0 else 1.0
-    if c.c_q2 <= 0 or c.c_q3 < 0:
-        return _kappa_grid_minimizer(c, n, tol, c_alpha)
-    ratio = c.c_q3 / c.c_q2
-    rate = 1.0 + c.delta
-    coeffs = np.array([
-        ratio * (n * tol / c_alpha) ** 2 * (eta + gamma_eff * rate),
-        n * tol * (eta + gamma_eff * rate / 2.0),
-        -(n * (eta * tol + ratio * (c.c_q1 / n**c.beta) * (eta + gamma_eff * rate))),
-        -gamma_eff * rate * c.c_q1 * c_alpha**2 / (2.0 * n**c.beta * tol),
-    ])
-    scale = np.max(np.abs(coeffs))
-    if not np.isfinite(scale) or scale == 0.0:
-        raise ValueError("degenerate cubic coefficients (all zero or non-finite)")
-    coeffs = coeffs / scale
-
-    def cubic(k):
-        return ((coeffs[0] * k + coeffs[1]) * k + coeffs[2]) * k + coeffs[3]
-
-    grid = np.linspace(1e-9, 1.0 - 1e-9, 2049)
-    vals = cubic(grid)
-    sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
-    if sign_change.size == 0:
-        return _kappa_grid_minimizer(c, n, tol, c_alpha)
-    i = sign_change[0]
-    return float(_bisect(cubic, grid[i], grid[i + 1]))
-
-
-def _solve_n(c: PilotConstants, kappa: float, tol: float, c_alpha: float) -> float:
-    """Root of the optimality equation in N at fixed kappa, above the seed."""
-    seed = _n_seed(c, kappa, tol, c_alpha)
-    if c.c_q2 <= 0:
-        return seed
-    gamma_eff = c.gamma if c.c_disc > 0 else 0.0
-    eta = c.eta if c.eta > 0 else 1.0
-    ratio = c.c_q3 / c.c_q2
-    a = ratio * (kappa * tol / c_alpha) ** 2
-    b = tol * (1.0 - kappa * (1.0 + gamma_eff / (2.0 * eta)))
-    cc = ratio * c.c_q1
-    d = gamma_eff * c_alpha**2 * c.c_q1 * c.beta / (2.0 * eta * kappa * tol)
-
-    def f(n):
-        return a * n ** (2.0 + c.beta) - b * n ** (1.0 + c.beta) - cc * n + d
-
-    if a <= 0.0:
-        # no inner-bias term: M is purely variance-driven, so minimize
-        # N * M_var(N) directly
-        vb = (kappa * tol / c_alpha) ** 2
-        if c.delta > 0:
-            return ((1.0 + c.beta + c.delta) * c.c_q1 / (c.delta * vb)) ** (
-                1.0 / (1.0 + c.beta)
-            )
-        # delta == 0: corner at M = 1; tight variance with both terms
-        def excess(n):  # decreasing in N
-            return c.c_q1 / n ** (1.0 + c.beta) + c.c_q2 / n - vb
-
-        lo = seed
-        if excess(lo) <= 0.0:
-            return lo
-        for _ in range(200):
-            hi = 2.0 * lo
-            if excess(hi) <= 0.0:
-                return _bisect(excess, lo, hi)
-            lo = hi
-        return lo
-
-    lo = seed * (1.0 + 1e-9)
-    sign = np.signbit(f(lo))
-    for _ in range(200):
-        hi = 1.5 * lo
-        if np.signbit(f(hi)) != sign:
-            return _bisect(f, lo, hi)
-        lo = hi
-    return seed * 1.01
+def _golden(f, lo, hi):
+    """Least f(t) over [lo, hi] for a unimodal f whose values are tuples led
+    by the quantity to minimize: golden-section search down to a width of
+    1e-9, with both ends evaluated too; ties go to the smaller t."""
+    a, b = lo, hi
+    t1, t2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f1, f2 = f(t1), f(t2)
+    while b - a > 1e-9:
+        if f1[0] <= f2[0]:
+            b, t2, f2 = t2, t1, f1
+            t1 = b - _INV_PHI * (b - a)
+            f1 = f(t1)
+        else:
+            a, t1, f1 = t1, t2, f2
+            t2 = a + _INV_PHI * (b - a)
+            f2 = f(t2)
+    return min(f(lo), f1, f2, f(hi), key=lambda p: p[0])
 
 
 # ---------------------------------------------------------------------------
 # Allocation solver
 # ---------------------------------------------------------------------------
 
+_LOG2_TOP = 62.0  # N and M range over [1, 2^62]
+
+
+def _continuous_optimum(c, tol, c_alpha, h_min):
+    """Least-work real (work, N, M, h) over N, M in [1, 2^62].
+
+    More samples only add slack, so the feasible set is an upper set in
+    (N, M).  A golden-section search over log M starts at the least M that
+    is feasible at N = 2^62; at each M, N is the least feasible value,
+    found by bisection on log N, and with discretization a second
+    golden-section search over log N above it trades N against a larger h.
+    """
+    def point(log_n, log_m):
+        n, m = 2.0**log_n, 2.0**log_m
+        found = _h_and_work(c, tol, c_alpha, n, m, h_min)
+        return (math.inf, n, m, None) if found is None else (found[1], n, m, found[0])
+
+    def least_feasible(point_at):  # least t in [0, 62] with a feasible point_at(t)
+        def feasible(t):
+            return point_at(t)[0] < math.inf
+
+        return 0.0 if feasible(0.0) else _bisect(feasible, 0.0, _LOG2_TOP)
+
+    def best_at(log_m):
+        log_n = least_feasible(lambda t: point(t, log_m))
+        if c.c_disc <= 0:
+            return point(log_n, log_m)
+        return _golden(lambda t: point(t, log_m), log_n, _LOG2_TOP)
+
+    log_m = least_feasible(lambda t: point(_LOG2_TOP, t))
+    return _golden(best_at, log_m, _LOG2_TOP)
+
 
 def _best_m_for_n(c, tol, c_alpha, n, h_min):
-    """Least-work power-of-two M (with its h) at fixed N, or None.
+    """Least-work power-of-two M (with its h and work) at fixed N, or None.
 
-    Feasibility collapses both constraints to stat + bias <= tol with h
-    soaking up the leftover bias budget.  Without discretization the first
-    feasible M is least work; with discretization larger M buys a larger h,
-    so the scan continues until the work stops improving.
+    Without discretization the first feasible M is least work; with
+    discretization larger M buys a larger h, so the scan goes on to 2^62.
     """
     best = None
     m = 1
     while m <= 1 << 62:
-        stat = c_alpha * math.sqrt(_stat_variance(c, n, m))
-        slack = tol * _TOL_MARGIN - stat - c.c_q3 / m ** (1.0 + c.delta)
-        if slack > 0.0:
+        found = _h_and_work(c, tol, c_alpha, n, m, h_min)
+        if found is not None:
             if c.c_disc <= 0:
-                return m, None, float(n) * m
-            h = min((slack / c.c_disc) ** (1.0 / c.eta), _H_MAX)
-            if h_min is None or h >= h_min:
-                w = _work(c, n, m, h)
-                if best is None or w < best[2]:
-                    best = (m, h, w)
+                return (m, *found)
+            if best is None or found[1] < best[2]:
+                best = (m, *found)
         m <<= 1
     return best
 
@@ -505,9 +444,9 @@ def solve_allocation(
     Every power-of-two N is tried with its least-work feasible M until N
     alone reaches the best work found: work N * M * h^-gamma is never below
     N, since M >= 1 and h <= 1.  Ties in work go to the smaller N.  The
-    continuous solution of the stationarity system (kappa cubic plus N
-    equation, seeded by the closed-form approximation) is reported beside
-    the plan as n_raw, m_raw and the metadata's kappa_analytic and h_raw.
+    least-work real (N, M, h) of the same problem is reported beside the
+    plan as n_raw, m_raw and the metadata's h_raw, with kappa_analytic its
+    error split.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -521,18 +460,6 @@ def solve_allocation(
                 f"discretization bias at h_min={h_min} exceeds tol={tol}",
                 binding="discretization-bias",
             )
-
-    # coupled fixed point: kappa at fixed N, then N at fixed kappa
-    kappa = 0.5
-    n_cont = _n_seed(c, kappa, tol, c_alpha)
-    for _ in range(80):
-        kappa = solve_kappa(c, n_cont, tol, c_alpha)
-        n_next = _solve_n(c, kappa, tol, c_alpha)
-        if abs(math.log(n_next / n_cont)) < 1e-12:
-            n_cont = n_next
-            break
-        n_cont = math.sqrt(n_cont * n_next)
-    m_cont, h_cont = _continuous_m_h(c, kappa, n_cont, tol, c_alpha)
 
     best = None
     for e in range(63):
@@ -550,8 +477,7 @@ def solve_allocation(
         )
     work, n_star, m_star, h_star = best
 
-    stat = c_alpha * math.sqrt(_stat_variance(c, n_star, m_star))
-    kappa_star = min(max(stat / tol, 1e-9), 1.0 - 1e-9)
+    kappa_star = _kappa(c, tol, c_alpha, n_star, m_star)
     if not constraints_satisfied(c, tol, c_alpha, kappa_star, n_star, m_star, h_star):
         # defensive: bump M one power as a last repair
         m_star <<= 1
@@ -561,6 +487,7 @@ def solve_allocation(
             )
         work = _work(c, n_star, m_star, h_star)
 
+    _, n_raw, m_raw, h_raw = _continuous_optimum(c, tol, c_alpha, h_min)
     return AllocationPlan(
         tol=tol,
         alpha=alpha,
@@ -570,11 +497,11 @@ def solve_allocation(
         m_star=int(m_star),
         h_star=h_star,
         predicted_work=float(work),
-        n_raw=float(n_cont),
-        m_raw=float(m_cont),
+        n_raw=n_raw,
+        m_raw=m_raw,
         metadata={
-            "kappa_analytic": float(kappa),
-            "h_raw": h_cont,
+            "kappa_analytic": _kappa(c, tol, c_alpha, n_raw, m_raw),
+            "h_raw": h_raw,
         },
     )
 

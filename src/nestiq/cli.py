@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .allocation import (
-    FitQualityError,
     InfeasiblePlanError,
     PilotConstants,
     _bias_value,
@@ -29,9 +28,8 @@ from .allocation import (
     solve_allocation,
 )
 from .config import ConfigError, ExperimentConfig
-from .estimators import InnerUnderflowError
 from .lds import RandomizationKey
-from .oed import LaplaceFitError, MapConvergenceError, build_nested_problem
+from .oed import build_nested_problem
 
 _USAGE_EXIT = 2
 _INFEASIBLE_EXIT = 3
@@ -296,7 +294,7 @@ def cmd_sweep(args) -> int:
                 "seed": row_seed,
                 "error": None,
             })
-        except (ArithmeticError, ValueError, ConfigError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             rows.append({c: None for c in _SWEEP_COLUMNS} | {
                 "tol": tol, "seed": row_seed, "error": str(exc).replace(",", ";"),
             })
@@ -372,25 +370,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
     except InfeasiblePlanError as exc:
         print(f"infeasible: {exc} (binding constraint: {exc.binding})", file=sys.stderr)
         return _INFEASIBLE_EXIT
-    except (
-        FitQualityError,
-        MapConvergenceError,
-        LaplaceFitError,
-        InnerUnderflowError,
-        ArithmeticError,
-    ) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

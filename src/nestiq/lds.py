@@ -230,8 +230,6 @@ class SobolParams:
     """
 
     directions: np.ndarray
-    poly_degree: np.ndarray
-    poly_coeff: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.directions, dtype=np.uint32)
@@ -340,14 +338,10 @@ def load_direction_numbers(source=None, dimension: int | None = None) -> SobolPa
 
     dim = len(rows) + 1
     directions = np.empty((dim, _N_BITS), dtype=np.uint32)
-    degrees = np.zeros(dim, dtype=np.int64)
-    coeffs = np.zeros(dim, dtype=np.int64)
     directions[0] = _van_der_corput_directions()
     for j, (_, _, s, a, m) in enumerate(rows, start=1):
         directions[j] = _expand_directions(s, a, m)
-        degrees[j] = s
-        coeffs[j] = a
-    return SobolParams(directions=directions, poly_degree=degrees, poly_coeff=coeffs)
+    return SobolParams(directions=directions)
 
 
 # ---------------------------------------------------------------------------

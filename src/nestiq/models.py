@@ -84,10 +84,6 @@ class PKModel(ForwardModel):
     gamma: float = 0.0
     eta: float = 0.0
 
-    @property
-    def d_y(self) -> int:  # determined by the design length
-        return -1
-
     def evaluate(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
         if np.any(theta <= 0.0):

@@ -1,4 +1,4 @@
-"""Pilot fits, the error-split cubic, and the allocation solver vs oracle."""
+"""Pilot fits, the allocation solver and its continuous optimum, and the oracle."""
 
 import math
 
@@ -9,8 +9,9 @@ from nestiq.allocation import (
     FitQualityError,
     InfeasiblePlanError,
     PilotConstants,
-    _M_CAP,
-    _continuous_m_h,
+    _TOL_MARGIN,
+    _bias_value,
+    _stat_variance,
     _work,
     brute_force_allocation,
     confidence_constant,
@@ -20,12 +21,28 @@ from nestiq.allocation import (
     fit_pilot_outer,
     fit_variance_power_law,
     solve_allocation,
-    solve_kappa,
 )
 from nestiq.estimators import NestedProblem
 from nestiq.lds import RandomizationKey
 
 C_ALPHA = confidence_constant(0.05)
+
+
+def criterion_six_sets():
+    """The 50 (constants, tol) pairs of acceptance criterion 6."""
+    rng = np.random.default_rng(1234)
+    for _ in range(50):
+        c = PilotConstants(
+            c_q1=float(10 ** rng.uniform(-2, 2)),
+            beta=float(rng.choice([0, 0.25, 0.5, 0.75, 1.0])),
+            c_q2=float(10 ** rng.uniform(-2, 2)),
+            c_q3=float(10 ** rng.uniform(-2, 2)),
+            delta=float(rng.choice([0, 0.25, 0.5, 0.75, 1.0])),
+            c_disc=float(rng.choice([0.0, 10 ** rng.uniform(-2, 1)])),
+            eta=float(rng.choice([1.0, 2.0])),
+            gamma=float(rng.choice([1.0, 2.0])),
+        )
+        yield c, float(10 ** rng.uniform(-3, -1))
 
 
 def toy_problem():
@@ -157,65 +174,7 @@ class TestPilotRuns:
         assert fit.low_confidence is True
 
 
-class TestSolveKappa:
-    def test_matches_grid_oracle_no_disc(self):
-        c = PilotConstants(c_q1=1.0, beta=0.5, c_q2=0.5, c_q3=1.0, delta=0.5)
-        n = 4000.0
-        k = solve_kappa(c, n, 0.01, C_ALPHA)
-        k_grid = self._grid_oracle(c, n, 0.01)
-        assert 0.0 < k < 1.0
-        assert abs(k - k_grid) < 1e-3
-
-    def test_feasible_after_halving_tol(self):
-        c = PilotConstants(c_q1=1.0, beta=0.5, c_q2=0.5, c_q3=1.0, delta=0.5)
-        for tol in (0.01, 0.005):
-            k = solve_kappa(c, 40000.0, tol, C_ALPHA)
-            assert 0.0 < k < 1.0
-            m, h = _continuous_m_h(c, k, 40000.0, tol, C_ALPHA)
-            assert constraints_satisfied(c, tol, C_ALPHA, k, 40000.0, m, h)
-
-    def test_degenerate_inner_constant_uses_grid(self):
-        c = PilotConstants(
-            c_q1=1.0, beta=0.5, c_q2=0.0, c_q3=1.0, delta=0.5,
-            c_disc=1.0, eta=1.0, gamma=1.0,
-        )
-        k = solve_kappa(c, 4000.0, 0.01, C_ALPHA)
-        k_grid = self._grid_oracle(c, 4000.0, 0.01)
-        assert abs(k - k_grid) < 1e-3
-
-    @staticmethod
-    def _grid_oracle(c, n, tol, grid=100000):
-        best_k, best_w = None, math.inf
-        for k in np.arange(1, grid) / grid:
-            vb = (k * tol / C_ALPHA) ** 2
-            if n * vb - c.c_q1 / n**c.beta <= 0:
-                continue
-            m, h = _continuous_m_h(c, k, n, tol, C_ALPHA)
-            if m >= _M_CAP:
-                continue
-            w = _work(c, n, m, h)
-            if w < best_w:
-                best_k, best_w = float(k), w
-        return best_k
-
-
 class TestSolveAllocation:
-    def test_raw_m_formula_and_rounding(self):
-        # at kappa = 0.5 the full bias budget gives raw M = (1/0.01)^(1/2) = 10
-        c = PilotConstants(c_q1=1e-12, beta=1.0, c_q2=1e-12, c_q3=1.0, delta=1.0)
-        m_raw, h = _continuous_m_h(c, 0.5, 4.0, 0.02, C_ALPHA)
-        assert h is None
-        assert m_raw == pytest.approx(10.0, rel=1e-9)
-
-    def test_approximate_n_seed_and_rounding(self):
-        # variance dominated by the outer term: raw N = (C_a^2 C_Q1/(k tol)^2)^(1/2)
-        # = (4/0.01)^(1/2) = 20 at C_alpha = 2, kappa -> 1
-        from nestiq.allocation import _n_seed
-
-        c = PilotConstants(c_q1=1.0, beta=1.0, c_q2=0.0, c_q3=1e-15, delta=1.0)
-        n_raw = _n_seed(c, 1.0, 0.1, 2.0)
-        assert n_raw == pytest.approx(20.0, rel=1e-12)
-
     def test_laplace_only_constants_take_the_largest_kappa(self):
         # without inner terms the work N is flat in kappa at fixed N; the
         # largest kappa gives the smallest continuous N, at most the plan's
@@ -224,17 +183,6 @@ class TestSolveAllocation:
         assert plan.metadata["kappa_analytic"] >= 0.99
         assert plan.n_raw <= plan.n_star
         assert plan.m_raw == 1.0
-
-    def test_tight_variance_met_at_the_seed(self):
-        # a vanishing inner constant leaves the outer-only seed as the root
-        from nestiq.allocation import _n_seed, _solve_n
-
-        c = PilotConstants(c_q1=63.1, beta=1.0, c_q2=2.5e-29, c_q3=0.0, delta=0.0)
-        # at kappa 0.5 the variance, rounded, is already met at the seed;
-        # at 0.7 it exceeds the budget there by one rounding
-        for kappa in (0.5, 0.7):
-            seed = _n_seed(c, kappa, 5e-3, C_ALPHA)
-            assert _solve_n(c, kappa, 5e-3, C_ALPHA) == pytest.approx(seed, rel=1e-12)
 
     def test_plans_satisfy_constraints(self):
         rng = np.random.default_rng(2)
@@ -317,21 +265,55 @@ class TestSolveAllocation:
         assert confidence_constant(0.05, chebyshev=True) == pytest.approx(math.sqrt(20))
 
 
+class TestContinuousOptimum:
+    def test_mc_rates_closed_form(self):
+        # beta = delta = 0: N(M) = C_a^2 (C_Q1 + C_Q2/M) / (T - C_Q3/M)^2 is
+        # the least feasible N, and d(M N(M))/dM = 0 is a quadratic in 1/M
+        c1, c2, c3, tol = 2.0, 0.8, 1.5, 0.01
+        c = PilotConstants(c_q1=c1, beta=0.0, c_q2=c2, c_q3=c3, delta=0.0)
+        plan = solve_allocation(c, tol, 0.05)
+        t = tol * _TOL_MARGIN
+        m = 4 * c2 * c3 / (
+            math.sqrt(9 * c1**2 * c3**2 + 8 * c1 * c2 * c3 * t) - 3 * c1 * c3
+        )
+        n = C_ALPHA**2 * (c1 + c2 / m) / (t - c3 / m) ** 2
+        assert plan.m_raw == pytest.approx(m, rel=1e-6)
+        assert plan.n_raw == pytest.approx(n, rel=1e-6)
+        assert plan.metadata["h_raw"] is None
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_outer_term_only_takes_one_inner_sample(self, beta):
+        c = PilotConstants(c_q1=3.0, beta=beta, c_q2=0.0, c_q3=0.0, delta=0.5)
+        tol = 5e-3
+        plan = solve_allocation(c, tol, 0.05)
+        n = (C_ALPHA**2 * 3.0 / (tol * _TOL_MARGIN) ** 2) ** (1 / (1 + beta))
+        assert plan.m_raw == 1.0
+        assert plan.n_raw == pytest.approx(n, rel=1e-9)
+
+    @pytest.mark.parametrize("h_min", [None, 1e-2])
+    def test_feasible_and_no_more_work_than_the_plan(self, h_min):
+        feasible = 0
+        for c, tol in criterion_six_sets():
+            try:
+                plan = solve_allocation(c, tol, 0.05, h_min=h_min)
+            except InfeasiblePlanError:
+                continue
+            feasible += 1
+            n, m, h = plan.n_raw, plan.m_raw, plan.metadata["h_raw"]
+            assert n >= 1.0 and m >= 1.0
+            assert (h is None) == (c.c_disc == 0)
+            if h is not None and h_min is not None:
+                assert h >= h_min
+            stat = plan.c_alpha * math.sqrt(_stat_variance(c, n, m))
+            assert stat + _bias_value(c, m, h) <= tol
+            assert plan.metadata["kappa_analytic"] == pytest.approx(stat / tol)
+            assert _work(c, n, m, h) <= plan.predicted_work
+        assert feasible >= 48
+
+
 class TestSolverVsOracle:
     def test_fifty_random_constant_sets(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(50):
-            c = PilotConstants(
-                c_q1=float(10 ** rng.uniform(-2, 2)),
-                beta=float(rng.choice([0, 0.25, 0.5, 0.75, 1.0])),
-                c_q2=float(10 ** rng.uniform(-2, 2)),
-                c_q3=float(10 ** rng.uniform(-2, 2)),
-                delta=float(rng.choice([0, 0.25, 0.5, 0.75, 1.0])),
-                c_disc=float(rng.choice([0.0, 10 ** rng.uniform(-2, 1)])),
-                eta=float(rng.choice([1.0, 2.0])),
-                gamma=float(rng.choice([1.0, 2.0])),
-            )
-            tol = float(10 ** rng.uniform(-3, -1))
+        for c, tol in criterion_six_sets():
             plan = solve_allocation(c, tol, 0.05)
             oracle = brute_force_allocation(c, tol, 0.05)
             assert plan.predicted_work <= oracle.predicted_work

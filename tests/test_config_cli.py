@@ -7,9 +7,18 @@ import os
 import numpy as np
 import pytest
 
-from nestiq.allocation import PilotConstants, _bias_value, _stat_variance
+import nestiq.cli
+from nestiq.allocation import (
+    FitQualityError,
+    InfeasiblePlanError,
+    PilotConstants,
+    _bias_value,
+    _stat_variance,
+)
 from nestiq.cli import main
 from nestiq.config import ConfigError, ExperimentConfig
+from nestiq.estimators import InnerUnderflowError
+from nestiq.oed import LaplaceFitError, MapConvergenceError
 from nestiq.stats import truncation_radius
 
 LG_CFG = """\
@@ -200,6 +209,13 @@ class TestPlanCommand:
         assert 0 < plan["kappa_star"] < 1
         assert plan["c_alpha"] == pytest.approx(1.959963984540054)
 
+    def test_plan_file_reports_the_continuous_optimum(self, tmp_path, pilot_file):
+        out = str(tmp_path / "plan.json")
+        assert main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", out]) == 0
+        plan = json.loads(open(out).read())
+        assert plan["n_raw"] >= 1
+        assert plan["n_raw"] * plan["m_raw"] <= plan["predicted_work"]
+
     def test_halving_tol_grows_n(self, tmp_path, pilot_file):
         ns = {}
         for tol in ("0.02", "0.01"):
@@ -241,6 +257,27 @@ class TestPlanCommand:
         rc = main(["plan", "--pilot", pilot, "--tol", "0.001", "--h-min", "0.5",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InfeasiblePlanError("no plan", binding="inner-bias"), 3, "infeasible: "),
+    (FitQualityError("noisy ladder"), 4, "numerical failure: "),
+    (MapConvergenceError("no mode"), 4, "numerical failure: "),
+    (LaplaceFitError("not positive definite"), 4, "numerical failure: "),
+    (InnerUnderflowError("inner mean <= 0"), 4, "numerical failure: "),
+    (ArithmeticError("overflow"), 4, "numerical failure: "),
+    (ConfigError("bad key"), 2, "error: "),
+    (ValueError("bad value"), 2, "error: "),
+    (FileNotFoundError("no such file"), 2, "error: "),
+])
+def test_exit_code_and_message_per_error(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(nestiq.cli, "cmd_plan", fail)
+    rc = main(["plan", "--pilot", "pilot.json", "--tol", "0.01", "--out", "plan.json"])
+    assert rc == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 class TestEstimateCommand:
