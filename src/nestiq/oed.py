@@ -401,18 +401,47 @@ def _precision_cholesky(prec):
 
 
 def _laplace_batch(problem, theta_hat, h=None, hess=None):
-    """Cholesky pieces of the Laplace surrogate for a batch of modes.
+    """Factor of the Laplace surrogate's covariance for a batch of modes.
 
-    Returns (chol_cov, log_det_cov) with chol_cov lower-triangular factors
-    of the covariance.  ``hess`` is the Hessian that _map_batch built at the
-    modes; without it the precision is evaluated at theta_hat.
+    Returns (cov_chol, log_det_cov).  cov_chol[b] = (L^-1)^T, with
+    prec = L L^T the lower Cholesky factor of row b's precision, so
+    cov_chol cov_chol^T is the covariance and theta_hat + cov_chol z with z
+    standard normal samples the surrogate.  It is upper triangular with
+    exact zeros below the diagonal, so _proposal_points may skip those
+    terms: each would add an exact zero times a finite z.  ``hess`` is the
+    Hessian that _map_batch built at the modes; without it the precision is
+    evaluated at theta_hat.
     """
     prec = _precision_batch(problem, theta_hat, h, hess)
     l_prec, log_det_prec = _precision_cholesky(prec)
-    eye = np.broadcast_to(np.eye(problem.d_theta), prec.shape)
-    l_inv = np.linalg.solve(l_prec, eye.copy())  # L^-1 with prec = L L^T
-    cov_chol = np.swapaxes(l_inv, 1, 2)  # covariance = (L^-1)^T (L^-1)
-    return cov_chol, -log_det_prec
+    # L^-1 by forward substitution, one row for the whole batch at a time:
+    # row i is (e_i - sum_{k<i} L_ik row_k) / L_ii, zero right of column i
+    l_inv = np.zeros_like(l_prec)
+    for i in range(l_prec.shape[1]):
+        row = l_inv[:, i, :]
+        row[:, i] = 1.0
+        for k in range(i):
+            row -= l_prec[:, i, k, None] * l_inv[:, k, :]
+        row /= l_prec[:, i, i, None]
+    return np.swapaxes(l_inv, 1, 2), -log_det_prec
+
+
+def _proposal_points(theta_hat, cov_chol, z):
+    """theta_hat_b + U_b z_bk for modes (B, d), upper-triangular factors U
+    (B, d, d) and standard-normal points z (B, K, d), as (B, K, d).
+
+    Column i is theta_hat_i + sum_{j>=i} U_ij z_j, written over the whole
+    batch; the entries below U's diagonal are never read.  Each row's bits
+    depend on that row alone.
+    """
+    out = np.empty_like(z)
+    for i in range(z.shape[-1]):
+        col = out[..., i]
+        np.multiply(cov_chol[:, i, i, None], z[..., i], out=col)
+        for j in range(i + 1, z.shape[-1]):
+            col += cov_chol[:, i, j, None] * z[..., j]
+        col += theta_hat[:, i, None]
+    return out
 
 
 def laplace_covariance(theta_hat, problem: OEDProblem) -> np.ndarray:
@@ -503,7 +532,7 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
             return _batch_loglik(problem, y_data, g_in.reshape(nb, k, -1))
         _, theta_hat, cov_chol, log_det_cov = state
         z = inv_norm_cdf(xb)  # (rows, K, d_theta)
-        vartheta = theta_hat[rows, None, :] + np.einsum("bij,bkj->bki", cov_chol[rows], z)
+        vartheta = _proposal_points(theta_hat[rows], cov_chol[rows], z)
         g_in = problem.model.evaluate(
             vartheta.reshape(nb * k, d_theta), problem.xi, h_level
         ).reshape(nb, k, -1)

@@ -176,8 +176,9 @@ class TestPilotRuns:
 
 class TestSolveAllocation:
     def test_laplace_only_constants_take_the_largest_kappa(self):
-        # without inner terms the work N is flat in kappa at fixed N; the
-        # largest kappa gives the smallest continuous N, at most the plan's
+        # with C_Q2 = C_Q3 = 0 the outer term alone uses the whole tolerance
+        # at M = 1, so the exact optimum's error split kappa_analytic is
+        # 1 - O(1e-9), and its continuous N is at most the plan's
         c = PilotConstants(c_q1=1.0, beta=0.5, c_q2=0.0, c_q3=0.0, delta=0.0)
         plan = solve_allocation(c, 5e-3, 0.05)
         assert plan.metadata["kappa_analytic"] >= 0.99

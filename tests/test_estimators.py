@@ -601,7 +601,10 @@ class TestPinnedStreams:
     replicate): moving the loops must move no random stream and no
     reduction order.  The scrambled-net pilot pin predates that change,
     which moved only iid streams; it was re-recorded when the posterior-mode
-    tolerance became 1e-6, which moves every mode in its last digits."""
+    tolerance became 1e-6, which moves every mode in its last digits, and
+    again when the Laplace factor came from forward substitution and the
+    proposal points from column arithmetic, which moved its first rung's
+    variance by 2.9e-13 relative."""
 
     def test_dlmc_over_two_chunks(self):
         import hashlib
@@ -633,13 +636,13 @@ class TestPinnedStreams:
         nested = TestSharedChunks._pk_problem()
         fit = fit_pilot_inner(nested, [32, 64], 4, 8, RandomizationKey(5, tag="pin"))
         assert [v.hex() for v in fit.rung_variances] == [
-            "0x1.4b76d377b2616p-17", "0x1.a54f532e82ee9p-19",
+            "0x1.4b76d377b2caep-17", "0x1.a54f532e82ee9p-19",
         ]
         assert [v.hex() for v in fit.rung_biases] == [
-            "0x1.eadde21640000p-15", "0x1.bc2b88fb9f000p-11",
+            "0x1.eadde21650000p-15", "0x1.bc2b88fb9f000p-11",
         ]
         assert (fit.c_q2.hex(), fit.c_q3.hex(), fit.delta.hex()) == (
-            "0x1.8fa467f3fc66dp-7", "0x1.785320591f052p-4", "0x1.4ed5509e5ad2ap-1",
+            "0x1.8fa467f3ff63cp-7", "0x1.785320592340ap-4", "0x1.4ed5509e5bbdep-1",
         )
 
 

@@ -301,6 +301,88 @@ class TestGaussNewtonTerms:
             assert np.array_equal(jtj1[0], jtj[i]) and np.array_equal(jtr1[0], jtr[i])
 
 
+def _random_precisions(b, d, seed):
+    """b well-conditioned symmetric positive-definite d x d matrices whose
+    scales span four decades."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((b, d, d))
+    scale = 10.0 ** rng.uniform(-2, 2, (b, 1, 1))
+    return scale * (a @ np.swapaxes(a, 1, 2) + d * np.eye(d))
+
+
+def _identity_problem(d):
+    """A d-parameter linear-Gaussian problem; the precisions these tests
+    hand to _laplace_batch stand in for its Hessians."""
+    return OEDProblem(model=LinearGaussianModel(matrix=np.eye(d)), xi=np.zeros(0),
+                      prior=PriorSpec(components=(("normal", 0.0, 1.0),) * d),
+                      noise_variances=np.ones(d))
+
+
+def _proposal_inputs(b, k, d, seed):
+    rng = np.random.default_rng(seed)
+    theta_hat = rng.standard_normal((b, d))
+    cov_chol = np.triu(rng.standard_normal((b, d, d)))
+    z = rng.standard_normal((b, k, d))
+    return theta_hat, cov_chol, z
+
+
+class TestProposalKernels:
+    """The Laplace factor U = (L^-1)^T and the proposal map theta_hat + U z
+    run as arithmetic over the batch axis, one d_theta index at a time."""
+
+    @pytest.mark.parametrize("b, k", [(64, 256), (4096, 4), (1, 16384)])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_proposal_agrees_with_einsum(self, b, k, d):
+        theta_hat, cov_chol, z = _proposal_inputs(b, k, d, b + k + d)
+        got = oed._proposal_points(theta_hat, cov_chol, z)
+        want = theta_hat[:, None, :] + np.einsum("bij,bkj->bki", cov_chol, z)
+        # relative to the sum of magnitudes, so cancellation cannot inflate it
+        scale = np.abs(theta_hat)[:, None, :] + np.einsum(
+            "bij,bkj->bki", np.abs(cov_chol), np.abs(z)
+        )
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_proposal_never_reads_below_the_diagonal(self, d):
+        theta_hat, cov_chol, z = _proposal_inputs(64, 256, d, d)
+        poisoned = cov_chol.copy()
+        poisoned[:, np.tril(np.ones((d, d), dtype=bool), -1)] = np.nan
+        got = oed._proposal_points(theta_hat, poisoned, z)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, oed._proposal_points(theta_hat, cov_chol, z))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_proposal_row_bits_independent_of_batch(self, d):
+        theta_hat, cov_chol, z = _proposal_inputs(64, 256, d, 10 + d)
+        cov_chol *= 10.0 ** np.random.default_rng(d).uniform(-5, 5, cov_chol.shape)
+        got = oed._proposal_points(theta_hat, cov_chol, z)
+        for i in range(64):
+            one = slice(i, i + 1)
+            one_row = oed._proposal_points(theta_hat[one], cov_chol[one], z[one])
+            assert np.array_equal(one_row[0], got[i])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_laplace_factor_is_upper_triangular_inverse(self, d):
+        prec = _random_precisions(4096, d, d)
+        problem = _identity_problem(d)
+        cov_chol, log_det_cov = oed._laplace_batch(problem, np.zeros((4096, d)), hess=prec)
+        assert np.all(cov_chol[:, np.tril(np.ones((d, d), dtype=bool), -1)] == 0.0)
+        eye = cov_chol @ np.swapaxes(cov_chol, 1, 2) @ prec
+        assert np.all(np.abs(eye - np.eye(d)) <= 1e-12)
+        assert np.allclose(log_det_cov, -np.linalg.slogdet(prec)[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_laplace_row_bits_independent_of_batch(self, d):
+        prec = _random_precisions(4096, d, 20 + d)
+        problem, theta_hat = _identity_problem(d), np.zeros((4096, d))
+        cov_chol, log_det_cov = oed._laplace_batch(problem, theta_hat, hess=prec)
+        for i in range(4096):
+            one = slice(i, i + 1)
+            c1, l1 = oed._laplace_batch(problem, theta_hat[one], hess=prec[one])
+            assert np.array_equal(c1[0], cov_chol[i]) and l1[0] == log_det_cov[i]
+
+
 class TestActiveSetMap:
     @pytest.mark.parametrize("design", [0, 1])
     def test_batch_equals_single_row_solves(self, design):
