@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import NestedProblem, _inner_replicates, rdlqmc_estimate
+from .estimators import NestedProblem, _inner_replicates, _nested_values
 from .lds import RandomizationKey
-from .stats import inv_norm_cdf
+from .stats import inv_norm_cdf, replicate_variance
 
 __all__ = [
     "PilotConstants",
@@ -163,6 +163,8 @@ class OuterPilot:
     beta: float
     rung_variances: tuple
     residual: float
+    top_estimate: float
+    top_stderr: float
 
     def __iter__(self):
         return iter((self.c_q1, self.beta))
@@ -204,27 +206,36 @@ def fit_pilot_outer(
 ) -> OuterPilot:
     """Estimate (C_Q1, beta) from the outer-randomization variance ladder.
 
-    Each rung runs the nested estimator with S outer randomizations; the
-    sample variance across the S outer means estimates the total
-    single-randomization variance, fitted as C_Q1 * N^-(1+beta).
+    One pass runs the nested estimator on the top rung with S outer
+    randomizations; each lower rung is the first n rows of the same S
+    randomizations, itself a scrambled net (Owen 1995) or an iid sample.
+    Per rung, the sample variance across the S means of its rows estimates
+    the total single-randomization variance, fitted as C_Q1 * N^-(1+beta).
+    The top rung's estimate and replicate stderr come along.
     """
     ladder = _check_ladder(ladder)
     if s < 8:
         raise ValueError("outer pilot needs S >= 8 randomizations")
-    variances = []
-    for i, n in enumerate(ladder):
-        res = rdlqmc_estimate(
-            problem, n, m_fixed, S=s, R=1,
-            key=key.child("pilot-outer", i), sampler=sampler,
-        )
-        variances.append(s * res.variance_of_mean)
+    k = key.child("pilot-outer", len(ladder) - 1)
+    # sums[r, i] adds the values of randomization r's rows below ladder[i]
+    sums = np.zeros((s, len(ladder)))
+    for (r, lo, hi), values in _nested_values(problem, ladder[-1], m_fixed, s, 1, k, k, sampler):
+        for i, n in enumerate(ladder):
+            if lo < n:
+                sums[r, i] += values[: min(n, hi) - lo].sum()
+    means = sums / ladder
+    variances = [s * replicate_variance(rung) for rung in means.T]
     for lo, hi in zip(variances, variances[1:]):
         if hi > 2.0 * lo:
             raise FitQualityError(
                 f"variance ladder not decreasing: {variances} over N={ladder}"
             )
     c_q1, beta, residual = fit_variance_power_law(ladder, variances)
-    return OuterPilot(c_q1, beta, tuple(variances), residual)
+    top = means[:, -1]
+    return OuterPilot(
+        c_q1, beta, tuple(variances), residual,
+        float(top.mean()), math.sqrt(replicate_variance(top)),
+    )
 
 
 def fit_pilot_inner(

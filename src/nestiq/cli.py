@@ -29,7 +29,7 @@ from .allocation import (
 )
 from .config import ConfigError, ExperimentConfig
 from .lds import RandomizationKey
-from .oed import build_nested_problem
+from .oed import build_nested_problem, closed_form_entropy_term
 
 _USAGE_EXIT = 2
 _INFEASIBLE_EXIT = 3
@@ -101,11 +101,19 @@ def cmd_pilot(args) -> int:
         nested, outer_ladder, 1 if laplace else args.m_fixed, args.S,
         key.child("outer"), sampler=sampler,
     )
+    # the top rung's EIG, as the estimate command forms it: the Laplace-only
+    # integrand is the EIG itself, the nested one its log-evidence term
+    top_eig = outer.top_estimate
+    if not laplace:
+        entropy = closed_form_entropy_term(problem.n_experiments, problem.noise_variances)
+        top_eig = float(entropy - top_eig)
     meta = {
         "estimator": cfg.estimator,
         "outer_ladder": outer_ladder,
         "outer_variances": list(outer.rung_variances),
         "outer_residual": outer.residual,
+        "outer_top_eig": top_eig,
+        "outer_top_stderr": outer.top_stderr,
         "S": args.S,
         "seed": seed,
         "config_hash": cfg.config_hash(),

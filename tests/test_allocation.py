@@ -22,8 +22,10 @@ from nestiq.allocation import (
     fit_variance_power_law,
     solve_allocation,
 )
-from nestiq.estimators import NestedProblem
+from nestiq import estimators
+from nestiq.estimators import NestedProblem, rdlqmc_estimate
 from nestiq.lds import RandomizationKey
+from nestiq.stats import replicate_variance
 
 C_ALPHA = confidence_constant(0.05)
 
@@ -120,17 +122,64 @@ class TestPilotRuns:
             fit_pilot_outer(toy_problem(), [32, 128], 8, 4, RandomizationKey(0))
 
     def test_outer_pilot_flags_nondecreasing_ladder(self):
-        # integrand amplitude grows with the rung size, so the variance
-        # ladder increases instead of decaying
+        # a tall spike on a cell of width 1/4096: at S = 8 the 32-row prefixes
+        # miss it and the larger ones hit it, so the sampled variance ladder
+        # rises although the true one decays
         def g(y, x, h):
-            amp = float(y.shape[0]) ** 2
-            return np.broadcast_to(
-                amp * (y[:, 0] - 0.5)[:, None], x.shape[:2]
-            ).copy()
+            row = y[:, 0] + np.where(np.abs(y[:, 0] - 0.3) < 0.5 / 4096, 4096.0, 0.0)
+            return np.broadcast_to(row[:, None], x.shape[:2]).copy()
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
         with pytest.raises(FitQualityError, match="not decreasing"):
             fit_pilot_outer(prob, [32, 128, 512], 4, 8, RandomizationKey(6))
+
+    def test_outer_pilot_top_rung_is_the_estimator_at_its_key(self):
+        # the one pass runs the top rung as the nested estimator under the
+        # key that rung has always had, so its variance, mean and stderr
+        # keep their bits
+        key = RandomizationKey(3, tag="po")
+        fit = fit_pilot_outer(toy_problem(), [32, 128, 512], 64, 16, key)
+        res = rdlqmc_estimate(toy_problem(), 512, 64, 16, 1, key.child("pilot-outer", 2))
+        assert fit.rung_variances[-1] == 16 * res.variance_of_mean
+        assert (fit.top_estimate, fit.top_stderr) == (res.estimate, res.stderr)
+
+    @pytest.mark.parametrize("sampler", ["rqmc-sobol-owen", "mc"])
+    def test_outer_pilot_lower_rungs_are_prefixes(self, sampler):
+        # each rung's S means are over the first n rows of the top rung's S
+        # randomizations, each evaluated whole here
+        prob, key = toy_problem(), RandomizationKey(5, tag="prefix")
+        ladder, m, s = [32, 128, 512], 16, 8
+        fit = fit_pilot_outer(prob, ladder, m, s, key, sampler=sampler)
+        top = key.child("pilot-outer", 2)
+        params = estimators.default_sobol_params()
+        rows = np.array([
+            estimators._outer_values(
+                prob,
+                estimators._outer_points(prob, 512, r, top, sampler, params),
+                estimators._inner_blocks(prob, 0, 512, m, 1, r, top, sampler, params),
+            )
+            for r in range(s)
+        ])
+        want = [s * replicate_variance(rows[:, :n].mean(axis=1)) for n in ladder]
+        np.testing.assert_allclose(fit.rung_variances, want, rtol=1e-10)
+        if sampler == "mc":
+            # a prefix of an iid row stream is the estimator at that size
+            res = rdlqmc_estimate(prob, 32, m, s, 1, top, sampler="mc")
+            assert fit.rung_variances[0] == s * res.variance_of_mean
+
+    @pytest.mark.parametrize("chunk, ladder", [(4096, [128, 512, 2048]), (8, [4, 16, 64])])
+    def test_outer_pilot_bits_do_not_depend_on_threads(self, chunk, ladder, monkeypatch):
+        # four tasks of two randomizations each; with 8-row chunks the 4-row
+        # rung ends inside a segment and the others sum several segments
+        monkeypatch.setattr(estimators, "_CHUNK", chunk)
+        key = RandomizationKey(9, tag="threads")
+        fits = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NESTIQ_THREADS", threads)
+            fits.append(fit_pilot_outer(toy_problem(), ladder, 8, 8, key))
+        assert fits[0] == fits[1]
+        res = rdlqmc_estimate(toy_problem(), ladder[-1], 8, 8, 1, key.child("pilot-outer", 2))
+        assert fits[0].rung_variances[-1] == 8 * res.variance_of_mean
 
     def test_inner_pilot_on_toy(self):
         fit = fit_pilot_inner(

@@ -18,6 +18,7 @@ from nestiq.allocation import (
 from nestiq.cli import main
 from nestiq.config import ConfigError, ExperimentConfig
 from nestiq.estimators import InnerUnderflowError
+from nestiq.lds import RandomizationKey
 from nestiq.oed import LaplaceFitError, MapConvergenceError
 from nestiq.stats import truncation_radius
 
@@ -159,6 +160,23 @@ class TestPilotCommand:
             assert rc == 0
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+class TestPilotTopRung:
+    """The pilot file carries the top outer rung's EIG and stderr: what the
+    estimate command reports at that rung's N, M and S under its key."""
+
+    @pytest.mark.parametrize("estimator, m", [("rdlqmcis", 4), ("mcla", 1)])
+    def test_matches_the_estimate_at_the_top_rung(self, tmp_path, estimator, m):
+        cfg = _write(tmp_path, "lg.cfg", LG_CFG.replace("rdlqmcis", estimator))
+        out = str(tmp_path / "pilot.json")
+        assert main(["pilot", cfg, "--inner-ladder", "16,64", "--R", "8", "--out", out]) == 0
+        meta = json.loads(open(out).read())["metadata"]
+        key = RandomizationKey(7, tag="pilot").child("outer").child("pilot-outer", 3)
+        res = ExperimentConfig.from_file(cfg).run_estimator(2048, m, 32, 1, key)
+        assert (meta["outer_top_eig"], meta["outer_top_stderr"]) == (res.estimate, res.stderr)
+        # the top rung kept its stream
+        assert meta["outer_variances"][-1] == 32 * res.variance_of_mean
 
 
 class TestLaplacePilot:

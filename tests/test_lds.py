@@ -271,6 +271,29 @@ class TestScrambleKernel:
         assert abs(cut.mean() - (math.e - 1) ** 3) < 4 * math.sqrt(cut.var() / keys)
         assert 0.85 <= cut.var() / full.var() <= 1.15
 
+    @pytest.mark.parametrize("n", [32, 128, 512])
+    def test_prefix_keeps_the_rqmc_variance(self, n):
+        # the first n rows of an Owen-scrambled 2^11-point Sobol set are a
+        # scrambled (t, log2 n, s)-net (Owen 1995): a smooth integral over
+        # them has the variance of an independently scrambled n-point set
+        keys, log2_n = 2000, n.bit_length() - 1
+        seq = sobol_sequence(PARAMS, 3, 11)
+        key = RandomizationKey(12, tag="prefix")
+        np.testing.assert_array_equal(
+            owen_scramble(seq, key).values[:n],
+            lds._scramble_values(seq.values[:n], *lds._owen_lanes(key.subroot("owen"), 3), 11),
+        )
+        roots = key.subroot("owen") ^ np.arange(2 * keys, dtype=np.uint64)
+        tree, fill = lds._owen_lanes(lds.mix64(roots), 3)
+        prefix = lds._scramble_values(seq.values[:n], tree[:keys], fill[:keys], 11)
+        alone = lds._scramble_values(
+            sobol_sequence(PARAMS, 3, log2_n).values, tree[keys:], fill[keys:], log2_n
+        )
+        a, b = (np.exp(u.sum(axis=-1)).mean(axis=-1) for u in (prefix, alone))
+        assert 0.85 <= a.var() / b.var() <= 1.15
+        assert abs(a.mean() - b.mean()) < 4 * math.sqrt((a.var() + b.var()) / keys)
+        assert abs(a.mean() - (math.e - 1) ** 3) < 4 * math.sqrt(a.var() / keys)
+
     @staticmethod
     def _values(kind, m, d, depth, rng):
         if kind == "chunk":  # the second m-row chunk of a 2^depth-point set
