@@ -31,8 +31,8 @@ key = RandomizationKey(3, tag="allocation-demo")
 outer = fit_pilot_outer(problem, [32, 128, 512], m_fixed=64, s=16, key=key.child("o"))
 inner = fit_pilot_inner(problem, [8, 32, 128], n_fixed=8, r=16, key=key.child("i"))
 print(f"outer pilot: C_Q1 = {outer.c_q1:.3g}, beta = {outer.beta:.2f}")
-print(f"inner pilot: C_Q2 = {inner.c_q2:.3g}, C_Q3 = {inner.c_q3:.3g}, "
-      f"delta = {inner.delta:.2f} (low confidence: {inner.low_confidence})")
+print(f"inner pilot: C_Q2 = {inner.c_q2:.3g}, delta = {inner.delta:.2f}, "
+      f"C_Q3 = C_Q2 / 2 = {inner.c_q3:.3g}")
 
 consts = PilotConstants(
     c_q1=outer.c_q1, beta=outer.beta,

@@ -8,10 +8,12 @@ constraint pair
     bias:      C_disc * h^eta    + C_Q3 / M^(1+delta)       <= (1-kappa)*tol
 
 where beta and delta in [0, 1] are the observed rate gains of randomized
-QMC over plain MC.  The plan is the least-work power-of-two (N, M) with the
-largest h that fits, found by one exhaustive scan over N.  The least-work
-real (N, M, h) of the same problem, found by nested one-dimensional
-searches, is reported beside it as the continuous solution.
+QMC over plain MC.  The inner variance sets the inner bias: C_Q3 = C_Q2 / 2
+under the log outer map, by the delta method, and 0 under the identity map.
+The plan is the least-work power-of-two (N, M) with the largest h that
+fits, found by one exhaustive scan over N.  The least-work real (N, M, h)
+of the same problem, found by nested one-dimensional searches, is reported
+beside it as the continuous solution.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "InfeasiblePlanError",
     "fit_power_law",
     "fit_variance_power_law",
-    "fit_bias_constant",
     "fit_pilot_outer",
     "fit_pilot_inner",
     "solve_allocation",
@@ -144,12 +145,14 @@ def fit_variance_power_law(sizes, variances):
     return c, rate, residual
 
 
-def fit_bias_constant(sizes, biases, delta: float) -> float:
-    """Least-squares amplitude of bias ~ C * M^-(1+delta) at fixed delta."""
-    x = np.asarray(sizes, dtype=np.float64) ** (-(1.0 + delta))
-    b = np.asarray(biases, dtype=np.float64)
-    denom = float(np.dot(x, x))
-    return float(np.dot(b, x) / denom) if denom > 0 else 0.0
+def _resolved(variance: float, values) -> float:
+    """A rung variance floored at the resolution of its values.
+
+    Identical replicates, as an exact inner estimator or a constant
+    integrand gives, make the variance rounding noise or exactly 0; the
+    floor keeps the log-log fit finite.
+    """
+    return max(variance, (_EPS * max(1.0, float(np.abs(values).max()))) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +178,7 @@ class InnerPilot:
     c_q2: float
     c_q3: float
     delta: float
-    low_confidence: bool
     rung_variances: tuple
-    rung_biases: tuple
     residual: float
 
     def __iter__(self):
@@ -224,7 +225,7 @@ def fit_pilot_outer(
             if lo < n:
                 sums[r, i] += values[: min(n, hi) - lo].sum()
     means = sums / ladder
-    variances = [s * replicate_variance(rung) for rung in means.T]
+    variances = [_resolved(s * replicate_variance(rung), rung) for rung in means.T]
     for lo, hi in zip(variances, variances[1:]):
         if hi > 2.0 * lo:
             raise FitQualityError(
@@ -249,48 +250,26 @@ def fit_pilot_inner(
     """Estimate (C_Q2, C_Q3, delta) from inner rescrambles at fixed outer points.
 
     Per rung M, the variance across R independent inner randomizations
-    (outer points held fixed) scaled by N fits C_Q2 and delta; the bias per
-    rung is measured against a reference rung at 4x the largest M and fits
-    C_Q3 at the already-fitted delta.  When the bias is indistinguishable
-    from noise at every rung the returned C_Q3 carries a low-confidence flag.
+    (outer points held fixed) scaled by N fits C_Q2 and delta.  Under the
+    log outer map the delta method gives the inner-induced bias
+    E[log I_M] - log I ~ -Var(I_M) / (2 I^2), so C_Q3 = C_Q2 / 2 (Beck et
+    al. 2018); the identity map is unbiased, so C_Q3 = 0.
     """
     ladder = _check_ladder(ladder)
     if r < 8:
         raise ValueError("inner pilot needs R >= 8 randomizations")
     fixed = key.child("pilot-inner-fixed")
-    per_rung = []
-    for i, m in enumerate(ladder + [4 * ladder[-1]]):
+    variances = []
+    for i, m in enumerate(ladder):
         grid = _inner_replicates(
             problem, n_fixed, m, r, fixed, key.child("pilot-inner", i), sampler
         )
-        per_rung.append(np.array([float(np.mean(reps)) for reps in grid.T]))
-
-    # with an exact inner estimator (importance sampling from a Gaussian
-    # posterior) the variance is rounding noise and can come out exactly 0;
-    # the floor at the resolution of the values keeps the log-log fit finite
-    variances = []
-    for reps in per_rung[:-1]:
-        floor = (_EPS * max(1.0, float(np.abs(reps).max()))) ** 2
-        variances.append(max(float(np.var(reps, ddof=1)), floor))
+        reps = np.array([float(np.mean(rep)) for rep in grid.T])
+        variances.append(_resolved(float(np.var(reps, ddof=1)), reps))
     c_scaled, delta, residual = fit_variance_power_law(ladder, variances)
     c_q2 = c_scaled * n_fixed
-
-    ref = per_rung[-1]
-    est_ref, se_ref = float(ref.mean()), float(ref.std(ddof=1) / math.sqrt(r))
-    # a bias within a few ulps of the values is rounding, never significant,
-    # even when identical replicates give standard errors of 0
-    bias_floor = 16.0 * _EPS * max(1.0, abs(est_ref))
-    biases, significant = [], False
-    for m, reps in zip(ladder, per_rung[:-1]):
-        est, se = float(reps.mean()), float(reps.std(ddof=1) / math.sqrt(r))
-        b = abs(est - est_ref)
-        biases.append(b)
-        if b > bias_floor and b >= 2.0 * math.hypot(se, se_ref):
-            significant = True
-    c_q3 = fit_bias_constant(ladder, biases, delta)
-    return InnerPilot(
-        c_q2, c_q3, delta, not significant, tuple(variances), tuple(biases), residual
-    )
+    c_q3 = 0.5 * c_q2 if problem.outer_map == "log" else 0.0
+    return InnerPilot(c_q2, c_q3, delta, tuple(variances), residual)
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,7 @@ def cmd_pilot(args) -> int:
         meta.update({
             "inner_ladder": inner_ladder,
             "inner_variances": list(inner.rung_variances),
-            "inner_biases": list(inner.rung_biases),
             "inner_residual": inner.residual,
-            "c_q3_low_confidence": inner.low_confidence,
             "R": args.R,
             "m_fixed": args.m_fixed, "n_fixed": args.n_fixed,
         })
@@ -156,12 +154,6 @@ def _load_pilot(path: str) -> tuple[PilotConstants, dict]:
         c_q3=data["c_q3"], delta=data["delta"], c_disc=data.get("c_disc", 0.0),
         eta=data.get("eta", 1.0), gamma=data.get("gamma", 0.0), metadata=meta,
     )
-    if meta.get("c_q3_low_confidence"):
-        print(
-            f"warning: pilot {path}: inner bias not resolved from noise "
-            "(c_q3_low_confidence), so C_Q3 and M* may be unreliable",
-            file=sys.stderr,
-        )
     return consts, meta
 
 

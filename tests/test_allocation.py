@@ -1,6 +1,7 @@
 """Pilot fits, the allocation solver and its continuous optimum, and the oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from nestiq.allocation import (
     brute_force_allocation,
     confidence_constant,
     constraints_satisfied,
-    fit_bias_constant,
     fit_pilot_inner,
     fit_pilot_outer,
     fit_variance_power_law,
@@ -81,11 +81,6 @@ class TestVarianceFits:
         assert delta == pytest.approx(1.0)
         assert c_scaled * n_fixed == pytest.approx(1e-4 * 64**2 * n_fixed)
 
-    def test_bias_constant_exact(self):
-        ms = [16, 32, 64, 128]
-        b = [2.0 * m**-2.0 for m in ms]
-        assert fit_bias_constant(ms, b, 1.0) == pytest.approx(2.0, abs=1e-9)
-
 
 class TestPilotRuns:
     def test_inner_pilot_prepares_once_with_the_same_result(self):
@@ -104,8 +99,8 @@ class TestPilotRuns:
         )
         key = RandomizationKey(8, tag="prep")
         fit = fit_pilot_inner(nested, [8, 16], 4, 8, key)
-        # once a rung (2 rungs and the reference), on each fixed row once
-        assert prepared == [(4, nested.d1)] * 3
+        # once a rung, on each fixed row once
+        assert prepared == [(4, nested.d1)] * 2
         assert fit == fit_pilot_inner(folded, [8, 16], 4, 8, key)
 
     def test_outer_pilot_on_toy(self):
@@ -132,6 +127,20 @@ class TestPilotRuns:
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
         with pytest.raises(FitQualityError, match="not decreasing"):
             fit_pilot_outer(prob, [32, 128, 512], 4, 8, RandomizationKey(6))
+
+    @pytest.mark.parametrize("outer_map", ["identity", "log"])
+    def test_outer_pilot_on_a_constant_integrand_stays_finite(self, outer_map):
+        # every rung's S means are equal, so each rung variance is exactly 0
+        # before the floor at the resolution of the means
+        def g(y, x, h):
+            return np.full(x.shape[:2], 2.0)
+
+        prob = NestedProblem(d1=1, d2=1, inner=g, outer_map=outer_map)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_pilot_outer(prob, [32, 128, 512], 4, 8, RandomizationKey(5))
+        assert math.isfinite(fit.c_q1) and math.isfinite(fit.residual)
+        assert 0.0 <= fit.beta <= 1.0
 
     def test_outer_pilot_top_rung_is_the_estimator_at_its_key(self):
         # the one pass runs the top rung as the nested estimator under the
@@ -189,17 +198,14 @@ class TestPilotRuns:
         assert c_q2 > 0 and c_q3 >= 0 and 0.0 <= delta <= 1.0
 
     def test_inner_pilot_zero_bias_low_confidence(self):
-        # identity outer map has no inner-induced bias: the measured rung
-        # biases are pure replicate noise and the fit must say so
+        # the identity outer map has no inner-induced bias, whatever the
+        # inner variance
         def g(y, x, h):
             return y[:, 0][:, None] * x[:, :, 0]
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
         fit = fit_pilot_inner(prob, [8, 32], 8, 16, RandomizationKey(3, tag="zb"))
-        assert fit.low_confidence
-        # the fitted constant is noise-scale, far below the variance constant
-        assert abs(fit.c_q3) < 0.1
-        assert max(fit.rung_biases) < 1e-3
+        assert fit.c_q2 > 0 and fit.c_q3 == 0.0
 
     def test_inner_pilot_exact_inner_stays_finite(self):
         # a constant inner integrand has no inner variance at any rung, as
@@ -210,17 +216,38 @@ class TestPilotRuns:
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
         c_q2, c_q3, delta = fit_pilot_inner(prob, [8, 32], 4, 8, RandomizationKey(5))
         assert math.isfinite(delta) and 0.0 <= delta <= 1.0
-        assert 0.0 <= c_q2 < 1e-28 and c_q3 == 0.0
+        assert c_q3 == c_q2 / 2 < 1e-28
 
-    def test_inner_pilot_rounding_bias_not_significant(self):
-        # identical replicates give standard errors of 0; a bias at the
-        # rounding resolution must not count as resolved from noise
-        def g(y, x, h):
-            return np.full(x.shape[:2], 2.0)
 
-        prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
-        fit = fit_pilot_inner(prob, [8, 32], 4, 8, RandomizationKey(5))
-        assert fit.low_confidence is True
+class TestInnerBias:
+    """The property C_Q3 = C_Q2 / 2 rests on: under the log outer map the
+    inner estimate's bias is E[log I_M] - log I ~ -Var(I_M) / (2 I^2), so it
+    follows the inner variance law the pilot fits."""
+
+    @pytest.mark.parametrize("sampler, ms", [
+        ("mc", (1, 2, 4, 8)),
+        # at M = 1 a scrambled net is one uniform point, plain MC, off the
+        # fitted delta = 1 law
+        ("rqmc-sobol-owen", (2, 4, 8)),
+    ])
+    def test_log_bias_follows_the_fitted_constant(self, sampler, ms):
+        prob, key = toy_problem(), RandomizationKey(17, tag="inner-bias")
+        n, r = 1024, 16
+        # 256 replicates keep the pilot's variance error (R - 1 degrees of
+        # freedom) well below the measured bias's standard error
+        fit = fit_pilot_inner(prob, [1, 2, 4, 8], n, 256, key, sampler=sampler)
+        # on the pilot's fixed rows, where the inner mean is (e^y - 1) / y
+        fixed = key.child("pilot-inner-fixed")
+        params = estimators.default_sobol_params() if sampler != "mc" else None
+        y = estimators._outer_points(prob, n, 0, fixed, sampler, params)[:, 0]
+        log_i = np.log(np.expm1(y) / y)
+        for m in ms:
+            vals = estimators._inner_replicates(prob, n, m, r, fixed, key.child("bias"), sampler)
+            err = vals - log_i[:, None]
+            # each (row, replicate) has its own inner randomization
+            se = math.sqrt(err.var(axis=1, ddof=1).sum() / r) / n
+            predicted = -fit.c_q3 / m ** (1.0 + fit.delta)
+            assert abs(err.mean() - predicted) < 3.0 * se, (m, err.mean(), predicted, se)
 
 
 class TestSolveAllocation:

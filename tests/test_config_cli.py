@@ -131,14 +131,8 @@ class TestPilotCommand:
         assert 0.0 <= data["beta"] <= 1.0
         assert 0.0 <= data["delta"] <= 1.0
         assert data["c_q1"] > 0
+        assert data["c_q3"] == data["c_q2"] / 2  # the log evidence's inner bias
         assert "config_hash" in data["metadata"]
-
-    def test_exact_inner_pilot_flags_low_confidence(self, pilot_file):
-        # linear-Gaussian importance sampling is exact: the inner biases are
-        # rounding noise (0 and ~4e-16), which no bias fit can resolve
-        meta = json.loads(open(pilot_file).read())["metadata"]
-        assert max(meta["inner_biases"]) < 1e-14
-        assert meta["c_q3_low_confidence"] is True
 
     def test_single_randomization_refused(self, tmp_path, lg_config):
         rc = main(["pilot", lg_config, "--S", "1", "--out", str(tmp_path / "p.json")])
@@ -252,20 +246,20 @@ class TestPlanCommand:
         assert json.loads(open(out).read())["c_alpha"] == pytest.approx(math.sqrt(20))
 
     def test_low_confidence_pilot_warns(self, tmp_path, pilot_file, capsys):
+        # a pilot file written before C_Q3 came from C_Q2 carries the bias
+        # fit's metadata; plan reads past it and warns no more
         data = json.loads(open(pilot_file).read())
-        data["metadata"]["c_q3_low_confidence"] = False
-        confident = _write(tmp_path, "confident.json", json.dumps(data))
-        plans, warnings = [], []
-        for name, pilot in (("low", pilot_file), ("confident", confident)):
+        data["metadata"].update(inner_biases=[0.0, 4e-16], c_q3_low_confidence=True)
+        old = _write(tmp_path, "old.json", json.dumps(data))
+        plans = []
+        for name, pilot in (("new", pilot_file), ("old", old)):
             capsys.readouterr()
             out = str(tmp_path / f"plan_{name}.json")
             assert main(["plan", "--pilot", pilot, "--tol", "0.02", "--out", out]) == 0
             err = capsys.readouterr().err.splitlines()
-            warnings.append([ln for ln in err if ln.startswith("warning:")])
+            assert [ln for ln in err if ln.startswith("warning:")] == []
             plans.append(open(out, "rb").read())
-        assert len(warnings[0]) == 1 and "c_q3_low_confidence" in warnings[0][0]
-        assert warnings[1] == []
-        assert plans[0] == plans[1]  # the flag changes no result file
+        assert plans[0] == plans[1]
 
     def test_infeasible_exit_code(self, tmp_path):
         pilot = _write(tmp_path, "pilot.json", json.dumps({

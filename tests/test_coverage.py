@@ -3,7 +3,7 @@
 For each seed, ``nestiq pilot`` runs with its defaults on the drug model
 (geometric design, rdlqmcis, noise variance 0.01); ``nestiq plan`` and
 ``nestiq estimate --plan`` then run at each tolerance.  The report gives, per
-run, N*, M*, beta, c_q3_low_confidence, the error against the table EIG and
+run, N*, M*, beta, c_q3, the error against the table EIG and
 z = error / predicted_stddev; per tolerance, the miss count (|error| > tol),
 the RMS z and the mean error.  A plan that keeps its promise misses about
 alpha = 5% of the time and has an RMS z near 1.  The test asserts only that
@@ -73,7 +73,7 @@ def test_cli_pipeline_tolerance_coverage(tmp_path):
             print(
                 f"tol {tol:g} seed {seed:3d}: N* {p['n_star']:6d} M* {p['m_star']:4d} "
                 f"beta {consts['beta']:.3f} "
-                f"c_q3_low_confidence {consts['metadata']['c_q3_low_confidence']!s:5} "
+                f"c_q3 {consts['c_q3']:.3g} "
                 f"error {error:+.5f} z {z:+.2f}"
             )
     for tol in TOLS:

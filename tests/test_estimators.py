@@ -570,8 +570,8 @@ class TestChunkMemory:
 
         monkeypatch.setattr(oed, "build_nested_problem", spied)
         # each cap holds the R inner blocks of one outer row at the largest M
-        if caller == "pilot":  # 16 fixed rows, R = 8, reference rung M = 128
-            R, cap = 8, 8 * 128 * 3 * 8
+        if caller == "pilot":  # 16 fixed rows, R = 8, largest rung M = 32
+            R, cap = 8, 8 * 32 * 3 * 8
 
             def run():
                 nested = oed.build_nested_problem(problem, family="is")
@@ -638,11 +638,8 @@ class TestPinnedStreams:
         assert [v.hex() for v in fit.rung_variances] == [
             "0x1.4b76d377b2caep-17", "0x1.a54f532e82ee9p-19",
         ]
-        assert [v.hex() for v in fit.rung_biases] == [
-            "0x1.eadde21650000p-15", "0x1.bc2b88fb9f000p-11",
-        ]
         assert (fit.c_q2.hex(), fit.c_q3.hex(), fit.delta.hex()) == (
-            "0x1.8fa467f3ff63cp-7", "0x1.785320592340ap-4", "0x1.4ed5509e5bbdep-1",
+            "0x1.8fa467f3ff63cp-7", "0x1.8fa467f3ff63cp-8", "0x1.4ed5509e5bbdep-1",
         )
 
 
