@@ -483,12 +483,32 @@ class TestMapStoppingRule:
         ]
         assert max(spreads) <= 1e-12
 
+    def test_start_near_the_mode_takes_one_step(self):
+        # prior N(0, 1), unit noise, one experiment: the mode is y / 2 and
+        # the precision 2, so a start off it by e has decrement 2 e^2.  Rows
+        # 1 and 2 start with 0 < decrement <= _MAP_TOL**2; each still takes
+        # the one Gauss-Newton step, which is exact here.  Row 0 starts at
+        # the mode with a zero gradient and takes no step.
+        problem = linear_gaussian_problem()
+        y = np.array([2.0, 2.0, 0.6, 3.0])
+        init = np.array([1.0, 1.0 + 1e-4, 0.3 - 3e-4, 0.0])
+        y_data, init = y[:, None, None], init[:, None]
+        dec0 = self._decrement(problem, y_data, init)
+        assert dec0[0] == 0.0
+        assert np.all((dec0[1:3] > 0.0) & (dec0[1:3] <= oed._MAP_TOL**2))
+        theta, iters = oed._map_batch(problem, y_data, init)
+        assert iters.tolist() == [0, 1, 1, 1]
+        assert theta[0, 0] == 1.0
+        np.testing.assert_allclose(theta[:, 0], y / 2.0, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("design", [0, 1])
     def test_pk_proposal_as_good_as_at_tight_tolerance(self, design, monkeypatch):
         # the mode only centres the importance-sampling proposal: stopping
-        # at a decrement of 1e-12 instead of 1e-24 must leave each outer
-        # row's inner replicate variance within 1e-4 relative (measured:
-        # at most 1.2e-5) and move the nested EIG by far less than its stderr
+        # at a decrement of 1e-6 instead of 1e-24 must leave the row-mean
+        # inner replicate variance within 1e-3 relative (measured: 1.5e-4
+        # geometric, 5.4e-5 even), each outer row's within 2e-2 (measured:
+        # at most 2.6e-3 and 7.4e-3), and move the nested EIG by far less
+        # than its stderr.  A decrement of 1e-4 fails the first two bounds.
         problem = OEDProblem(model=PKModel(), xi=pk_designs()[design],
                              prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
         nested = oed.build_nested_problem(problem, family="is")
@@ -501,7 +521,8 @@ class TestMapStoppingRule:
             eig = eig_importance_sampled(problem, 256, 16, S=8, key=RandomizationKey(85 + design))
             runs.append((per_rep.var(axis=1, ddof=1), eig))
         (var, eig), (var_tight, eig_tight) = runs
-        assert np.all(np.abs(var - var_tight) <= 1e-4 * var_tight)
+        assert abs(var.mean() - var_tight.mean()) <= 1e-3 * var_tight.mean()
+        assert np.all(np.abs(var - var_tight) <= 2e-2 * var_tight)
         assert abs(eig.estimate - eig_tight.estimate) < 1e-3 * eig_tight.stderr
 
 
