@@ -11,6 +11,12 @@ Replicate semantics: replicate_values always hold the S outer-randomization
 means (or the per-sample values for unreplicated MC estimators); inner
 randomizations R reduce inner bias and variance but never enter the
 replicate variance.
+
+Process-wide effect: the first nested estimate in a process frees one
+untouched 31 MiB array (see _retain_freed_memory).  Under glibc this raises
+the mmap threshold to 31 MiB and the heap-trim threshold to 62 MiB for the
+rest of the process, so freed arrays up to 31 MiB stay on its heap for
+reuse instead of going back to the OS.  Importing the module does not.
 """
 
 from __future__ import annotations
@@ -53,14 +59,32 @@ __all__ = [
 # point families: iid uniforms, or Owen-scrambled Sobol points
 _SAMPLERS = ("mc", "rqmc-sobol-owen")
 _CHUNK = 4096  # outer rows per chunk task; a power of two
-# Byte budget of one chunk's inner points (rows * R * M * d2 float64s); a
-# plan over budget gets fewer rows per chunk (see _chunk_rows).
-_CHUNK_BYTES = 64 << 20
+# Inner points per integrand call: a chunk's rows are evaluated a block of
+# whole rows at a time, or a row in parts, so no call's points or
+# temporaries grow with M, R or the chunk (see _nested_values).
+_INNER_BLOCK = 1 << 14
 
 
 @functools.cache
 def default_sobol_params() -> SobolParams:
     return load_direction_numbers()
+
+
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Keep freed arrays of up to 31 MiB on the heap for the rest of the process.
+
+    glibc serves a request above its mmap threshold (128 KiB at start) with
+    fresh pages and gives them back on free; when such a block is freed it
+    raises the threshold to that block's size, up to 32 MiB, and the
+    heap-trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
+    Freeing one untouched 31 MiB block does that once, so the chunk's MAP
+    and state arrays (about 1.5 MiB each) are reused chunk after chunk
+    instead of being unmapped and faulted in again.  No page is touched;
+    other allocators ignore it.  The nested executor calls it once, on its
+    first run.
+    """
+    np.empty(31 << 20, dtype=np.uint8)
 
 
 def thread_count() -> int:
@@ -103,9 +127,11 @@ class NestedProblem:
     of shape (B, K, d2) and returns (B, K) values; ``inner_is_log`` marks the
     return value as log g.  The state is ``prepare(y, h)`` of the outer rows
     y, shape (B, d1), computed once however many inner blocks share those
-    rows; without ``prepare`` it is y itself.  With d2 = 0 the integrand
-    reads no inner points, and its blocks are empty.  ``gamma`` is the
-    evaluation-cost exponent when g is approximated at level h.
+    rows; without ``prepare`` it is y itself.  It is an array, or a tuple of
+    arrays, indexed by outer row on axis 0, so a block of rows gets the
+    matching rows of it.  With d2 = 0 the integrand reads no inner points,
+    and its blocks are empty.  ``gamma`` is the evaluation-cost exponent
+    when g is approximated at level h.
     """
 
     d1: int
@@ -206,11 +232,14 @@ def _prepare_state(problem: NestedProblem, y: np.ndarray):
     return y if problem.prepare is None else problem.prepare(y, problem.h)
 
 
-def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1) -> np.ndarray:
-    """f of the inner mean of each of `groups` equal parts of every outer
-    row's inner block; x is (B, K, d2), the result (B * groups,) row by row."""
-    raw = np.asarray(problem.inner(_prepare_state(problem, y), x, problem.h), dtype=np.float64)
-    raw = raw.reshape(x.shape[0] * groups, -1)
+def _state_rows(state, lo, hi):
+    """Rows [lo, hi) of a prepared state: an array, or a tuple of arrays,
+    indexed by outer row on axis 0."""
+    return tuple(v[lo:hi] for v in state) if isinstance(state, tuple) else state[lo:hi]
+
+
+def _reduce(problem: NestedProblem, raw: np.ndarray) -> np.ndarray:
+    """f of the inner mean of each row of the (rows, k) integrand values."""
     k = raw.shape[1]
     if problem.inner_is_log:
         log_mean = log_sum_exp(raw, axis=1) - math.log(k)
@@ -222,6 +251,20 @@ def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1
             "form (inner_is_log=True) to average in log space"
         )
     return problem.apply_outer(mean)
+
+
+def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1,
+                  state=None) -> np.ndarray:
+    """f of the inner mean of each of `groups` equal parts of every outer
+    row's inner block; x is (B, K, d2), the result (B * groups,) row by row.
+
+    ``state`` is the rows' prepared state, prepared from y when None; with
+    groups=None the (B, K) integrand values are returned unreduced.
+    """
+    if state is None:
+        state = _prepare_state(problem, y)
+    raw = np.asarray(problem.inner(state, x, problem.h), dtype=np.float64)
+    return raw if groups is None else _reduce(problem, raw.reshape(x.shape[0] * groups, -1))
 
 
 def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey) -> EstimatorResult:
@@ -254,57 +297,76 @@ def _outer_points(problem, N, s, key, sampler, params, lo=0, hi=None):
     return _scramble_values(base, tree, fill, log2_n)
 
 
-def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler, params):
-    """Inner points for outer samples [n_lo, n_hi): shape (B, R*M, d2).
+def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler, params, lo=0, hi=None,
+                  base=None):
+    """Points [lo, hi) of the R*M inner points of each outer sample in
+    [n_lo, n_hi): shape (B, hi - lo, d2).
 
-    Each (s, n, r) triple gets an independent randomization of the same base
-    point set; iid uniforms are counted from row n_lo of the stream, like
-    the outer ones, so a row's points never depend on n_lo.
+    A sample's points are its R inner randomizations of M points each, in
+    replicate order; a range short of all of them is one sample's, and it
+    spans whole replicates or lies inside one.  Each (s, n, r) triple gets
+    an independent randomization of the same M-point Sobol set (``base``,
+    built from params when not given; a range inside a replicate generates
+    its own rows, Owen-scrambled to the depth of all M points).  iid
+    uniforms are counted from point lo of row n_lo of the stream, like the
+    outer ones, so a point never depends on the range it is generated in.
     """
-    b = n_hi - n_lo
-    if problem.d2 == 0:
-        return np.empty((b, R * M, 0))
+    hi = R * M if hi is None else hi
+    b, d2 = n_hi - n_lo, problem.d2
+    if d2 == 0:
+        return np.empty((b, hi - lo, 0))
     if sampler == "mc":
-        shape = (b, R * M, problem.d2)
-        return key.child("inner-mc", s).uniforms(shape, salt="x", offset=n_lo * R * M * problem.d2)
+        offset = (n_lo * R * M + lo) * d2
+        return key.child("inner-mc", s).uniforms((b, hi - lo, d2), salt="x", offset=offset)
+    r_lo, k_lo = divmod(lo, M)
     n_idx = np.arange(n_lo, n_hi, dtype=np.uint64)[:, None]
-    r_idx = np.arange(R, dtype=np.uint64)[None, :]
+    r_idx = np.arange(r_lo, -(-hi // M), dtype=np.uint64)[None, :]
     roots = fold_index_array(fold_index_array(key.subroot("inner", s), n_idx), r_idx)
+    tree, fill = _owen_lanes(roots, d2)
     log2_m = int(math.log2(M))
-    base = sobol_sequence(params, problem.d2, log2_m)
-    tree, fill = _owen_lanes(roots, problem.d2)
-    pts = _scramble_values(base.values, tree, fill, log2_m)  # (B, R, M, d2)
-    return pts.reshape(b, R * M, problem.d2)
-
-
-def _chunk_rows(M, R, d2):
-    """Outer rows per chunk: _CHUNK, halved while the chunk's inner points
-    (rows * R * M * d2 float64s) exceed _CHUNK_BYTES.  Every value is a power
-    of two that divides _CHUNK, whatever the thread count."""
-    rows = _CHUNK
-    while rows > 1 and rows * R * M * d2 * 8 > _CHUNK_BYTES:
-        rows //= 2
-    return rows
+    if k_lo or hi % M:  # points [k_lo, k_hi) of replicate r_lo
+        base = _sobol_rows(params, d2, log2_m, k_lo, hi - r_lo * M)
+    elif base is None:
+        base = sobol_sequence(params, d2, log2_m).values
+    return _scramble_values(base, tree, fill, log2_m).reshape(b, hi - lo, d2)
 
 
 def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _pieces(segs, a, b):
+    """The (s, lo, hi) row ranges of segments segs that joined rows [a, b)
+    cover, in order."""
+    out, start = [], 0
+    for s, lo, hi in segs:
+        i, j = max(a - start, 0), min(b - start, hi - lo)
+        if i < j:
+            out.append((s, lo + i, lo + j))
+        start += hi - lo
+    return out
+
+
 def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1):
     """f at every outer row of S randomizations of N rows, chunk by chunk.
 
-    Each chunk builds its own points: the outer rows of outer_key and, for
-    each row, R inner randomizations of M points each of inner_key.  Every
-    point depends on its (randomization, row, replicate) alone, never on
-    the chunk it falls in.  A chunk task is one row range of one
+    A chunk task is one row range of at most _CHUNK rows of one
     randomization, as many as N needs, or, when N is below the chunk size,
-    several whole randomizations that share one inner call and one MAP
-    batch.  _chunk_rows sizes the ranges, so a task's inner points stay
-    within _CHUNK_BYTES.  Tasks may run on several threads; the result lists
+    several whole randomizations.  Each task builds its outer rows of
+    outer_key and prepares their state once (one MAP batch); it then walks
+    the rows in blocks of at most _INNER_BLOCK inner points, building only
+    that block's points (R inner randomizations of M points of inner_key per
+    row) and handing the integrand only those rows' state.  A block of
+    whole rows may span randomizations.  A row whose R*M points exceed a
+    block is evaluated in parts of whole replicates, or of one replicate's
+    points when M exceeds a block.  A block's raw values go to one buffer of
+    at most max(_INNER_BLOCK, R*M) values and are reduced once all have
+    arrived.  Every point depends on its (randomization, row, replicate)
+    alone, never on the chunk or block it falls in.  Tasks may run on several threads; the result lists
     ((s, lo, hi), values) for every segment in task order, with the
     (hi - lo) * groups values of _outer_values.
     """
+    _retain_freed_memory()
     params = None
     if _check_sampler(sampler) == "rqmc-sobol-owen":
         params = default_sobol_params()
@@ -318,24 +380,49 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
-    rows = _chunk_rows(M, R, problem.d2)
-    per_task = max(1, rows // N)  # randomizations in one task
-    per_s = -(-N // rows)  # tasks per randomization
+    block = _INNER_BLOCK
+    base = None  # the inner Sobol set, shared by every block of whole replicates
+    if params is not None and problem.d2 and M <= block:
+        base = sobol_sequence(params, problem.d2, int(math.log2(M))).values
+    width = R * M  # inner points of one outer row
+    rows = max(1, block // width)  # rows per block
+    # a row's point ranges: the whole row, or parts of whole replicates, or
+    # of one replicate's points when M exceeds a block
+    span = max(M, block // M * M)
+    step = min(span, block)
+    parts = [(lo, min(lo + step, r0 + span, width))
+             for r0 in range(0, width, span) for lo in range(r0, r0 + span, step)]
+    per_task = max(1, _CHUNK // N)  # randomizations in one task
+    per_s = -(-N // _CHUNK)  # tasks per randomization
 
     def segments(task):
         group, j = divmod(task, per_s)
-        lo, hi = j * rows, min(j * rows + rows, N)
+        lo, hi = j * _CHUNK, min(j * _CHUNK + _CHUNK, N)
         first = group * per_task
         return [(s, lo, hi) for s in range(first, min(first + per_task, S))]
 
+    def points(pieces, lo, hi):
+        return _joined([
+            _inner_blocks(problem, n_lo, n_hi, M, R, s, inner_key, sampler, params, lo, hi, base)
+            for s, n_lo, n_hi in pieces
+        ])
+
     def run_chunk(task):
         segs = segments(task)
-        y = [_outer_points(problem, N, s, outer_key, sampler, params, lo, hi)
-             for s, lo, hi in segs]
-        x = [_inner_blocks(problem, lo, hi, M, R, s, inner_key, sampler, params)
-             for s, lo, hi in segs]
-        values = _outer_values(problem, _joined(y), _joined(x), groups)
-        return np.split(values, np.cumsum([len(part) * groups for part in y[:-1]]))
+        y = _joined([_outer_points(problem, N, s, outer_key, sampler, params, lo, hi)
+                     for s, lo, hi in segs])
+        state = _prepare_state(problem, y)
+        values = np.empty(len(y) * groups)
+        raw = np.empty((rows, width))
+        for a in range(0, len(y), rows):
+            b = min(a + rows, len(y))
+            rows_state, pieces = _state_rows(state, a, b), _pieces(segs, a, b)
+            for lo, hi in parts:
+                raw[:b - a, lo:hi] = _outer_values(
+                    problem, y[a:b], points(pieces, lo, hi), None, rows_state)
+            block_raw = raw[:b - a].reshape((b - a) * groups, -1)
+            values[a * groups:b * groups] = _reduce(problem, block_raw)
+        return np.split(values, np.cumsum([(hi - lo) * groups for _, lo, hi in segs[:-1]]))
 
     tasks = range(-(-S // per_task) * per_s)
     return [

@@ -11,6 +11,7 @@ inputs reproduce bit-identical outputs regardless of call order or threading.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,6 +43,12 @@ _TOP_BIT = np.uint64(1 << 63)
 # buffers (three tables, the gather index, four per-point buffers) holds
 # about one block of 8-byte words, 2 MiB in all, so they stay in L2 cache.
 _SCRAMBLE_BLOCK = 1 << 15
+
+# Deepest scramble-tree level whose _tree_order tables (24 * 2^t bytes) are
+# cached across calls, 768 KiB for all levels up to it.  The nested
+# executor scrambles at most 2^14 points a call; a deeper table, as for a
+# whole large point set, is built for its call and freed with it.
+_TREE_CACHE_LEVELS = 14
 
 # Smallest/largest coordinates a PointSet may carry.  The lower bound keeps
 # inverse-CDF transforms finite; the upper bound is the largest double < 1.
@@ -501,15 +508,28 @@ def _tree_order(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     this order the children of a level are that level twice over: entry p
     of level k + 1 extends the prefix at entry p mod 2^k of level k by the
     digit p >> k.  Bit reversal is its own inverse, so prefix q sits at
-    entry ``prefix[q]``.
+    entry ``prefix[q]``.  The tables of levels up to _TREE_CACHE_LEVELS
+    are cached and shared by every call, so all tables are read-only.
     """
+    return _cached_tree_order(t) if t <= _TREE_CACHE_LEVELS else _build_tree_order(t)
+
+
+@functools.cache
+def _cached_tree_order(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _build_tree_order(t)
+
+
+def _build_tree_order(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     prefix = np.zeros(1, dtype=np.uint64)
     ids, level = [prefix], [prefix]
     for k in range(t):
         ids.append(prefix | np.uint64(1 << k))
         level.append(np.full(1 << k, k, dtype=np.uint64))
         prefix = np.concatenate((prefix << np.uint64(1), (prefix << np.uint64(1)) | np.uint64(1)))
-    return np.concatenate(ids), np.concatenate(level), prefix
+    tables = np.concatenate(ids), np.concatenate(level), prefix
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,

@@ -41,6 +41,14 @@ class ForwardModel:
     def evaluate(self, theta: np.ndarray, xi: np.ndarray, h: float | None = None) -> np.ndarray:
         raise NotImplementedError
 
+    def output_columns(self, theta: np.ndarray, xi: np.ndarray, h: float | None = None):
+        """G's d_y output columns at parameters theta (..., d_theta), each
+        shaped theta.shape[:-1]; this default evaluates once and yields the
+        columns of the result."""
+        theta = np.asarray(theta, dtype=np.float64)
+        g = self.evaluate(theta.reshape(-1, theta.shape[-1]), xi, h)
+        return iter(np.moveaxis(g.reshape(theta.shape[:-1] + g.shape[-1:]), -1, 0))
+
     def jacobian(self, theta: np.ndarray, xi: np.ndarray, h: float | None = None) -> np.ndarray:
         """Central finite differences; override with analytic forms."""
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
@@ -62,7 +70,7 @@ class ForwardModel:
 # ---------------------------------------------------------------------------
 
 _PK_SINGULAR_REL = 1e-10
-# Rows per pass of the PK kernels.  A pass works on (d_y, rows) planes with
+# Rows per pass of the PK Jacobian.  A pass works on (d_y, rows) planes with
 # the batch axis innermost, so every elementwise step is one long loop; at
 # 1024 rows a 15-time design's plane is 120 KiB, small enough that a pass's
 # temporaries stay in cache and come back from the heap instead of being
@@ -86,31 +94,35 @@ class PKModel(ForwardModel):
 
     def evaluate(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+        return np.stack(list(self.output_columns(theta, xi, h)), axis=-1)
+
+    def output_columns(self, theta, xi, h=None):
+        """G at each design time t, over every row of theta (..., 3): the
+        column (D/th3) th1/(th1-th2) (e^-th2 t - e^-th1 t), and the limit
+        form on the rows where th1 ~ th2.  Each column is computed on its
+        own, so only the column being used is held."""
+        theta = np.asarray(theta, dtype=np.float64)
         if np.any(theta <= 0.0):
             raise ValueError("parameters must be positive")
-        xi = np.asarray(xi, dtype=np.float64)[:, None]
-        out = np.empty((theta.shape[0], xi.shape[0]))
-        for lo in range(0, theta.shape[0], _PK_ROWS):
-            rows = slice(lo, lo + _PK_ROWS)
-            out[rows] = self._evaluate_rows(theta[rows], xi).T
-        return out
-
-    def _evaluate_rows(self, theta, xi):
-        """G at a pass of rows against the (d_y, 1) design column, as a
-        (d_y, rows) plane updated in place."""
-        t1, t2, t3 = theta.T
+        t1, t2, t3 = np.moveaxis(theta, -1, 0)
         near = np.abs(t1 - t2) < _PK_SINGULAR_REL * np.abs(t1)
-        denom = np.where(near, 1.0, t1 - t2)
         amp = self.dose / t3
-        e1 = np.multiply(-t1, xi)
-        np.exp(e1, out=e1)
-        out = np.multiply(-t2, xi)
-        np.exp(out, out=out)
-        out -= e1
-        out *= amp * (t1 / denom)
-        if near.any():
-            out[:, near] = amp[near] * t1[near] * xi * e1[:, near]
-        return out
+        scale = amp * (t1 / np.where(near, 1.0, t1 - t2))
+        neg1, neg2 = -t1, -t2
+        lim = amp[near] * t1[near] if near.any() else None
+
+        def column(t):
+            e1 = np.multiply(neg1, t)
+            np.exp(e1, out=e1)
+            out = np.multiply(neg2, t)
+            np.exp(out, out=out)
+            out -= e1
+            out *= scale
+            if lim is not None:
+                out[near] = lim * t * e1[near]
+            return out
+
+        return map(column, np.asarray(xi, dtype=np.float64))
 
     def jacobian(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))

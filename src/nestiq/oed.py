@@ -55,10 +55,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Inner points per block of the nested inner integrand (see build_nested_problem).
-# A block's temporaries (about 0.4 KiB a point on the PK model) sit beside the
-# whole chunk's inner points and values, so they count toward peak memory.
-_INNER_BLOCK = 1 << 14
 # Newton-decrement tolerance of every posterior-mode search: a row has
 # converged when grad^T H^-1 grad <= _MAP_TOL**2 = 1e-6, a centre about 1e-3
 # posterior standard deviations off the mode.  The mode only centres the
@@ -142,20 +138,30 @@ def closed_form_entropy_term(n_experiments: int, noise_variances) -> float:
     return float(-(n_experiments / 2.0) * np.sum(np.log(2.0 * math.pi * nv) + 1.0))
 
 
-def _batch_loglik(problem: OEDProblem, y_data: np.ndarray, g_inner: np.ndarray) -> np.ndarray:
+def _batch_loglik(problem: OEDProblem, y_data: np.ndarray, columns) -> np.ndarray:
     """Log-likelihood of data batches against candidate model outputs.
 
-    y_data: (B, N_e, d_y); g_inner: (B, K, d_y) -> (B, K).
+    y_data: (B, N_e, d_y); columns: the d_y output columns G_j of the
+    candidates, each (B, K), as ``model.output_columns`` yields them (a
+    caller holding (B, K, d_y) outputs g passes ``np.moveaxis(g, -1, 0)``)
+    -> (B, K).  The misfit sum_j sum_i (y_ij - G_j)^2 / sigma_j^2 is
+    accumulated in place as the columns arrive, in column order.
     """
     inv_s2 = 1.0 / problem.noise_variances
-    r = y_data[:, None, :, :] - g_inner[:, :, None, :]
-    r *= r
-    quad = np.einsum("bkij,j->bk", r, inv_s2)
+    quad = 0.0
+    for j, g in enumerate(columns):
+        for i in range(problem.n_experiments):
+            r = y_data[:, i, j, None] - g
+            r *= r
+            r *= inv_s2[j]
+            quad += r
     const = float(
         -(problem.n_experiments / 2.0)
         * np.sum(np.log(2.0 * math.pi * problem.noise_variances))
     )
-    return const - 0.5 * quad
+    quad *= -0.5
+    quad += const
+    return quad
 
 
 def log_likelihood(y_data, theta, problem: OEDProblem) -> float:
@@ -171,7 +177,7 @@ def log_likelihood(y_data, theta, problem: OEDProblem) -> float:
     g = problem.model.evaluate(theta[None, :], problem.xi, problem.h)
     if not np.all(np.isfinite(g)):
         raise ValueError("model output is not finite")
-    ll = _batch_loglik(problem, y.T[None, :, :], g[:, None, :])
+    ll = _batch_loglik(problem, y.T[None, :, :], np.moveaxis(g[:, None, :], -1, 0))
     return float(ll[0, 0])
 
 
@@ -530,43 +536,27 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
         cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level, hess=hess)
         return y_data, theta_hat, cov_chol, log_det_cov
 
-    def block_log(state, rows, xb, h_level):
-        """Log integrand of the outer rows ``rows`` at their inner points xb."""
-        y_data = state[0][rows]
-        nb, k = xb.shape[0], xb.shape[1]
+    def inner_log(state, x, h_level):
+        """Log integrand of the state's outer rows at their inner points x;
+        the model's output columns are folded into the misfit as they
+        come, so no (points, d_y) output is built."""
+        y_data = state[0]
         if family == "plain":
-            vartheta = problem.prior.transform(xb.reshape(nb * k, d_theta))
-            g_in = problem.model.evaluate(vartheta, problem.xi, h_level)
-            return _batch_loglik(problem, y_data, g_in.reshape(nb, k, -1))
-        _, theta_hat, cov_chol, log_det_cov = state
-        z = inv_norm_cdf(xb)  # (rows, K, d_theta)
-        vartheta = _proposal_points(theta_hat[rows], cov_chol[rows], z)
-        g_in = problem.model.evaluate(
-            vartheta.reshape(nb * k, d_theta), problem.xi, h_level
-        ).reshape(nb, k, -1)
-        ll = _batch_loglik(problem, y_data, g_in)
+            vartheta = problem.prior.transform(x)
+        else:
+            _, theta_hat, cov_chol, log_det_cov = state
+            z = inv_norm_cdf(x)  # (rows, K, d_theta)
+            vartheta = _proposal_points(theta_hat, cov_chol, z)
+        columns = problem.model.output_columns(vartheta, problem.xi, h_level)
+        ll = _batch_loglik(problem, y_data, columns)
+        if family == "plain":
+            return ll
         log_prior = problem.prior.logpdf(vartheta)
         log_proposal = (
-            -0.5 * (d_theta * _LOG_2PI + log_det_cov[rows])[:, None]
+            -0.5 * (d_theta * _LOG_2PI + log_det_cov)[:, None]
             - 0.5 * np.einsum("bkj,bkj->bk", z, z)
         )
         return ll + log_prior - log_proposal
-
-    def inner_log(state, x, h_level):
-        b, k = x.shape[0], x.shape[1]
-        out = np.empty((b, k))
-        # each value depends on its row and point alone, so the inner points
-        # are evaluated at most _INNER_BLOCK at a time, a few rows or a part
-        # of one row, and the (rows, K, d_y) temporaries stay the same size
-        # whatever K is; a block's temporaries are freed when block_log
-        # returns, before the next block's are made
-        step, width = max(1, _INNER_BLOCK // k), min(k, _INNER_BLOCK)
-        for lo in range(0, b, step):
-            rows = slice(lo, lo + step)
-            for k_lo in range(0, k, width):
-                pts = slice(k_lo, k_lo + width)
-                out[rows, pts] = block_log(state, rows, x[rows, pts], h_level)
-        return out
 
     return NestedProblem(
         d1=problem.d_outer,
@@ -758,8 +748,7 @@ def eig_quadrature(
     for t_idx in range(theta_nodes.shape[0]):
         g_t = problem.model.evaluate(theta_nodes[t_idx][None, :], problem.xi, problem.h)[0]
         y_data = g_t[None, None, :] + noise_nodes.reshape(-1, ne, dy)
-        g_b = np.broadcast_to(g_inner, (y_data.shape[0],) + g_inner.shape)
-        ll = _batch_loglik(problem, y_data, g_b)
+        ll = _batch_loglik(problem, y_data, np.moveaxis(g_inner, -1, 0))
         log_marg = log_sum_exp(ll + log_w_inner[None, :], axis=1)
         total += theta_w[t_idx] * float(noise_w @ log_marg)
     return entropy - total

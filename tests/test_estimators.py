@@ -1,5 +1,6 @@
 """Single-loop and nested estimators, their rates, and the quadrature oracle."""
 
+import itertools
 import math
 import os
 
@@ -462,61 +463,85 @@ class TestSharedChunks:
 
 
 class TestChunkMemory:
-    def test_rows_fit_the_budget_in_powers_of_two(self):
+    """The executor hands the integrand at most _INNER_BLOCK inner points a
+    call: blocks of whole rows, or parts of one row whose R * M points
+    exceed a block.  Neither the blocks nor the thread count move a bit."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(rows, points, groups) of every _outer_values call."""
         from nestiq import estimators
 
-        budget = estimators._CHUNK_BYTES
-        # the drug-model workloads keep whole chunks: (M, R, d2) of eig-wide-inner
-        assert estimators._chunk_rows(256, 1, 3) == estimators._CHUNK
-        for m in (2**10, 2**14, 2**17, 2**30):
-            rows = estimators._chunk_rows(m, 2, 3)
-            assert estimators._CHUNK % rows == 0 and rows & (rows - 1) == 0
-            assert rows == 1 or rows * 2 * m * 3 * 8 <= budget
+        calls = []
+        outer_values = estimators._outer_values
+
+        def spied(problem, y, x, groups=1, state=None):
+            calls.append((x.shape[0], x.shape[1], groups))
+            return outer_values(problem, y, x, groups, state)
+
+        monkeypatch.setattr(estimators, "_outer_values", spied)
+        return calls
+
+    def test_rows_fit_the_budget_in_powers_of_two(self, monkeypatch):
+        from nestiq import estimators
+
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        calls = self._spy(monkeypatch)
+        block, n = estimators._INNER_BLOCK, 4
+        # eig-wide-inner's (M, R): 64 whole rows a block; the inner pilot's
+        # top rung: a row in parts of 16 replicates; M above the block: a
+        # replicate in two parts
+        for (M, R), per_replicate in itertools.product(
+                [(256, 1), (16, 4), (2048, 32), (2**15, 2)], [False, True]):
+            calls.clear()
+            if per_replicate:
+                estimators._inner_replicates(toy_log_problem(), n, M, R, KEY, KEY)
+            else:
+                rdlqmc_estimate(toy_log_problem(), n, M, 1, R, KEY)
+            assert sum(b * k for b, k, _ in calls) == n * R * M
+            for b, k, _ in calls:
+                assert b * k <= block
+                assert b & (b - 1) == 0 and k & (k - 1) == 0
+                # a row wider than a block comes in parts of that row alone
+                assert R * M <= block or b == 1
 
     def test_large_inner_plan_stays_under_ceiling(self, monkeypatch):
         import tracemalloc
 
         from nestiq import estimators
 
-        budget = 1 << 20
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", budget)
         monkeypatch.setenv("NESTIQ_THREADS", "1")
         prob = toy_log_problem()
-        N, M = 1024, 1024  # one 1024-row chunk would hold 8 MiB of inner points
-        assert estimators._chunk_rows(M, 1, prob.d2) == 128
+        N, M = 1024, 1024  # one call on the whole chunk would hold 8 MiB of raw values
         tracemalloc.start()
         try:
             res = rdlqmc_estimate(prob, N, M, 1, 1, KEY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * budget
-        # the same plan in whole chunks moves the estimate only by rounding
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 64 * budget)
+        assert peak < 2 << 20  # the scramble kernel's tables take 0.75 MiB of it
+        # the same plan in one call moves no bit
+        monkeypatch.setattr(estimators, "_INNER_BLOCK", N * M)
         whole = rdlqmc_estimate(prob, N, M, 1, 1, KEY)
-        assert res.estimate == pytest.approx(whole.estimate, rel=1e-13)
+        assert res.estimate == whole.estimate
 
     def test_dlmc_large_inner_plan_stays_under_ceiling(self, monkeypatch):
         import tracemalloc
 
-        from nestiq import estimators
-
-        budget = 1 << 20
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", budget)
         monkeypatch.setenv("NESTIQ_THREADS", "1")
         prob = toy_log_problem()
         rows = []
         inner = prob.inner
         prob.inner = lambda y, x, h: rows.append(x.shape[0]) or inner(y, x, h)
-        N, M = 1024, 1024  # one 1024-row chunk would hold 8 MiB of inner points
+        N, M = 1024, 1024  # 16 rows a block of 2^14 points
         tracemalloc.start()
         try:
             res = dlmc_estimate(prob, N, M, KEY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows == [128] * 8
-        assert peak < 6 * budget
+        assert rows == [16] * 64
+        assert peak < 2 << 20
         assert abs(res.estimate - TOY_ORACLE) < 5 * res.stderr + 1e-4
 
     def test_dlmc_rows_do_not_depend_on_the_chunks(self, monkeypatch):
@@ -524,9 +549,11 @@ class TestChunkMemory:
 
         monkeypatch.setenv("NESTIQ_THREADS", "1")
         whole = dlmc_estimate(toy_problem(), 100, 16, KEY)
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 16 * 16 * 8)  # 16-row chunks
-        chunked = dlmc_estimate(toy_problem(), 100, 16, KEY)
-        np.testing.assert_array_equal(chunked.replicate_values, whole.replicate_values)
+        # 16-row blocks, then parts of 5 points of one row
+        for block in (16 * 16, 5):
+            monkeypatch.setattr(estimators, "_INNER_BLOCK", block)
+            blocked = dlmc_estimate(toy_problem(), 100, 16, KEY)
+            np.testing.assert_array_equal(blocked.replicate_values, whole.replicate_values)
 
     @pytest.mark.parametrize("sampler", ["mc", "rqmc-sobol-owen"])
     def test_inner_replicate_rows_do_not_depend_on_the_chunks(self, sampler, monkeypatch):
@@ -535,10 +562,14 @@ class TestChunkMemory:
         monkeypatch.setenv("NESTIQ_THREADS", "1")
         inner_key = KEY.child("inner")
         whole = estimators._inner_replicates(toy_problem(), 64, 16, 4, KEY, inner_key, sampler)
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", 8 * 4 * 16 * 8)  # 8-row chunks
-        chunked = estimators._inner_replicates(toy_problem(), 64, 16, 4, KEY, inner_key, sampler)
         assert whole.shape == (64, 4)
-        np.testing.assert_array_equal(chunked, whole)
+        # 8-row blocks; parts of two replicates and of one; parts of 5
+        # points, each replicate spanning four blocks
+        for block in (8 * 4 * 16, 40, 5):
+            monkeypatch.setattr(estimators, "_INNER_BLOCK", block)
+            blocked = estimators._inner_replicates(
+                toy_problem(), 64, 16, 4, KEY, inner_key, sampler)
+            np.testing.assert_array_equal(blocked, whole)
 
     def test_dlmc_reduces_the_points_of_the_mc_sampler(self):
         """dlmc_estimate is rdlqmc_estimate(S=1, R=1, sampler="mc") with the
@@ -549,9 +580,9 @@ class TestChunkMemory:
 
     @pytest.mark.parametrize("caller", ["pilot", "spread"])
     def test_inner_replicates_honour_the_byte_cap(self, caller, monkeypatch):
-        """The inner pilot and the spread diagnostic chunk like the estimate:
-        no inner call holds more than _chunk_rows outer rows' inner points,
-        and neither the chunks nor the thread count move a bit."""
+        """The inner pilot and the spread diagnostic block like the estimate:
+        no inner call gets more than one block of points, and neither the
+        blocks nor the thread count move a bit."""
         from nestiq import estimators, oed
         from nestiq.allocation import fit_pilot_inner
         from nestiq.models import PKModel, pk_designs, pk_prior
@@ -569,31 +600,49 @@ class TestChunkMemory:
             return nested
 
         monkeypatch.setattr(oed, "build_nested_problem", spied)
-        # each cap holds the R inner blocks of one outer row at the largest M
         if caller == "pilot":  # 16 fixed rows, R = 8, largest rung M = 32
-            R, cap = 8, 8 * 32 * 3 * 8
 
             def run():
                 nested = oed.build_nested_problem(problem, family="is")
-                return fit_pilot_inner(nested, [16, 32], 16, R, key)
+                return fit_pilot_inner(nested, [16, 32], 16, 8, key)
         else:  # N = 16, M = 64, R = 4
-            R, cap = 4, 4 * 64 * 3 * 8
 
             def run():
-                return oed.inner_replicate_spread(problem, 16, 64, R, key=key)
+                return oed.inner_replicate_spread(problem, 16, 64, 4, key=key)
 
         monkeypatch.setenv("NESTIQ_THREADS", "1")
         whole = run()
         whole_calls = len(seen)
-        seen.clear()
-        monkeypatch.setattr(estimators, "_CHUNK_BYTES", cap)
-        capped = run()
-        assert len(seen) > whole_calls  # the cap split a rung into chunks
-        for b, k, d2 in seen:  # each outer row once, beside its R blocks of M
-            assert b <= estimators._chunk_rows(k // R, R, d2)
-            assert b * k * d2 * 8 <= cap
+        # parts of whole replicates; parts of 5 points, one replicate spanning blocks
+        for block in (40, 5):
+            seen.clear()
+            monkeypatch.setattr(estimators, "_INNER_BLOCK", block)
+            capped = run()
+            assert len(seen) > whole_calls  # the block split the rows
+            assert all(b * k <= block for b, k, _ in seen)
+            assert capped == whole
         monkeypatch.setenv("NESTIQ_THREADS", "2")
-        assert capped == whole == run()
+        assert run() == whole
+
+    def test_wide_inner_pk_estimate_stays_under_16_mib(self, monkeypatch):
+        """The eig-wide-inner estimate (even design, N = 4096, M = 256, one
+        4096-row chunk) holds one block's inner points at a time."""
+        import tracemalloc
+
+        from nestiq.models import PKModel, pk_designs, pk_prior
+        from nestiq.oed import OEDProblem, eig_importance_sampled
+
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
+        problem = OEDProblem(model=PKModel(), xi=pk_designs()[1],
+                             prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
+        tracemalloc.start()
+        try:
+            res = eig_importance_sampled(problem, 4096, 256, S=1, R=1, key=KEY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.estimate - 10.2065) < 0.03
+        assert peak < 16 << 20
 
 
 class TestPinnedStreams:
@@ -606,7 +655,8 @@ class TestPinnedStreams:
     proposal points from column arithmetic, which moved its first rung's
     variance by 2.9e-13 relative, and again when the tolerance became 1e-3
     (a decrement of 1e-6), which moved its rung variances by up to 2.0e-4
-    relative."""
+    relative, and again when the Gaussian misfit was summed one output
+    column at a time, in time order, which moved them in the last digits."""
 
     def test_dlmc_over_two_chunks(self):
         import hashlib
@@ -638,10 +688,10 @@ class TestPinnedStreams:
         nested = TestSharedChunks._pk_problem()
         fit = fit_pilot_inner(nested, [32, 64], 4, 8, RandomizationKey(5, tag="pin"))
         assert [v.hex() for v in fit.rung_variances] == [
-            "0x1.4b81064f386f2p-17", "0x1.a5395cddde269p-19",
+            "0x1.4b81064f3833bp-17", "0x1.a5395cddde5a9p-19",
         ]
         assert (fit.c_q2.hex(), fit.c_q3.hex(), fit.delta.hex()) == (
-            "0x1.90568225fbf40p-7", "0x1.90568225fbf40p-8", "0x1.4f128cc5b58b0p-1",
+            "0x1.90568225f949dp-7", "0x1.90568225f949dp-8", "0x1.4f128cc5b4aa4p-1",
         )
 
 

@@ -375,6 +375,21 @@ class TestScrambleKernel:
         with pytest.raises(ValueError, match="out of range"):
             lds._sobol_rows(PARAMS, 18, 12, lo, hi)
 
+    def test_tree_tables_are_shared_read_only_up_to_the_cached_level(self):
+        t = lds._TREE_CACHE_LEVELS
+        assert lds._tree_order(t)[0] is lds._tree_order(t)[0]
+        deep = lds._tree_order(t + 1)
+        assert deep[0] is not lds._tree_order(t + 1)[0]
+        for table in deep + lds._tree_order(t):
+            assert not table.flags.writeable
+        np.testing.assert_array_equal(deep[0][:1 << t], lds._tree_order(t)[0])
+
+    def test_large_set_scramble_leaves_no_table_cached(self):
+        lds._cached_tree_order.cache_clear()
+        depth = lds._TREE_CACHE_LEVELS + 2
+        owen_scramble(sobol_sequence(PARAMS, 1, depth), RandomizationKey(3))
+        assert lds._cached_tree_order.cache_info().currsize == 0
+
 
 def _brute_1d(points, grid=200001):
     """Sup over anchored intervals on a dense grid (independent oracle)."""

@@ -135,6 +135,60 @@ class TestPkKernelBits:
         self._check(design, theta)
 
 
+def _pk_pass_reference(model, theta, xi):
+    """The pass kernel evaluate used before it was built from output
+    columns: (d_y, rows) planes of up to 1024 rows, updated in place."""
+    xi = xi[:, None]
+    out = np.empty((theta.shape[0], xi.shape[0]))
+    for lo in range(0, theta.shape[0], 1024):
+        t1, t2, t3 = theta[lo:lo + 1024].T
+        near = np.abs(t1 - t2) < 1e-10 * np.abs(t1)
+        denom = np.where(near, 1.0, t1 - t2)
+        amp = model.dose / t3
+        e1 = np.multiply(-t1, xi)
+        np.exp(e1, out=e1)
+        plane = np.multiply(-t2, xi)
+        np.exp(plane, out=plane)
+        plane -= e1
+        plane *= amp * (t1 / denom)
+        if near.any():
+            plane[:, near] = amp[near] * t1[near] * xi * e1[:, near]
+        out[lo:lo + 1024] = plane.T
+    return out
+
+
+class TestPkOutputColumns:
+    """evaluate stacks the output columns; both keep the bits of the pass
+    kernel, the th1 ~ th2 limit rows included."""
+
+    @pytest.mark.parametrize("design", [0, 1])
+    @pytest.mark.parametrize("rows, near_rows", [(4096, 40), (2500, 9), (9, 3)])
+    def test_bit_identical_to_the_pass_kernel(self, design, rows, near_rows):
+        model, xi = PKModel(), pk_designs()[design]
+        theta = TestPkKernelBits._theta(rows, near_rows)
+        want = _pk_pass_reference(model, theta, xi)
+        np.testing.assert_array_equal(model.evaluate(theta, xi), want)
+        # a (B, K, 3) batch yields (B, K) columns with the same bits
+        b = rows // 3
+        cols = list(model.output_columns(theta[:3 * b].reshape(b, 3, 3), xi))
+        assert len(cols) == xi.size and cols[0].shape == (b, 3)
+        np.testing.assert_array_equal(np.stack(cols, axis=-1).reshape(-1, xi.size), want[:3 * b])
+
+    def test_positive_parameters_required(self):
+        xi = pk_designs()[0]
+        for bad in ([1.0, 0.0, 20.0], [-1.0, 0.1, 20.0]):
+            with pytest.raises(ValueError, match="positive"):
+                PKModel().output_columns(np.array([[1.0, 0.1, 20.0], bad]), xi)
+
+    def test_default_columns_of_a_linear_model(self):
+        model = LinearGaussianModel(matrix=np.arange(6.0).reshape(2, 3))
+        theta = np.random.default_rng(3).normal(size=(4, 5, 3))
+        cols = list(model.output_columns(theta, None))
+        want = model.evaluate(theta.reshape(-1, 3)).reshape(4, 5, 2)
+        assert len(cols) == 2
+        np.testing.assert_array_equal(np.stack(cols, axis=-1), want)
+
+
 class TestPkDesigns:
     def test_first_entries(self):
         geom, even = pk_designs()

@@ -77,6 +77,55 @@ class TestLogLikelihood:
             log_likelihood(np.zeros((2, 1)), np.array([0.0]), linear_gaussian_problem())
 
 
+def _contracted_loglik(problem, y_data, g):
+    """The misfit as one contraction of the whole (B, K, N_e, d_y)
+    residual, the form the column fold replaced."""
+    r = y_data[:, None, :, :] - g[:, :, None, :]
+    r *= r
+    quad = np.einsum("bkij,j->bk", r, 1.0 / problem.noise_variances)
+    const = float(-(problem.n_experiments / 2.0)
+                  * np.sum(np.log(2.0 * math.pi * problem.noise_variances)))
+    return const - 0.5 * quad
+
+
+class TestColumnMisfit:
+    """_batch_loglik folds the model's output columns into the misfit one
+    at a time; it must agree with the whole-residual contraction."""
+
+    @staticmethod
+    def _check(problem, theta):
+        key = RandomizationKey(41)
+        b = theta.shape[0]
+        u = key.uniforms((b, problem.d_outer), salt="y")
+        g_true = problem.model.evaluate(problem.prior.transform(u[:, :problem.d_theta]),
+                                        problem.xi)
+        y_data = g_true[:, None, :] + oed._noise_values(problem, u[:, problem.d_theta:])
+        got = oed._batch_loglik(problem, y_data, problem.model.output_columns(theta, problem.xi))
+        g = problem.model.evaluate(theta.reshape(-1, theta.shape[-1]), problem.xi)
+        want = _contracted_loglik(problem, y_data, g.reshape(theta.shape[:-1] + g.shape[-1:]))
+        assert got.shape == theta.shape[:-1]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("design", [0, 1])
+    @pytest.mark.parametrize("n_experiments", [1, 2])
+    def test_pk_columns(self, design, n_experiments):
+        problem = OEDProblem(model=PKModel(), xi=pk_designs()[design], prior=pk_prior("variance"),
+                             noise_variances=np.linspace(0.005, 0.02, 15),
+                             n_experiments=n_experiments)
+        u = RandomizationKey(42).uniforms((64, 32, 3), salt="x")
+        self._check(problem, problem.prior.transform(u))
+
+    def test_linear_gaussian_default_columns(self):
+        matrix = np.arange(12.0).reshape(4, 3) / 10.0 - 0.5
+        problem = OEDProblem(
+            model=LinearGaussianModel(matrix=matrix), xi=np.zeros(0),
+            prior=PriorSpec(components=(("normal", 0.0, 1.0),) * 3),
+            noise_variances=[0.5, 1.0, 2.0, 0.25], n_experiments=3,
+        )
+        u = RandomizationKey(43).uniforms((16, 8, 3), salt="x")
+        self._check(problem, problem.prior.transform(u))
+
+
 class TestEntropyTerm:
     def test_unit_variance(self):
         assert closed_form_entropy_term(1, [1.0]) == pytest.approx(
@@ -190,8 +239,9 @@ def _map_reference(problem, y_data, init, h=None, max_iter=100):
     """The whole-batch damped Gauss-Newton loop that _map_batch replaced:
     every iteration evaluates every row, and the damping loop keeps stepping
     accepted rows while any other row is rejected.  A row has converged when
-    its Newton decrement grad^T H^-1 grad lies in (0, _MAP_TOL**2], and a
-    damping lam of 0 gives the undamped step."""
+    its Newton decrement grad^T H^-1 grad lies in [0, _MAP_TOL**2], after
+    at least one step unless the decrement is exactly 0, and a damping lam
+    of 0 gives the undamped step."""
     theta = np.array(init, dtype=np.float64)
     b = theta.shape[0]
     inv_s2 = 1.0 / problem.noise_variances
@@ -211,7 +261,7 @@ def _map_reference(problem, y_data, init, h=None, max_iter=100):
         hd = -problem.prior.hess_diag_logpdf(theta)
         hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += hd
         dec = -np.sum(grad * np.linalg.solve(hess, -grad[..., None])[..., 0], axis=1)
-        converged |= (dec > 0) & (dec <= oed._MAP_TOL**2)
+        converged |= (dec >= 0) & (dec <= oed._MAP_TOL**2) & ((it > 0) | (dec == 0))
         if converged.all():
             break
         if it == max_iter:
@@ -755,38 +805,47 @@ class TestNestedEigEstimators:
 
 
 class TestInnerBlocking:
-    """The inner integrand is evaluated at most _INNER_BLOCK points at a
-    time, a few outer rows or a part of one row; the values must not depend
+    """The executor hands the integrand at most _INNER_BLOCK inner points a
+    call, a few outer rows or a part of one row; the values must not depend
     on how the points are split."""
 
     @pytest.mark.parametrize("family", ["plain", "is"])
     def test_blocked_values_bit_identical(self, family, monkeypatch):
+        from nestiq import estimators
+
         geom, _ = pk_designs()
         problem = OEDProblem(model=PKModel(), xi=geom, prior=pk_prior("variance"),
                              noise_variances=np.full(15, 0.01))
         nested = oed.build_nested_problem(problem, family=family)
         key = RandomizationKey(39)
-        y = key.child("y", 0).uniforms((37, nested.d1), salt="y")
-        x = key.child("x", 0).uniforms((37, 16, nested.d2), salt="x")
-        state = nested.prepare(y, nested.h)
-        whole = nested.inner(state, x, nested.h)
         sizes = []
-        loglik = oed._batch_loglik
+        inner = nested.inner
+        nested.inner = lambda state, x, h: sizes.append(x.shape[0] * x.shape[1]) or inner(
+            state, x, h)
+        monkeypatch.setenv("NESTIQ_THREADS", "1")
 
-        def counted(p, y_data, g_inner):
-            sizes.append(g_inner.shape[0] * g_inner.shape[1])
-            return loglik(p, y_data, g_inner)
+        def run(sampler):
+            """37 (or 32) rows at R = 3 replicates of M = 16 points: each
+            replicate's value, and each row's value over all 48 points."""
+            n = 37 if sampler == "mc" else 32
+            per_rep = estimators._inner_replicates(nested, n, 16, 3, key, key, sampler)
+            pooled = estimators._nested_values(nested, n, 16, 1, 3, key, key, sampler)
+            return per_rep, estimators._joined([v for _, v in pooled])
 
-        monkeypatch.setattr(oed, "_batch_loglik", counted)
-        # 40 inner points a block: two rows each, the last block one row; 5:
-        # one row a block, in parts of 5, 5, 5 and 1 points
-        for block in (40, 5):
-            monkeypatch.setattr(oed, "_INNER_BLOCK", block)
-            sizes.clear()
-            blocked = nested.inner(state, x, nested.h)
-            assert blocked.shape == (37, 16)
-            assert np.array_equal(blocked, whole)
-            assert sum(sizes) == 37 * 16 and max(sizes) <= block
+        default = estimators._INNER_BLOCK
+        for sampler in ("mc", "rqmc-sobol-owen"):
+            runs = []
+            # whole rows; 40 points a block: a row in parts of two replicates
+            # and of one; 5: a replicate in parts of 5, 5, 5 and 1 points
+            for block in (default, 40, 5):
+                monkeypatch.setattr(estimators, "_INNER_BLOCK", block)
+                sizes.clear()
+                runs.append(run(sampler))
+                assert max(sizes) <= block
+                assert sum(sizes) == 2 * 3 * 16 * (37 if sampler == "mc" else 32)
+            for blocked in runs[1:]:
+                for got, want in zip(blocked, runs[0]):
+                    assert np.array_equal(got, want)
 
 
 class TestLaplaceOnly:
