@@ -94,7 +94,11 @@ class PKModel(ForwardModel):
 
     def evaluate(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        return np.stack(list(self.output_columns(theta, xi, h)), axis=-1)
+        xi = np.asarray(xi, dtype=np.float64)
+        out = np.empty(theta.shape[:-1] + xi.shape)
+        for j, col in enumerate(self.output_columns(theta, xi, h)):
+            out[..., j] = col
+        return out
 
     def output_columns(self, theta, xi, h=None):
         """G at each design time t, over every row of theta (..., 3): the

@@ -63,6 +63,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # the variance of the weights (Beck et al. 2018).
 _MAP_TOL = 1e-3
 
+# Rows per slice of the Gauss-Newton assembly: a slice's Jacobian, its
+# weighted copy and its residual sums are folded into the batch's Hessian
+# and gradient terms and freed before the next slice is built, so a search
+# holds at most this many rows' Jacobian at a time.
+_GN_ROWS = 1024
+
 
 class MapConvergenceError(ArithmeticError):
     """Posterior-mode search did not converge; carries the last iterate."""
@@ -219,10 +225,16 @@ def simulate_data(theta, problem: OEDProblem, noise_draw) -> np.ndarray:
 def _neg_log_post(problem, theta, y_data, h):
     """Negative log posterior (up to a constant) and the model output at theta."""
     g = problem.model.evaluate(theta, problem.xi, h)
+    return _neg_log_post_at(problem, theta, y_data, g), g
+
+
+def _neg_log_post_at(problem, theta, y_data, g):
+    """Negative log posterior (up to a constant) at theta, whose model
+    output g the caller has."""
     r = y_data - g[:, None, :]
     r *= r
     quad = np.einsum("bij,j->b", r, 1.0 / problem.noise_variances)
-    return 0.5 * quad - problem.prior.logpdf(theta), g
+    return 0.5 * quad - problem.prior.logpdf(theta)
 
 
 def _gauss_newton_terms(a, jac, rsum=None):
@@ -251,6 +263,28 @@ def _gauss_newton_hessian(problem, theta, jac, rsum=None):
     return hess, jtr
 
 
+def _gauss_newton_system(problem, theta, h, y_data=None, g=None):
+    """Gauss-Newton Hessian at theta (B, d, d), not symmetrized, and, given
+    data y_data and the model output g at theta, the likelihood's gradient
+    term sum_i J_i^T S^-1 (y_i - g), (B, d), or None.
+
+    The Jacobian, the residual sums and their products are built _GN_ROWS
+    rows at a time into the batch's arrays; every row's bits are those of
+    its own one-row assembly.
+    """
+    b, d = theta.shape
+    hess = np.empty((b, d, d))
+    jtr = None if y_data is None else np.empty((b, d))
+    for lo in range(0, b, _GN_ROWS):
+        s = slice(lo, lo + _GN_ROWS)
+        jac = problem.model.jacobian(theta[s], problem.xi, h)
+        rsum = None if jtr is None else (y_data[s] - g[s, None, :]).sum(axis=1)
+        hess[s], jtr_s = _gauss_newton_hessian(problem, theta[s], jac, rsum)
+        if jtr is not None:
+            jtr[s] = jtr_s
+    return hess, jtr
+
+
 def _solve_rows(a, b):
     """x with a_i x_i = b_i for a batch a (B, d, d), b (B, d); a row whose
     matrix is singular is NaN, and every other row has the bits of its own
@@ -265,12 +299,14 @@ def _solve_rows(a, b):
         return x
 
 
-def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None):
+def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None, g_init=None):
     """Damped Gauss-Newton posterior-mode search, vectorized over samples.
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
     A (B, d_theta, d_theta) ``hess_out`` receives each row's last Hessian:
     the one whose Newton decrement ended the row, built at the mode returned.
+    ``g_init``, the model output at init (B, d_y) when the caller has it,
+    spares the start's model evaluation; the search may overwrite it.
     A row has converged when its Newton decrement grad^T H^-1 grad, with H
     the Gauss-Newton Hessian of the negative log posterior, is in
     [0, _MAP_TOL**2]: the gradient measured in the posterior's own
@@ -288,20 +324,17 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None):
     """
     theta_out = np.array(init, dtype=np.float64)
     iters = np.zeros(theta_out.shape[0], dtype=np.int64)
-    lower = problem.prior.support_lower()
-    upper = problem.prior.support_upper()
-    eye = np.eye(problem.d_theta)
     # state of the unconverged rows; idx holds their batch positions in order
     idx = np.arange(theta_out.shape[0])
     theta, y = theta_out.copy(), y_data
-    obj, g = _neg_log_post(problem, theta, y, h)  # g: model output at theta
+    # g: model output at theta
+    g = problem.model.evaluate(theta, problem.xi, h) if g_init is None else g_init
+    obj = _neg_log_post_at(problem, theta, y, g)
     lam = np.zeros(idx.size)
     tiny = np.zeros(idx.size, dtype=bool)  # converged by a negligible step
 
     for it in range(max_iter + 1):
-        jac = problem.model.jacobian(theta, problem.xi, h)
-        rsum = (y - g[:, None, :]).sum(axis=1)
-        hess, jtr = _gauss_newton_hessian(problem, theta, jac, rsum)
+        hess, jtr = _gauss_newton_system(problem, theta, h, y, g)
         grad = -jtr - problem.prior.grad_logpdf(theta)
         newton = _solve_rows(hess, -grad)
         dec = -np.sum(grad * newton, axis=1)  # grad^T H^-1 grad
@@ -325,49 +358,68 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None):
                 index=int(idx[0]),
             )
         iters[idx] = it + 1
-        pending = np.ones(idx.size, dtype=bool)
-        tiny = np.zeros(idx.size, dtype=bool)
-        for _ in range(8):
-            p = np.nonzero(pending)[0]
-            if p.size == 0:
-                break
-            lam_p = lam[p]
-            step = newton[p]
-            damped = lam_p > 0.0
-            if damped.any():
-                q = p[damped]
-                step[damped] = _solve_rows(
-                    hess[q] + lam_p[damped, None, None] * eye, -grad[q]
-                )
-            theta_p = theta[p]
-            # a near-undamped Newton step below machine precision in theta is
-            # numerical stationarity where the decrement cannot show it, as
-            # at a zero gradient with a singular H (a NaN decrement)
-            tiny_p = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta_p)), axis=1)
-            tiny_p &= lam_p <= 1e-3
-            trial = theta_p + step
-            inside = np.all((trial > lower) & (trial < upper), axis=1)  # False on NaN
+        tiny = _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton, h)
+    return theta_out, iters
+
+
+def _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton, h):
+    """One damped step of every row of a posterior-mode search.
+
+    A row tries -(H + lam I)^-1 grad (the Newton step while lam is 0) until
+    its objective does not rise, for at most 8 tries; a rejected trial
+    raises lam and an accepted one decays it.  theta, obj, g and lam are
+    updated in place; the rows whose near-undamped step was negligible are
+    returned.  The trial arrays are freed when this returns.
+    """
+    lower = problem.prior.support_lower()
+    upper = problem.prior.support_upper()
+    eye = np.eye(problem.d_theta)
+    pending = np.ones(theta.shape[0], dtype=bool)
+    tiny = np.zeros(theta.shape[0], dtype=bool)
+    for _ in range(8):
+        p = np.nonzero(pending)[0]
+        if p.size == 0:
+            break
+        lam_p = lam[p]
+        step = newton[p]
+        damped = lam_p > 0.0
+        if damped.any():
+            q = p[damped]
+            step[damped] = _solve_rows(
+                hess[q] + lam_p[damped, None, None] * eye, -grad[q]
+            )
+        theta_p = theta[p]
+        # a near-undamped Newton step below machine precision in theta is
+        # numerical stationarity where the decrement cannot show it, as
+        # at a zero gradient with a singular H (a NaN decrement)
+        tiny_p = np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(theta_p)), axis=1)
+        tiny_p &= lam_p <= 1e-3
+        trial = theta_p + step
+        inside = np.all((trial > lower) & (trial < upper), axis=1)  # False on NaN
+        if p.size == pending.size and inside.all():  # every row, no row copies
+            trial_obj, trial_g = _neg_log_post(problem, trial, y, h)
+        else:
             trial_obj = np.full(p.size, np.inf)
             trial_g = np.empty((p.size, g.shape[1]))
             if inside.any():
                 trial_obj[inside], trial_g[inside] = _neg_log_post(
                     problem, trial[inside], y[p[inside]], h
                 )
-            obj_p = obj[p]
-            better = inside & (trial_obj <= obj_p + 1e-12 * (1.0 + np.abs(obj_p)))
-            acc = p[better]
-            theta[acc] = trial[better]
-            obj[acc] = np.minimum(trial_obj[better], obj_p[better])
-            g[acc] = trial_g[better]
-            decayed = lam_p * 0.3
-            lam[p] = np.where(
-                better,
-                np.where(decayed < 1e-12, 0.0, decayed),
-                np.clip(lam_p * 10.0, 1e-8, 1e12),
-            )
-            tiny[p] = tiny_p
-            pending[p] = ~(better | tiny_p)
-    return theta_out, iters
+        obj_p = obj[p]
+        better = inside & (trial_obj <= obj_p + 1e-12 * (1.0 + np.abs(obj_p)))
+        acc = p[better]
+        theta[acc] = trial[better]
+        obj[acc] = np.minimum(trial_obj[better], obj_p[better])
+        g[acc] = trial_g[better]
+        decayed = lam_p * 0.3
+        lam[p] = np.where(
+            better,
+            np.where(decayed < 1e-12, 0.0, decayed),
+            np.clip(lam_p * 10.0, 1e-8, 1e12),
+        )
+        tiny[p] = tiny_p
+        pending[p] = ~(better | tiny_p)
+    return tiny
 
 
 def map_estimate(y_data, problem: OEDProblem, init=None) -> np.ndarray:
@@ -386,8 +438,7 @@ def _precision_batch(problem, theta_hat, h=None, hess=None):
     """Symmetrized Gauss-Newton posterior precision at a batch of modes;
     ``hess`` is the Hessian already built there, when a caller has it."""
     if hess is None:
-        jac = problem.model.jacobian(theta_hat, problem.xi, h)
-        hess = _gauss_newton_hessian(problem, theta_hat, jac)[0]
+        hess = _gauss_newton_system(problem, theta_hat, h)[0]
     return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
@@ -528,11 +579,14 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
         theta = problem.prior.transform(y[:, :d_theta])
         noise = _noise_values(problem, y[:, d_theta:])
         g_true = problem.model.evaluate(theta, problem.xi, h_level)
-        y_data = g_true[:, None, :] + noise  # (B, N_e, d_y)
+        noise += g_true[:, None, :]
+        y_data = noise  # (B, N_e, d_y)
         if family == "plain":
             return (y_data,)
         hess = np.empty((theta.shape[0], d_theta, d_theta))
-        theta_hat, _ = _map_batch(problem, y_data, theta, h=h_level, hess_out=hess)
+        theta_hat, _ = _map_batch(
+            problem, y_data, theta, h=h_level, hess_out=hess, g_init=g_true
+        )
         cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level, hess=hess)
         return y_data, theta_hat, cov_chol, log_det_cov
 
