@@ -21,7 +21,7 @@ from nestiq import (
 )
 
 
-def g(y, x, h):
+def g(y, x):
     return np.exp(x[:, :, 0] * y[:, 0][:, None])
 
 

@@ -123,15 +123,16 @@ def _check_sampler(sampler) -> str:
 class NestedProblem:
     """Outer map f of an inner integral of g over the unit cube.
 
-    ``inner(state, x, h)`` takes the state of B outer rows and inner blocks x
+    ``inner(state, x)`` takes the state of B outer rows and inner blocks x
     of shape (B, K, d2) and returns (B, K) values; ``inner_is_log`` marks the
-    return value as log g.  The state is ``prepare(y, h)`` of the outer rows
-    y, shape (B, d1), computed once however many inner blocks share those
+    return value as log g.  The state is ``prepare(y)`` of the outer rows y,
+    shape (B, d1), computed once however many inner blocks share those
     rows; without ``prepare`` it is y itself.  It is an array, or a tuple of
     arrays, indexed by outer row on axis 0, so a block of rows gets the
     matching rows of it.  With d2 = 0 the integrand reads no inner points,
-    and its blocks are empty.  ``gamma`` is the evaluation-cost exponent
-    when g is approximated at level h.
+    and its blocks are empty.  The discretization level h at which g is
+    approximated, and its evaluation-cost exponent gamma, serve only the
+    work accounting: an integrand that depends on h holds it itself.
     """
 
     d1: int
@@ -229,7 +230,7 @@ def rqmc_estimate(integrand, dim: int, M: int, R: int, key: RandomizationKey) ->
 
 def _prepare_state(problem: NestedProblem, y: np.ndarray):
     """The inner integrand's state for outer rows y."""
-    return y if problem.prepare is None else problem.prepare(y, problem.h)
+    return y if problem.prepare is None else problem.prepare(y)
 
 
 def _state_rows(state, lo, hi):
@@ -263,7 +264,7 @@ def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1
     """
     if state is None:
         state = _prepare_state(problem, y)
-    raw = np.asarray(problem.inner(state, x, problem.h), dtype=np.float64)
+    raw = np.asarray(problem.inner(state, x), dtype=np.float64)
     return raw if groups is None else _reduce(problem, raw.reshape(x.shape[0] * groups, -1))
 
 
@@ -499,9 +500,7 @@ def _quadrature_value(problem: NestedProblem, order_outer: int, order_inner: int
         hi = min(lo + _CHUNK, y_nodes.shape[0])
         y = y_nodes[lo:hi]
         x = np.broadcast_to(x_nodes, (hi - lo, k, problem.d2))
-        raw = np.asarray(
-            problem.inner(_prepare_state(problem, y), x, problem.h), dtype=np.float64
-        )
+        raw = np.asarray(problem.inner(_prepare_state(problem, y), x), dtype=np.float64)
         if problem.inner_is_log:
             log_inner = log_sum_exp(raw + np.log(x_w)[None, :], axis=1)
             fv = log_inner if problem.outer_map == "log" else np.exp(log_inner)

@@ -29,14 +29,12 @@ class ForwardModel:
     """Deterministic observable G(theta, xi) with optional discretization.
 
     ``evaluate`` and ``jacobian`` are vectorized over a batch of parameter
-    rows.  Discretized models expose a cost exponent gamma and accuracy
-    order eta.
+    rows.  Discretized models expose a cost exponent gamma.
     """
 
     d_theta: int
     d_y: int
     gamma: float = 0.0
-    eta: float = 0.0
 
     def evaluate(self, theta: np.ndarray, xi: np.ndarray, h: float | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -70,12 +68,6 @@ class ForwardModel:
 # ---------------------------------------------------------------------------
 
 _PK_SINGULAR_REL = 1e-10
-# Rows per pass of the PK Jacobian.  A pass works on (d_y, rows) planes with
-# the batch axis innermost, so every elementwise step is one long loop; at
-# 1024 rows a 15-time design's plane is 120 KiB, small enough that a pass's
-# temporaries stay in cache and come back from the heap instead of being
-# mapped and faulted in afresh, whatever the batch size.
-_PK_ROWS = 1024
 
 
 @dataclass
@@ -88,9 +80,7 @@ class PKModel(ForwardModel):
     """
 
     dose: float = 400.0
-    d_theta: int = 3
-    gamma: float = 0.0
-    eta: float = 0.0
+    d_theta = 3
 
     def evaluate(self, theta, xi, h=None):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
@@ -134,14 +124,9 @@ class PKModel(ForwardModel):
             raise ValueError("parameters must be positive")
         xi = np.asarray(xi, dtype=np.float64)[:, None]
         jac = np.empty((theta.shape[0], xi.shape[0], 3))
-        for lo in range(0, theta.shape[0], _PK_ROWS):
-            rows = slice(lo, lo + _PK_ROWS)
-            self._jacobian_rows(theta[rows], xi, jac[rows])
-        return jac
-
-    def _jacobian_rows(self, theta, xi, jac):
-        """The Jacobian at a pass of rows, one (d_y, rows) plane per
-        parameter, each copied into its column of jac (rows, d_y, 3)."""
+        # one (d_y, rows) plane per parameter, the batch axis innermost so
+        # every elementwise step is one long loop, each plane copied into its
+        # column of jac; the posterior-mode search bounds the rows per call
         t1, t2, t3 = theta.T
         # wider window than the forward guard: the difference quotient in the
         # derivative cancels like (th1-th2)^-2, crossing over near 1e-6
@@ -178,6 +163,7 @@ class PKModel(ForwardModel):
         np.negative(g, out=g)
         g /= t3
         jac[:, :, 2] = g.T
+        return jac
 
 
 def pk_designs() -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +205,6 @@ class LinearGaussianModel(ForwardModel):
     """G(theta) = J theta; conjugate closed forms make it the test oracle."""
 
     matrix: np.ndarray = None
-    gamma: float = 0.0
-    eta: float = 0.0
 
     def __post_init__(self):
         self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))

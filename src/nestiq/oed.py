@@ -222,66 +222,46 @@ def simulate_data(theta, problem: OEDProblem, noise_draw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _neg_log_post(problem, theta, y_data, h):
-    """Negative log posterior (up to a constant) and the model output at theta."""
-    g = problem.model.evaluate(theta, problem.xi, h)
-    return _neg_log_post_at(problem, theta, y_data, g), g
-
-
-def _neg_log_post_at(problem, theta, y_data, g):
-    """Negative log posterior (up to a constant) at theta, whose model
-    output g the caller has."""
+def _neg_log_post(problem, theta, y_data, g=None):
+    """Negative log posterior (up to a constant) at theta and the model
+    output g there, which is evaluated unless the caller has it."""
+    if g is None:
+        g = problem.model.evaluate(theta, problem.xi, problem.h)
     r = y_data - g[:, None, :]
     r *= r
     quad = np.einsum("bij,j->b", r, 1.0 / problem.noise_variances)
-    return 0.5 * quad - problem.prior.logpdf(theta)
+    return 0.5 * quad - problem.prior.logpdf(theta), g
 
 
-def _gauss_newton_terms(a, jac, rsum=None):
-    """sum_i a_i^T jac_i, shape (B, d, d), and sum_i a_i rsum_i, shape (B, d).
+def _gauss_newton_system(problem, theta, y_data=None, g=None):
+    """Gauss-Newton Hessian of the negative log posterior at theta, (B, d, d)
+    and not symmetrized, and, given data y_data and the model output g at
+    theta, the likelihood's gradient term sum_i J_i^T S^-1 (y_i - g), (B, d),
+    or None.
 
-    a and jac are (B, n, d), rsum is (B, n) or None.  Both are batched
-    matmul products, so each row's bits depend on that row alone.
-    """
-    at = np.swapaxes(a, 1, 2)
-    jtr = None if rsum is None else (at @ rsum[:, :, None])[:, :, 0]
-    return at @ jac, jtr
-
-
-def _gauss_newton_hessian(problem, theta, jac, rsum=None):
-    """Gauss-Newton Hessian of the negative log posterior at theta from the
-    model Jacobian there, (B, d, d) and not symmetrized, and the
-    likelihood's gradient term sum_i J_i^T S^-1 rsum_i when rsum is given."""
-    b, n, d = jac.shape
-    # jac * S^-1[None, :, None] as one n*d long pass a row, not n passes of d
-    w = np.repeat(1.0 / problem.noise_variances, d)
-    a = (jac.reshape(b, n * d) * w).reshape(jac.shape)
-    jtj, jtr = _gauss_newton_terms(a, jac, rsum)
-    hess = problem.n_experiments * jtj
-    diag = np.arange(problem.d_theta)
-    hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
-    return hess, jtr
-
-
-def _gauss_newton_system(problem, theta, h, y_data=None, g=None):
-    """Gauss-Newton Hessian at theta (B, d, d), not symmetrized, and, given
-    data y_data and the model output g at theta, the likelihood's gradient
-    term sum_i J_i^T S^-1 (y_i - g), (B, d), or None.
-
-    The Jacobian, the residual sums and their products are built _GN_ROWS
-    rows at a time into the batch's arrays; every row's bits are those of
-    its own one-row assembly.
+    The Jacobian is built _GN_ROWS rows at a time; a slice's J^T S^-1 J and
+    J^T S^-1 rsum are batched matmul products, so every row's bits are those
+    of its own one-row assembly.
     """
     b, d = theta.shape
     hess = np.empty((b, d, d))
     jtr = None if y_data is None else np.empty((b, d))
+    # J * S^-1[None, :, None] as one n*d long pass a row, not n passes of d
+    w = np.repeat(1.0 / problem.noise_variances, d)
     for lo in range(0, b, _GN_ROWS):
         s = slice(lo, lo + _GN_ROWS)
-        jac = problem.model.jacobian(theta[s], problem.xi, h)
-        rsum = None if jtr is None else (y_data[s] - g[s, None, :]).sum(axis=1)
-        hess[s], jtr_s = _gauss_newton_hessian(problem, theta[s], jac, rsum)
+        jac = problem.model.jacobian(theta[s], problem.xi, problem.h)
+        at = np.swapaxes((jac.reshape(len(jac), -1) * w).reshape(jac.shape), 1, 2)
+        hess[s] = at @ jac
         if jtr is not None:
-            jtr[s] = jtr_s
+            rsum = (y_data[s] - g[s, None, :]).sum(axis=1)
+            jtr[s] = (at @ rsum[:, :, None])[:, :, 0]
+        # freed here, not when the next slice rebinds them: held while the
+        # next Jacobian is built, they would add a slice to the search's peak
+        del jac, at
+    hess *= problem.n_experiments
+    diag = np.arange(d)
+    hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
     return hess, jtr
 
 
@@ -299,7 +279,7 @@ def _solve_rows(a, b):
         return x
 
 
-def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None, g_init=None):
+def _map_batch(problem, y_data, init, max_iter=100, hess_out=None, g_init=None):
     """Damped Gauss-Newton posterior-mode search, vectorized over samples.
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
@@ -327,14 +307,12 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None, g_ini
     # state of the unconverged rows; idx holds their batch positions in order
     idx = np.arange(theta_out.shape[0])
     theta, y = theta_out.copy(), y_data
-    # g: model output at theta
-    g = problem.model.evaluate(theta, problem.xi, h) if g_init is None else g_init
-    obj = _neg_log_post_at(problem, theta, y, g)
+    obj, g = _neg_log_post(problem, theta, y, g_init)  # g: model output at theta
     lam = np.zeros(idx.size)
     tiny = np.zeros(idx.size, dtype=bool)  # converged by a negligible step
 
     for it in range(max_iter + 1):
-        hess, jtr = _gauss_newton_system(problem, theta, h, y, g)
+        hess, jtr = _gauss_newton_system(problem, theta, y, g)
         grad = -jtr - problem.prior.grad_logpdf(theta)
         newton = _solve_rows(hess, -grad)
         dec = -np.sum(grad * newton, axis=1)  # grad^T H^-1 grad
@@ -358,11 +336,11 @@ def _map_batch(problem, y_data, init, h=None, max_iter=100, hess_out=None, g_ini
                 index=int(idx[0]),
             )
         iters[idx] = it + 1
-        tiny = _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton, h)
+        tiny = _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton)
     return theta_out, iters
 
 
-def _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton, h):
+def _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton):
     """One damped step of every row of a posterior-mode search.
 
     A row tries -(H + lam I)^-1 grad (the Newton step while lam is 0) until
@@ -397,13 +375,13 @@ def _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton, h):
         trial = theta_p + step
         inside = np.all((trial > lower) & (trial < upper), axis=1)  # False on NaN
         if p.size == pending.size and inside.all():  # every row, no row copies
-            trial_obj, trial_g = _neg_log_post(problem, trial, y, h)
+            trial_obj, trial_g = _neg_log_post(problem, trial, y)
         else:
             trial_obj = np.full(p.size, np.inf)
             trial_g = np.empty((p.size, g.shape[1]))
             if inside.any():
                 trial_obj[inside], trial_g[inside] = _neg_log_post(
-                    problem, trial[inside], y[p[inside]], h
+                    problem, trial[inside], y[p[inside]]
                 )
         obj_p = obj[p]
         better = inside & (trial_obj <= obj_p + 1e-12 * (1.0 + np.abs(obj_p)))
@@ -430,22 +408,16 @@ def map_estimate(y_data, problem: OEDProblem, init=None) -> np.ndarray:
     if y.ndim == 1:
         y = y[:, None]
     init = problem.prior.median() if init is None else np.asarray(init, dtype=np.float64)
-    theta, _ = _map_batch(problem, y.T[None, :, :], init[None, :], h=problem.h)
+    theta, _ = _map_batch(problem, y.T[None, :, :], init[None, :])
     return theta[0]
 
 
-def _precision_batch(problem, theta_hat, h=None, hess=None):
-    """Symmetrized Gauss-Newton posterior precision at a batch of modes;
-    ``hess`` is the Hessian already built there, when a caller has it."""
-    if hess is None:
-        hess = _gauss_newton_system(problem, theta_hat, h)[0]
-    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
-
-
-def _precision_cholesky(prec):
-    """Lower Cholesky factors L (prec = L L^T) and log det(prec) of a batch
-    of precisions; LaplaceFitError carries the first sample that is not
-    finite or not positive definite."""
+def _precision_cholesky(hess):
+    """Lower Cholesky factors L and log dets of the posterior precisions
+    prec = (hess + hess^T) / 2 = L L^T of a batch of Gauss-Newton Hessians;
+    LaplaceFitError carries the first sample whose precision is not finite
+    or not positive definite."""
+    prec = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     finite = np.isfinite(prec).all(axis=(1, 2))
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -465,7 +437,7 @@ def _precision_cholesky(prec):
     return l_prec, log_det_prec
 
 
-def _laplace_batch(problem, theta_hat, h=None, hess=None):
+def _laplace_batch(problem, theta_hat, hess=None):
     """Factor of the Laplace surrogate's covariance for a batch of modes.
 
     Returns (cov_chol, log_det_cov).  cov_chol[b] = (L^-1)^T, with
@@ -474,11 +446,12 @@ def _laplace_batch(problem, theta_hat, h=None, hess=None):
     standard normal samples the surrogate.  It is upper triangular with
     exact zeros below the diagonal, so _proposal_points may skip those
     terms: each would add an exact zero times a finite z.  ``hess`` is the
-    Hessian that _map_batch built at the modes; without it the precision is
-    evaluated at theta_hat.
+    Hessian that _map_batch built at the modes; without it the Hessian is
+    built at theta_hat.
     """
-    prec = _precision_batch(problem, theta_hat, h, hess)
-    l_prec, log_det_prec = _precision_cholesky(prec)
+    if hess is None:
+        hess = _gauss_newton_system(problem, theta_hat)[0]
+    l_prec, log_det_prec = _precision_cholesky(hess)
     # L^-1 by forward substitution, one row for the whole batch at a time:
     # row i is (e_i - sum_{k<i} L_ik row_k) / L_ii, zero right of column i
     l_inv = np.zeros_like(l_prec)
@@ -510,11 +483,11 @@ def _proposal_points(theta_hat, cov_chol, z):
 
 
 def laplace_covariance(theta_hat, problem: OEDProblem) -> np.ndarray:
-    """Covariance of the Gaussian posterior surrogate at the given mode."""
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    prec = _precision_batch(problem, theta_hat[None, :], problem.h)
-    _precision_cholesky(prec)
-    return np.linalg.inv(prec[0])
+    """Covariance U U^T of the Gaussian posterior surrogate at the given
+    mode, from the factor U that the importance-sampling proposal samples
+    with."""
+    cov_chol, _ = _laplace_batch(problem, np.asarray(theta_hat, dtype=np.float64)[None, :])
+    return cov_chol[0] @ cov_chol[0].T
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +509,9 @@ def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
     outer row's prior sample, and the inner integrand repeats that value."""
     d_theta = problem.d_theta
 
-    def prepare(y, h_level):
+    def prepare(y):
         theta = problem.prior.transform(y)
-        _, log_det_prec = _precision_cholesky(_precision_batch(problem, theta, h_level))
+        _, log_det_prec = _precision_cholesky(_gauss_newton_system(problem, theta)[0])
         return (
             0.5 * log_det_prec
             - 0.5 * d_theta * _LOG_2PI
@@ -549,10 +522,10 @@ def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
     return NestedProblem(
         d1=d_theta,
         d2=0,
-        inner=lambda values, x, h_level: np.repeat(values[:, None], x.shape[1], axis=1),
+        inner=lambda values, x: np.repeat(values[:, None], x.shape[1], axis=1),
         prepare=prepare,
         h=problem.h,
-        gamma=getattr(problem.model, "gamma", 0.0),
+        gamma=problem.model.gamma,
     )
 
 
@@ -573,24 +546,22 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
         return _laplace_only_problem(problem)
     d_theta = problem.d_theta
 
-    def prepare(y, h_level):
+    def prepare(y):
         """Data of each outer row and, for importance sampling, its Laplace
         proposal: the posterior mode and the covariance Cholesky factor."""
         theta = problem.prior.transform(y[:, :d_theta])
         noise = _noise_values(problem, y[:, d_theta:])
-        g_true = problem.model.evaluate(theta, problem.xi, h_level)
+        g_true = problem.model.evaluate(theta, problem.xi, problem.h)
         noise += g_true[:, None, :]
         y_data = noise  # (B, N_e, d_y)
         if family == "plain":
             return (y_data,)
         hess = np.empty((theta.shape[0], d_theta, d_theta))
-        theta_hat, _ = _map_batch(
-            problem, y_data, theta, h=h_level, hess_out=hess, g_init=g_true
-        )
-        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, h=h_level, hess=hess)
+        theta_hat, _ = _map_batch(problem, y_data, theta, hess_out=hess, g_init=g_true)
+        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, hess=hess)
         return y_data, theta_hat, cov_chol, log_det_cov
 
-    def inner_log(state, x, h_level):
+    def inner_log(state, x):
         """Log integrand of the state's outer rows at their inner points x;
         the model's output columns are folded into the misfit as they
         come, so no (points, d_y) output is built."""
@@ -601,7 +572,7 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
             _, theta_hat, cov_chol, log_det_cov = state
             z = inv_norm_cdf(x)  # (rows, K, d_theta)
             vartheta = _proposal_points(theta_hat, cov_chol, z)
-        columns = problem.model.output_columns(vartheta, problem.xi, h_level)
+        columns = problem.model.output_columns(vartheta, problem.xi, problem.h)
         ll = _batch_loglik(problem, y_data, columns)
         if family == "plain":
             return ll
@@ -620,7 +591,7 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
         outer_map="log",
         inner_is_log=True,
         h=problem.h,
-        gamma=getattr(problem.model, "gamma", 0.0),
+        gamma=problem.model.gamma,
     )
 
 

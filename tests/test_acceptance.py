@@ -180,7 +180,7 @@ def test_criterion_5_convergence_rate_separation():
 
     # nested toy problem: inner-induced outer bias vs M
     def toy():
-        def g(y, x, h):
+        def g(y, x):
             return np.exp(x[:, :, 0] * y[:, 0][:, None])
 
         return NestedProblem(d1=1, d2=1, inner=g, outer_map="log")

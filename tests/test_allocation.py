@@ -48,7 +48,7 @@ def criterion_six_sets():
 
 
 def toy_problem():
-    def g(y, x, h):
+    def g(y, x):
         return np.exp(x[:, :, 0] * y[:, 0][:, None])
 
     return NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
@@ -92,10 +92,10 @@ class TestPilotRuns:
         nested = build_nested_problem(problem, family="is")
         prepared = []
         prepare = nested.prepare
-        nested.prepare = lambda y, h: prepared.append(y.shape) or prepare(y, h)
+        nested.prepare = lambda y: prepared.append(y.shape) or prepare(y)
         folded = NestedProblem(
             d1=nested.d1, d2=nested.d2, outer_map="log", inner_is_log=True,
-            inner=lambda y, x, h: nested.inner(prepare(y, h), x, h),
+            inner=lambda y, x: nested.inner(prepare(y), x),
         )
         key = RandomizationKey(8, tag="prep")
         fit = fit_pilot_inner(nested, [8, 16], 4, 8, key)
@@ -120,7 +120,7 @@ class TestPilotRuns:
         # a tall spike on a cell of width 1/4096: at S = 8 the 32-row prefixes
         # miss it and the larger ones hit it, so the sampled variance ladder
         # rises although the true one decays
-        def g(y, x, h):
+        def g(y, x):
             row = y[:, 0] + np.where(np.abs(y[:, 0] - 0.3) < 0.5 / 4096, 4096.0, 0.0)
             return np.broadcast_to(row[:, None], x.shape[:2]).copy()
 
@@ -132,7 +132,7 @@ class TestPilotRuns:
     def test_outer_pilot_on_a_constant_integrand_stays_finite(self, outer_map):
         # every rung's S means are equal, so each rung variance is exactly 0
         # before the floor at the resolution of the means
-        def g(y, x, h):
+        def g(y, x):
             return np.full(x.shape[:2], 2.0)
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map=outer_map)
@@ -200,7 +200,7 @@ class TestPilotRuns:
     def test_inner_pilot_zero_bias_low_confidence(self):
         # the identity outer map has no inner-induced bias, whatever the
         # inner variance
-        def g(y, x, h):
+        def g(y, x):
             return y[:, 0][:, None] * x[:, :, 0]
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
@@ -210,7 +210,7 @@ class TestPilotRuns:
     def test_inner_pilot_exact_inner_stays_finite(self):
         # a constant inner integrand has no inner variance at any rung, as
         # importance sampling from an exact Gaussian posterior does
-        def g(y, x, h):
+        def g(y, x):
             return np.full(x.shape[:2], 2.0)
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")

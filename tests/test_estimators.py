@@ -25,14 +25,14 @@ KEY = RandomizationKey(42, tag="est")
 def toy_problem():
     """g(y, x) = exp(x y) with outer log; smooth and strictly positive."""
 
-    def g(y, x, h):
+    def g(y, x):
         return np.exp(x[:, :, 0] * y[:, 0][:, None])
 
     return NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
 
 
 def toy_log_problem():
-    def g(y, x, h):
+    def g(y, x):
         return x[:, :, 0] * y[:, 0][:, None]
 
     return NestedProblem(d1=1, d2=1, inner=g, outer_map="log", inner_is_log=True)
@@ -102,7 +102,7 @@ class TestRqmcEstimate:
 
 class TestDlmcEstimate:
     def test_identity_outer_equals_grand_mean(self):
-        def g(y, x, h):
+        def g(y, x):
             return y[:, 0][:, None] * x[:, :, 0]
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
@@ -110,7 +110,7 @@ class TestDlmcEstimate:
         assert abs(r.estimate - 0.25) < 5 * r.stderr
 
     def test_log_outer_toy_value(self):
-        def g(y, x, h):
+        def g(y, x):
             return y[:, 0][:, None] * x[:, :, 0]
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
@@ -137,7 +137,7 @@ class TestDlmcEstimate:
         assert abs(a.mean() - b.mean()) < 4 * se
 
     def test_underflow_error_directs_to_log_form(self):
-        def g(y, x, h):
+        def g(y, x):
             return x[:, :, 0] - 2.0  # inner mean < 0
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
@@ -147,7 +147,7 @@ class TestDlmcEstimate:
 
 class TestRdlqmcEstimate:
     def test_constant_inner_exact(self):
-        def g(y, x, h):
+        def g(y, x):
             return np.full(x.shape[:2], 3.0)
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
@@ -165,7 +165,7 @@ class TestRdlqmcEstimate:
         assert r1.replicate_values.shape == (1,)
 
     def test_identity_m1_matches_rqmc_joint_distribution(self):
-        def g(y, x, h):
+        def g(y, x):
             return y[:, 0][:, None] * x[:, :, 0]
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
@@ -181,7 +181,7 @@ class TestRdlqmcEstimate:
         assert abs(a.mean() - b.mean()) < 4 * se
 
     def test_work_accounting(self):
-        def g(y, x, h):
+        def g(y, x):
             return np.ones(x.shape[:2])
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity",
@@ -311,12 +311,12 @@ class TestVarianceInequality:
 class TestQuadratureOracle:
     def test_unit_integrand(self):
         prob = NestedProblem(d1=1, d2=1,
-                             inner=lambda y, x, h: np.ones(x.shape[:2]),
+                             inner=lambda y, x: np.ones(x.shape[:2]),
                              outer_map="identity")
         assert tensor_quadrature_reference(prob, 8, 8) == pytest.approx(1.0)
 
     def test_product_integrand(self):
-        def g(y, x, h):
+        def g(y, x):
             return y[:, 0][:, None] * x[:, :, 0]
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
@@ -327,7 +327,7 @@ class TestQuadratureOracle:
     def test_no_inner_dimension(self):
         # d2 = 0: each outer row's inner block is empty, its rule one node
         prob = NestedProblem(d1=1, d2=0,
-                             inner=lambda y, x, h: np.repeat(y, x.shape[1], axis=1),
+                             inner=lambda y, x: np.repeat(y, x.shape[1], axis=1),
                              outer_map="identity")
         assert tensor_quadrature_reference(prob, 8, 8) == pytest.approx(0.5, abs=1e-15)
 
@@ -338,7 +338,7 @@ class TestQuadratureOracle:
 
     def test_dimension_limits(self):
         prob = NestedProblem(d1=4, d2=1,
-                             inner=lambda y, x, h: np.ones(x.shape[:2]),
+                             inner=lambda y, x: np.ones(x.shape[:2]),
                              outer_map="identity")
         with pytest.raises(ValueError):
             tensor_quadrature_reference(prob, 8, 8)
@@ -346,14 +346,14 @@ class TestQuadratureOracle:
 
 class TestWorkModel:
     def test_dlmc_work_is_n_times_m(self):
-        def g(y, x, h):
+        def g(y, x):
             return np.ones(x.shape[:2])
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
         assert dlmc_estimate(prob, 10, 7, KEY).work == 70
 
     def test_doubling_n_doubles_work(self):
-        def g(y, x, h):
+        def g(y, x):
             return np.ones(x.shape[:2])
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
@@ -369,7 +369,7 @@ class TestChunking:
 
         seen = []
 
-        def g(y, x, h):
+        def g(y, x):
             seen.append(y.copy())
             return np.ones(x.shape[:2])
 
@@ -442,7 +442,7 @@ class TestSharedChunks:
         problem = self._pk_problem()
         seen = []
         inner = problem.inner
-        problem.inner = lambda state, x, h: seen.append(x.shape[0]) or inner(state, x, h)
+        problem.inner = lambda state, x: seen.append(x.shape[0]) or inner(state, x)
         res = rdlqmc_estimate(problem, N, 4, S, 2, KEY, sampler=sampler)
         assert seen == calls
         problem.inner = inner
@@ -532,7 +532,7 @@ class TestChunkMemory:
         prob = toy_log_problem()
         rows = []
         inner = prob.inner
-        prob.inner = lambda y, x, h: rows.append(x.shape[0]) or inner(y, x, h)
+        prob.inner = lambda y, x: rows.append(x.shape[0]) or inner(y, x)
         N, M = 1024, 1024  # 16 rows a block of 2^14 points
         tracemalloc.start()
         try:
@@ -596,7 +596,7 @@ class TestChunkMemory:
         def spied(*args, **kwargs):
             nested = build(*args, **kwargs)
             inner = nested.inner
-            nested.inner = lambda state, x, h: seen.append(x.shape) or inner(state, x, h)
+            nested.inner = lambda state, x: seen.append(x.shape) or inner(state, x)
             return nested
 
         monkeypatch.setattr(oed, "build_nested_problem", spied)

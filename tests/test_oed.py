@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from nestiq.lds import RandomizationKey
-from nestiq.models import ForwardModel, LinearGaussianModel, PKModel, pk_designs, pk_prior
+from nestiq.models import (
+    ForwardModel,
+    LinearGaussianModel,
+    PKModel,
+    SyntheticDiscretizedModel,
+    pk_designs,
+    pk_prior,
+)
 import nestiq.oed as oed
 from nestiq.oed import (
     LaplaceFitError,
@@ -236,7 +243,7 @@ class CubicModel(ForwardModel):
         return (3.0 * np.atleast_2d(theta) ** 2)[:, :, None]
 
 
-def _map_reference(problem, y_data, init, h=None, max_iter=100):
+def _map_reference(problem, y_data, init, max_iter=100):
     """The whole-batch damped Gauss-Newton loop that _map_batch replaced:
     every iteration evaluates every row, and the damping loop keeps stepping
     accepted rows while any other row is rejected.  A row has converged when
@@ -249,12 +256,12 @@ def _map_reference(problem, y_data, init, h=None, max_iter=100):
     lower = problem.prior.support_lower()
     upper = problem.prior.support_upper()
     lam = np.zeros(b)
-    obj = oed._neg_log_post(problem, theta, y_data, h)[0]
+    obj = oed._neg_log_post(problem, theta, y_data)[0]
     converged = np.zeros(b, dtype=bool)
     iters = np.zeros(b, dtype=np.int64)
     for it in range(max_iter + 1):
-        g = problem.model.evaluate(theta, problem.xi, h)
-        jac = problem.model.jacobian(theta, problem.xi, h)
+        g = problem.model.evaluate(theta, problem.xi, problem.h)
+        jac = problem.model.jacobian(theta, problem.xi, problem.h)
         rsum = (y_data - g[:, None, :]).sum(axis=1)
         at = np.swapaxes(jac * inv_s2[None, :, None], 1, 2)
         grad = -(at @ rsum[:, :, None])[:, :, 0] - problem.prior.grad_logpdf(theta)
@@ -283,7 +290,7 @@ def _map_reference(problem, y_data, init, h=None, max_iter=100):
             trial = theta + np.where(active[:, None], step, 0.0)
             inside = np.all((trial > lower) & (trial < upper), axis=1)
             safe = np.where(inside[:, None], trial, theta)
-            trial_obj = np.where(inside, oed._neg_log_post(problem, safe, y_data, h)[0], np.inf)
+            trial_obj = np.where(inside, oed._neg_log_post(problem, safe, y_data)[0], np.inf)
             slack = 1e-12 * (1.0 + np.abs(obj))
             better = inside & (trial_obj <= obj + slack) & active
             theta = np.where(better[:, None], trial, theta)
@@ -307,6 +314,30 @@ def _pk_map_inputs(design, n, seed):
     return problem, y_data, theta
 
 
+class _TabulatedJacobian(ForwardModel):
+    """A stub whose Jacobian at a parameter row is the row of a (B, n, d)
+    table that its first coordinate indexes."""
+
+    def __init__(self, jac):
+        self.jac, self.d_theta = jac, jac.shape[2]
+
+    def jacobian(self, theta, xi=None, h=None):
+        return self.jac[theta[:, 0].astype(np.int64)]
+
+
+def _tabulated_system(jac, rsum):
+    """_gauss_newton_system's inputs for a table of Jacobians and residual
+    sums: unit noise, one experiment and a flat prior, so the Hessian is
+    sum_i J_i^T J_i and the gradient term sum_i J_i rsum_i exactly."""
+    b, n, d = jac.shape
+    problem = OEDProblem(model=_TabulatedJacobian(jac), xi=np.zeros(0),
+                         prior=PriorSpec(components=(("uniform", -1.0, 1e4),) * d),
+                         noise_variances=np.ones(n))
+    theta = np.zeros((b, d))
+    theta[:, 0] = np.arange(b)
+    return problem, theta, rsum[:, None, :], np.zeros((b, n))
+
+
 class TestGaussNewtonTerms:
     @pytest.mark.parametrize("b", [1, 7, 4096])
     @pytest.mark.parametrize("n", [1, 15])
@@ -315,41 +346,40 @@ class TestGaussNewtonTerms:
         rng = np.random.default_rng(b * 100 + n * 10 + d)
         # integers: every product and partial sum is exact in any order, so
         # any contraction other than einsum's shows as a bit difference
-        a = rng.integers(-1000, 1000, (b, n, d)).astype(np.float64)
         jac = rng.integers(-1000, 1000, (b, n, d)).astype(np.float64)
         rsum = rng.integers(-1000, 1000, (b, n)).astype(np.float64)
-        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
-        assert np.array_equal(jtj, np.einsum("bij,bik->bjk", a, jac))
-        assert np.array_equal(jtr, np.einsum("bij,bi->bj", a, rsum))
-        jtj_only, none = oed._gauss_newton_terms(a, jac)
-        assert none is None and np.array_equal(jtj_only, jtj)
+        problem, theta, y_data, g = _tabulated_system(jac, rsum)
+        hess, jtr = oed._gauss_newton_system(problem, theta, y_data, g)
+        assert np.array_equal(hess, np.einsum("bij,bik->bjk", jac, jac))
+        assert np.array_equal(jtr, np.einsum("bij,bi->bj", jac, rsum))
+        hess_only, none = oed._gauss_newton_system(problem, theta)
+        assert none is None and np.array_equal(hess_only, hess)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_agrees_with_einsum(self, d):
         rng = np.random.default_rng(d)
-        a = rng.standard_normal((4096, 15, d))
         jac = rng.standard_normal((4096, 15, d))
         rsum = rng.standard_normal((4096, 15))
-        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        hess, jtr = oed._gauss_newton_system(*_tabulated_system(jac, rsum))
         # relative to the sum of magnitudes, so cancellation cannot inflate it
-        scale = np.einsum("bij,bik->bjk", np.abs(a), np.abs(jac))
-        assert np.all(np.abs(jtj - np.einsum("bij,bik->bjk", a, jac)) <= 1e-12 * scale)
-        scale = np.einsum("bij,bi->bj", np.abs(a), np.abs(rsum))
-        assert np.all(np.abs(jtr - np.einsum("bij,bi->bj", a, rsum)) <= 1e-12 * scale)
+        scale = np.einsum("bij,bik->bjk", np.abs(jac), np.abs(jac))
+        assert np.all(np.abs(hess - np.einsum("bij,bik->bjk", jac, jac)) <= 1e-12 * scale)
+        scale = np.einsum("bij,bi->bj", np.abs(jac), np.abs(rsum))
+        assert np.all(np.abs(jtr - np.einsum("bij,bi->bj", jac, rsum)) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_row_bits_independent_of_batch(self, d):
         rng = np.random.default_rng(d)
         # magnitudes over ten decades, so that any change of summation
         # order shows in the last bits
-        a = rng.standard_normal((4096, 15, d)) * 10.0 ** rng.uniform(-5, 5, (4096, 15, d))
-        jac = rng.standard_normal((4096, 15, d))
+        jac = rng.standard_normal((4096, 15, d)) * 10.0 ** rng.uniform(-5, 5, (4096, 15, d))
         rsum = rng.standard_normal((4096, 15))
-        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        problem, theta, y_data, g = _tabulated_system(jac, rsum)
+        hess, jtr = oed._gauss_newton_system(problem, theta, y_data, g)
         for i in range(4096):
             one = slice(i, i + 1)
-            jtj1, jtr1 = oed._gauss_newton_terms(a[one], jac[one], rsum[one])
-            assert np.array_equal(jtj1[0], jtj[i]) and np.array_equal(jtr1[0], jtr[i])
+            hess1, jtr1 = oed._gauss_newton_system(problem, theta[one], y_data[one], g[one])
+            assert np.array_equal(hess1[0], hess[i]) and np.array_equal(jtr1[0], jtr[i])
 
 
 def _random_precisions(b, d, seed):
@@ -505,15 +535,8 @@ class TestMapStoppingRule:
     @staticmethod
     def _decrement(problem, y_data, theta):
         g = problem.model.evaluate(theta, problem.xi)
-        jac = problem.model.jacobian(theta, problem.xi)
-        a = jac * (1.0 / problem.noise_variances)[None, :, None]
-        rsum = (y_data - g[:, None, :]).sum(axis=1)
-        jtj, jtr = oed._gauss_newton_terms(a, jac, rsum)
+        hess, jtr = oed._gauss_newton_system(problem, theta, y_data, g)
         grad = -jtr - problem.prior.grad_logpdf(theta)
-        hess = problem.n_experiments * jtj
-        hess[:, np.arange(problem.d_theta), np.arange(problem.d_theta)] += (
-            -problem.prior.hess_diag_logpdf(theta)
-        )
         return -np.sum(grad * np.linalg.solve(hess, -grad[..., None])[..., 0], axis=1)
 
     @pytest.mark.parametrize("design", [0, 1])
@@ -586,13 +609,13 @@ class TestHessianHandoff:
     @staticmethod
     def _check_prepare(problem, n, seed):
         y = RandomizationKey(seed).uniforms((n, problem.d_outer), salt="handoff")
-        state = oed.build_nested_problem(problem, family="is").prepare(y, problem.h)
+        state = oed.build_nested_problem(problem, family="is").prepare(y)
         d = problem.d_theta
         theta = problem.prior.transform(y[:, :d])
         g = problem.model.evaluate(theta, problem.xi, problem.h)
         y_data = g[:, None, :] + oed._noise_values(problem, y[:, d:])
-        theta_hat, iters = oed._map_batch(problem, y_data, theta, h=problem.h)
-        two_step = (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat, h=problem.h))
+        theta_hat, iters = oed._map_batch(problem, y_data, theta)
+        two_step = (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat))
         assert len(state) == len(two_step) == 4
         for got, want in zip(state, two_step):
             assert np.array_equal(got, want)
@@ -629,8 +652,7 @@ class TestHessianHandoff:
         hess = np.full((5, 1, 1), np.nan)
         theta, iters = oed._map_batch(p, y_data, init, hess_out=hess)
         assert len(set(iters.tolist())) > 1
-        jac = p.model.jacobian(theta, p.xi)
-        assert np.array_equal(hess, oed._gauss_newton_hessian(p, theta, jac)[0])
+        assert np.array_equal(hess, oed._gauss_newton_system(p, theta)[0])
         handed = oed._laplace_batch(p, theta, hess=hess)
         fresh = oed._laplace_batch(p, theta)
         assert all(np.array_equal(a, b) for a, b in zip(handed, fresh))
@@ -678,9 +700,9 @@ class TestSlicedAssembly:
                              prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
         prepare = oed.build_nested_problem(problem, family="is").prepare
         y = RandomizationKey(75 + design).uniforms((256, problem.d_outer), salt="slices")
-        default = prepare(y, problem.h)
+        default = prepare(y)
         monkeypatch.setattr(oed, "_GN_ROWS", rows)
-        sliced = prepare(y, problem.h)
+        sliced = prepare(y)
         assert len(sliced) == len(default) == 4
         assert all(np.array_equal(a, b) for a, b in zip(sliced, default))
 
@@ -725,9 +747,12 @@ class TestSlicedAssembly:
                                  prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
         u = RandomizationKey(77).uniforms((100, problem.d_theta), salt="precision")
         theta = problem.prior.transform(u)
-        default = oed._precision_batch(problem, theta, problem.h)
+        default = oed._gauss_newton_system(problem, theta)[0]
+        factors = _precision_cholesky(default)
         monkeypatch.setattr(oed, "_GN_ROWS", rows)
-        assert np.array_equal(oed._precision_batch(problem, theta, problem.h), default)
+        sliced = oed._gauss_newton_system(problem, theta)[0]
+        assert np.array_equal(sliced, default)
+        assert all(np.array_equal(a, b) for a, b in zip(_precision_cholesky(sliced), factors))
 
 
 class TestMapWorkingSet:
@@ -735,7 +760,7 @@ class TestMapWorkingSet:
     the eig-deep-outer benchmark's outer set) holds one slice's Jacobian at
     a time, reuses the data's model output at its start and frees each
     damping loop's trial arrays.  Measured with tracemalloc: IS prepare
-    about 5.3 MiB and the search alone about 4.0 MiB, against 8.7 and 6.9
+    about 4.9 MiB and the search alone about 3.6 MiB, against 8.7 and 6.9
     MiB when the whole batch's Jacobian was built at once."""
 
     @pytest.mark.parametrize("design", [0, 1])
@@ -752,14 +777,14 @@ class TestMapWorkingSet:
                                      estimators.default_sobol_params(), 0, 4096)
         tracemalloc.start()
         try:
-            state = nested.prepare(y, problem.h)
+            state = nested.prepare(y)
             prepare_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         y_data, theta = state[0], problem.prior.transform(y[:, :problem.d_theta])
         tracemalloc.start()
         try:
-            oed._map_batch(problem, y_data, theta, h=problem.h)
+            oed._map_batch(problem, y_data, theta)
             map_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -787,6 +812,30 @@ class TestLaplaceCovariance:
         )
         cov = laplace_covariance(np.array([0.0, 0.0]), p)
         np.testing.assert_allclose(cov, np.diag([1 / 2, 1 / 5]), atol=1e-12)
+
+
+class TestDiscretizedLevel:
+    """The batch posterior-mode search and Laplace factor solve the
+    posterior of the problem's own discretization level, as the one-row
+    map_estimate and laplace_covariance do."""
+
+    def test_batch_solvers_run_at_the_problem_level(self):
+        problem = OEDProblem(
+            model=SyntheticDiscretizedModel(d_theta=2), xi=np.array([0.2, 0.5, 0.9]),
+            prior=PriorSpec(components=(("normal", 0.5, 0.5),) * 2),
+            noise_variances=np.full(3, 0.1), h=0.25,
+        )
+        u = RandomizationKey(78).uniforms((16, problem.d_outer), salt="level")
+        theta = problem.prior.transform(u[:, :2])
+        g = problem.model.evaluate(theta, problem.xi, problem.h)
+        y_data = g[:, None, :] + oed._noise_values(problem, u[:, 2:])
+        init = np.tile(problem.prior.median(), (16, 1))
+        theta_hat, _ = oed._map_batch(problem, y_data, init)
+        cov_chol, _ = oed._laplace_batch(problem, theta_hat)
+        for i in range(16):
+            assert np.array_equal(theta_hat[i], map_estimate(y_data[i].T, problem))
+            cov = laplace_covariance(theta_hat[i], problem)
+            assert np.array_equal(cov_chol[i] @ cov_chol[i].T, cov)
 
 
 class TestLaplaceFailure:
@@ -952,8 +1001,7 @@ class TestInnerBlocking:
         key = RandomizationKey(39)
         sizes = []
         inner = nested.inner
-        nested.inner = lambda state, x, h: sizes.append(x.shape[0] * x.shape[1]) or inner(
-            state, x, h)
+        nested.inner = lambda state, x: sizes.append(x.shape[0] * x.shape[1]) or inner(state, x)
         monkeypatch.setenv("NESTIQ_THREADS", "1")
 
         def run(sampler):
