@@ -169,9 +169,6 @@ class OuterPilot:
     top_estimate: float
     top_stderr: float
 
-    def __iter__(self):
-        return iter((self.c_q1, self.beta))
-
 
 @dataclass(frozen=True)
 class InnerPilot:
@@ -180,9 +177,6 @@ class InnerPilot:
     delta: float
     rung_variances: tuple
     residual: float
-
-    def __iter__(self):
-        return iter((self.c_q2, self.c_q3, self.delta))
 
 
 def _check_ladder(ladder):
@@ -301,9 +295,10 @@ def _work(c: PilotConstants, n: float, m: float, h: float | None) -> float:
 
 
 def _kappa(c: PilotConstants, tol: float, c_alpha: float, n: float, m: float) -> float:
-    """The share of tol the statistical error takes at (N, M), kept in (0, 1)."""
+    """The share of tol the statistical error takes at (N, M): at least 1e-9,
+    below 1 for every feasible plan."""
     stat = c_alpha * math.sqrt(_stat_variance(c, n, m))
-    return min(max(stat / tol, 1e-9), 1.0 - 1e-9)
+    return max(stat / tol, 1e-9)
 
 
 def _h_and_work(c, tol, c_alpha, n, m, h_min):
@@ -466,23 +461,12 @@ def solve_allocation(
             binding="discretization-bias" if c.c_disc > 0 else "inner-bias",
         )
     work, n_star, m_star, h_star = best
-
-    kappa_star = _kappa(c, tol, c_alpha, n_star, m_star)
-    if not constraints_satisfied(c, tol, c_alpha, kappa_star, n_star, m_star, h_star):
-        # defensive: bump M one power as a last repair
-        m_star <<= 1
-        if not constraints_satisfied(c, tol, c_alpha, kappa_star, n_star, m_star, h_star):
-            raise InfeasiblePlanError(
-                f"rounded plan infeasible at tol={tol}", binding="inner-bias"
-            )
-        work = _work(c, n_star, m_star, h_star)
-
     _, n_raw, m_raw, h_raw = _continuous_optimum(c, tol, c_alpha, h_min)
     return AllocationPlan(
         tol=tol,
         alpha=alpha,
         c_alpha=c_alpha,
-        kappa_star=float(kappa_star),
+        kappa_star=float(_kappa(c, tol, c_alpha, n_star, m_star)),
         n_star=int(n_star),
         m_star=int(m_star),
         h_star=h_star,

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,6 +49,11 @@ def _jsonable(obj):
     return obj
 
 
+def _record(obj, *omit) -> dict:
+    """A dataclass's fields by name, less those named in omit."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
+
+
 def _write_json(path: str, payload: dict):
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -71,16 +77,6 @@ def _parse_list(text: str, flag: str, kind):
 # ---------------------------------------------------------------------------
 
 
-def _model_disc_constants(cfg: ExperimentConfig):
-    if cfg.values["model"] == "synthetic":
-        return (
-            cfg.values["synthetic.c_disc"],
-            cfg.values["synthetic.eta"],
-            cfg.values["synthetic.gamma"],
-        )
-    return 0.0, 1.0, 0.0
-
-
 def cmd_pilot(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     outer_ladder = _parse_list(args.outer_ladder, "--outer-ladder", int)
@@ -89,7 +85,6 @@ def cmd_pilot(args) -> int:
     problem = cfg.build_problem()
     family = cfg.estimator_family()
     sampler = cfg.sampler_kind()
-    c_disc, eta, gamma = _model_disc_constants(cfg)
 
     nested = build_nested_problem(problem, family=family)
     # the Laplace-only estimator has one inner point and no inner pilot
@@ -118,16 +113,13 @@ def cmd_pilot(args) -> int:
         "seed": seed,
         "config_hash": cfg.config_hash(),
     }
-    payload = {
-        "c_q1": outer.c_q1, "beta": outer.beta, "c_q2": 0.0, "c_q3": 0.0, "delta": 0.0,
-        "c_disc": c_disc, "eta": eta, "gamma": gamma, "metadata": meta,
-    }
+    c_q2 = c_q3 = delta = 0.0
     if not laplace:
         inner = fit_pilot_inner(
             nested, inner_ladder, args.n_fixed, args.R,
             key.child("inner"), sampler=sampler,
         )
-        payload.update(c_q2=inner.c_q2, c_q3=inner.c_q3, delta=inner.delta)
+        c_q2, c_q3, delta = inner.c_q2, inner.c_q3, inner.delta
         meta.update({
             "inner_ladder": inner_ladder,
             "inner_variances": list(inner.rung_variances),
@@ -135,26 +127,23 @@ def cmd_pilot(args) -> int:
             "R": args.R,
             "m_fixed": args.m_fixed, "n_fixed": args.n_fixed,
         })
+    consts = PilotConstants(
+        c_q1=outer.c_q1, beta=outer.beta, c_q2=c_q2, c_q3=c_q3, delta=delta,
+        **cfg.discretization(), metadata=meta,
+    )
+    payload = _record(consts)
     _write_json(args.out, payload)
-    _summary([
-        ("pilot", args.out),
-        ("c_q1", payload["c_q1"]), ("beta", payload["beta"]),
-        ("c_q2", payload["c_q2"]), ("c_q3", payload["c_q3"]),
-        ("delta", payload["delta"]),
-    ])
+    # the five fitted constants lead the dataclass's fields
+    _summary([("pilot", args.out), *list(payload.items())[:5]])
     return 0
 
 
-def _load_pilot(path: str) -> tuple[PilotConstants, dict]:
+def _load_pilot(path: str) -> PilotConstants:
+    """The pilot file's constants; a field it lacks takes its default."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    meta = data.get("metadata", {})
-    consts = PilotConstants(
-        c_q1=data["c_q1"], beta=data["beta"], c_q2=data["c_q2"],
-        c_q3=data["c_q3"], delta=data["delta"], c_disc=data.get("c_disc", 0.0),
-        eta=data.get("eta", 1.0), gamma=data.get("gamma", 0.0), metadata=meta,
-    )
-    return consts, meta
+    names = {f.name for f in fields(PilotConstants)}
+    return PilotConstants(**{k: v for k, v in data.items() if k in names})
 
 
 # ---------------------------------------------------------------------------
@@ -162,34 +151,16 @@ def _load_pilot(path: str) -> tuple[PilotConstants, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _plan_payload(plan, consts, meta):
-    return {
-        "tol": plan.tol,
-        "alpha": plan.alpha,
-        "c_alpha": plan.c_alpha,
-        "kappa_star": plan.kappa_star,
-        "n_star": plan.n_star,
-        "m_star": plan.m_star,
-        "h_star": plan.h_star,
-        "predicted_work": plan.predicted_work,
-        "n_raw": plan.n_raw,
-        "m_raw": plan.m_raw,
-        "constants": {
-            "c_q1": consts.c_q1, "beta": consts.beta, "c_q2": consts.c_q2,
-            "c_q3": consts.c_q3, "delta": consts.delta, "c_disc": consts.c_disc,
-            "eta": consts.eta, "gamma": consts.gamma,
-        },
-        "config_hash": meta.get("config_hash"),
-        "seed": meta.get("seed"),
-    }
-
-
 def cmd_plan(args) -> int:
-    consts, meta = _load_pilot(args.pilot)
+    consts = _load_pilot(args.pilot)
     plan = solve_allocation(
         consts, args.tol, args.alpha, chebyshev=args.chebyshev, h_min=args.h_min
     )
-    _write_json(args.out, _plan_payload(plan, consts, meta))
+    _write_json(args.out, _record(plan, "metadata") | {
+        "constants": _record(consts, "metadata"),
+        "config_hash": consts.metadata.get("config_hash"),
+        "seed": consts.metadata.get("seed"),
+    })
     _summary([
         ("plan", args.out), ("tol", plan.tol), ("kappa*", plan.kappa_star),
         ("N*", plan.n_star), ("M*", plan.m_star), ("h*", plan.h_star),
@@ -222,21 +193,14 @@ def cmd_estimate(args) -> int:
         raise ConfigError("provide either --plan or explicit --N (and --M)")
     key = RandomizationKey(seed, tag="estimate")
     result = cfg.run_estimator(n, m, args.S, args.R, key, h=h)
-    payload = {
+    _write_json(args.out, _record(result, "replicate_values", "extras") | {
         "estimator": cfg.estimator,
         "model": cfg.values["model"],
-        "estimate": result.estimate,
-        "stderr": result.stderr,
+        "h": h,
         "predicted_stddev": predicted_stddev,
         "predicted_bias": predicted_bias,
-        "variance_of_mean": result.variance_of_mean,
-        "counts": result.counts,
-        "work": result.work,
-        "seed": seed,
         "config_hash": cfg.config_hash(),
-        "h": h,
-    }
-    _write_json(args.out, payload)
+    })
     _summary([
         ("estimate", result.estimate),
         ("stderr", result.stderr),
@@ -269,7 +233,7 @@ def _csv_cell(value) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    consts, meta = _load_pilot(args.pilot)
+    consts = _load_pilot(args.pilot)
     tols = _parse_list(args.tols, "--tols", float) if args.tols else []
     seed = cfg.seed if args.seed is None else args.seed
     rows = []

@@ -31,7 +31,15 @@ class ConfigError(ValueError):
     pass
 
 
-ESTIMATOR_IDS = ("mc", "rqmc", "dlmc", "dlmcis", "rdlqmc", "rdlqmcis", "mcla", "rqmcla")
+# estimator id -> (family, sampler): iid points for the MC ids, scrambled
+# Sobol for the others; mc and rqmc are the plain nested dlmc and rdlqmc
+_ESTIMATORS = {
+    "mc": ("plain", "mc"), "rqmc": ("plain", "rqmc-sobol-owen"),
+    "dlmc": ("plain", "mc"), "dlmcis": ("is", "mc"),
+    "rdlqmc": ("plain", "rqmc-sobol-owen"), "rdlqmcis": ("is", "rqmc-sobol-owen"),
+    "mcla": ("laplace", "mc"), "rqmcla": ("laplace", "rqmc-sobol-owen"),
+}
+ESTIMATOR_IDS = tuple(_ESTIMATORS)
 _MODELS = ("pk", "linear_gaussian", "synthetic")
 
 # key -> (type, default); None default means "required" or model-conditional
@@ -166,6 +174,13 @@ class ExperimentConfig:
     def estimator(self) -> str:
         return self.values["estimator"]
 
+    def discretization(self) -> dict:
+        """The synthetic model's c_disc, eta and gamma as PilotConstants
+        keyword arguments; the other models are not discretized, so {}."""
+        if self.values["model"] != "synthetic":
+            return {}
+        return {k: self.values[f"synthetic.{k}"] for k in ("c_disc", "eta", "gamma")}
+
     # -- problem construction ------------------------------------------------
 
     def _noise_variances(self, d_y: int) -> np.ndarray:
@@ -239,18 +254,10 @@ class ExperimentConfig:
     # -- estimator dispatch --------------------------------------------------
 
     def estimator_family(self) -> str:
-        est = self.estimator
-        if est in ("dlmcis", "rdlqmcis"):
-            return "is"
-        if est in ("mcla", "rqmcla"):
-            return "laplace"
-        return "plain"
+        return _ESTIMATORS[self.estimator][0]
 
     def sampler_kind(self) -> str:
-        """iid points for the MC estimator ids, scrambled Sobol for the others."""
-        if self.estimator in ("mc", "dlmc", "dlmcis", "mcla"):
-            return "mc"
-        return "rqmc-sobol-owen"
+        return _ESTIMATORS[self.estimator][1]
 
     def run_estimator(
         self,
@@ -262,8 +269,7 @@ class ExperimentConfig:
         h: float | None = None,
     ):
         problem = self.build_problem(h=h)
-        family = self.estimator_family()
-        sampler = self.sampler_kind()
+        family, sampler = _ESTIMATORS[self.estimator]
         if family == "laplace":
             return eig_laplace_only(
                 problem, N, sampler=sampler,

@@ -239,7 +239,8 @@ class SobolParams:
     directions: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=np.uint32)
+        # a read-only copy of its own: every chunk thread reads the cached table
+        d = np.array(self.directions, dtype=np.uint32)
         if d.ndim != 2 or d.shape[1] != _N_BITS or d.shape[0] < 1:
             raise DirectionNumberError("directions must be (dimension, 32)")
         k = np.arange(1, _N_BITS + 1)
@@ -248,6 +249,7 @@ class SobolParams:
             raise DirectionNumberError(
                 "direction number v_k must have its top bit among the first k bits"
             )
+        d.flags.writeable = False
         object.__setattr__(self, "directions", d)
 
     @property

@@ -107,10 +107,9 @@ class TestPilotRuns:
         fit = fit_pilot_outer(
             toy_problem(), [32, 128, 512], 64, 16, RandomizationKey(3, tag="po")
         )
-        c_q1, beta = fit
-        assert c_q1 > 0 and 0.0 <= beta <= 1.0
+        assert fit.c_q1 > 0 and 0.0 <= fit.beta <= 1.0
         # smooth toy: clearly better than the iid rate
-        assert beta > 0.4
+        assert fit.beta > 0.4
 
     def test_outer_pilot_rejects_tiny_s(self):
         with pytest.raises(ValueError, match="S >= 8"):
@@ -194,8 +193,7 @@ class TestPilotRuns:
         fit = fit_pilot_inner(
             toy_problem(), [8, 32, 128], 8, 16, RandomizationKey(4, tag="pi")
         )
-        c_q2, c_q3, delta = fit
-        assert c_q2 > 0 and c_q3 >= 0 and 0.0 <= delta <= 1.0
+        assert fit.c_q2 > 0 and fit.c_q3 >= 0 and 0.0 <= fit.delta <= 1.0
 
     def test_inner_pilot_zero_bias_low_confidence(self):
         # the identity outer map has no inner-induced bias, whatever the
@@ -214,9 +212,9 @@ class TestPilotRuns:
             return np.full(x.shape[:2], 2.0)
 
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
-        c_q2, c_q3, delta = fit_pilot_inner(prob, [8, 32], 4, 8, RandomizationKey(5))
-        assert math.isfinite(delta) and 0.0 <= delta <= 1.0
-        assert c_q3 == c_q2 / 2 < 1e-28
+        fit = fit_pilot_inner(prob, [8, 32], 4, 8, RandomizationKey(5))
+        assert math.isfinite(fit.delta) and 0.0 <= fit.delta <= 1.0
+        assert fit.c_q3 == fit.c_q2 / 2 < 1e-28
 
 
 class TestInnerBias:
@@ -280,6 +278,18 @@ class TestSolveAllocation:
             assert 0.0 < plan.kappa_star < 1.0
             assert plan.n_star & (plan.n_star - 1) == 0
             assert plan.m_star & (plan.m_star - 1) == 0
+
+    def test_statistical_error_near_tol_keeps_the_least_work_plan(self):
+        # at (1024, 1) the statistical error takes 1 - 1e-10 of tol; a kappa
+        # clamped at 1 - 1e-9 failed the plan's own variance check there
+        c_alpha = confidence_constant(0.05)
+        c = PilotConstants(
+            c_q1=(0.01 * (1 - 1e-10) / c_alpha) ** 2 * 2**10,
+            beta=0.0, c_q2=0.0, c_q3=0.0, delta=0.0,
+        )
+        plan = solve_allocation(c, 0.01, 0.05)
+        assert (plan.n_star, plan.m_star) == (1024, 1)
+        assert constraints_satisfied(c, 0.01, c_alpha, plan.kappa_star, 1024, 1, plan.h_star)
 
     def test_monotone_raw_allocation(self):
         c = PilotConstants(c_q1=53.1, beta=0.95, c_q2=0.0114, c_q3=0.207, delta=0.65)

@@ -134,6 +134,16 @@ class TestPilotCommand:
         assert data["c_q3"] == data["c_q2"] / 2  # the log evidence's inner bias
         assert "config_hash" in data["metadata"]
 
+    def test_refuses_constants_the_plan_would_refuse(self, tmp_path, capsys):
+        # a discretized model with eta = 0 has no bias rate to plan with
+        cfg = _write(tmp_path, "syn.cfg", SYN_CFG + "synthetic.eta = 0\n")
+        out = tmp_path / "p.json"
+        rc = main(["pilot", cfg, "--outer-ladder", "32,128", "--inner-ladder", "16,64",
+                   "--S", "8", "--R", "8", "--out", str(out)])
+        assert rc == 2
+        assert "eta > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_randomization_refused(self, tmp_path, lg_config):
         rc = main(["pilot", lg_config, "--S", "1", "--out", str(tmp_path / "p.json")])
         assert rc == 2
@@ -407,6 +417,56 @@ class TestSweepCommand:
         first, second = lines[1].split(","), lines[2].split(",")
         assert first[-1] == ""
         assert second[-1] != ""
+
+
+_CONSTANTS = {"c_q1", "beta", "c_q2", "c_q3", "delta", "c_disc", "eta", "gamma"}
+_OUTER_META = {"estimator", "outer_ladder", "outer_variances", "outer_residual",
+               "outer_top_eig", "outer_top_stderr", "S", "seed", "config_hash"}
+_INNER_META = {"inner_ladder", "inner_variances", "inner_residual", "R",
+               "m_fixed", "n_fixed"}
+
+
+class TestFileSchemas:
+    """Each result file's exact keys: a field added to or dropped from
+    PilotConstants, AllocationPlan or EstimatorResult changes a file only
+    on purpose."""
+
+    def test_pilot_plan_estimate_and_sweep_keys(self, tmp_path, lg_config, pilot_file):
+        pilot = json.loads(open(pilot_file).read())
+        assert set(pilot) == _CONSTANTS | {"metadata"}
+        assert set(pilot["metadata"]) == _OUTER_META | _INNER_META
+        plan_out, est_out = str(tmp_path / "plan.json"), str(tmp_path / "est.json")
+        assert main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", plan_out]) == 0
+        plan = json.loads(open(plan_out).read())
+        assert set(plan) == {
+            "tol", "alpha", "c_alpha", "kappa_star", "n_star", "m_star", "h_star",
+            "predicted_work", "n_raw", "m_raw", "constants", "config_hash", "seed",
+        }
+        assert set(plan["constants"]) == _CONSTANTS
+        est_keys = {
+            "estimator", "model", "estimate", "stderr", "predicted_stddev",
+            "predicted_bias", "variance_of_mean", "counts", "work", "seed",
+            "config_hash", "h",
+        }
+        for counts in (["--plan", plan_out], ["--N", "64", "--M", "4", "--S", "2"]):
+            assert main(["estimate", lg_config, *counts, "--out", est_out]) == 0
+            assert set(json.loads(open(est_out).read())) == est_keys
+        sweep_out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", lg_config, "--pilot", pilot_file, "--tols", "0.1",
+                     "--out", sweep_out]) == 0
+        assert open(sweep_out).readline() == (
+            "tol,kappa_star,N_star,M_star,h_star,predicted_work,"
+            "estimate,stderr,realized_work,seed,error\n"
+        )
+
+    def test_laplace_pilot_has_no_inner_metadata(self, tmp_path):
+        cfg = _write(tmp_path, "mcla.cfg", LG_CFG.replace("rdlqmcis", "mcla"))
+        out = str(tmp_path / "pilot.json")
+        assert main(["pilot", cfg, "--outer-ladder", "32,128,512", "--S", "8",
+                     "--out", out]) == 0
+        pilot = json.loads(open(out).read())
+        assert set(pilot) == _CONSTANTS | {"metadata"}
+        assert set(pilot["metadata"]) == _OUTER_META
 
 
 class TestThreadDeterminism:

@@ -52,6 +52,18 @@ class TestDirectionNumbers:
         p = load_direction_numbers("d s a m_i\n2 1 0 1")
         assert p.dimension == 2
 
+    def test_params_keep_a_read_only_copy(self):
+        # every chunk thread reads the one cached table
+        from nestiq.estimators import default_sobol_params
+
+        directions = default_sobol_params().directions
+        with pytest.raises(ValueError, match="read-only"):
+            directions[0, 0] = directions[0, 0]
+        table = PARAMS.directions.copy()
+        params = lds.SobolParams(table)
+        table[0, 0] = 0
+        assert int(params.directions[0, 0]) == 2**31
+
     def test_top_bit_invariant(self):
         d = PARAMS.directions.astype(np.uint64)
         k = np.arange(1, 33, dtype=np.uint64)
