@@ -138,12 +138,25 @@ def cmd_pilot(args) -> int:
     return 0
 
 
-def _load_pilot(path: str) -> PilotConstants:
-    """The pilot file's constants; a field it lacks takes its default."""
+def _read_file(path: str, kind: str, read):
+    """read(data) of a pilot or plan file's JSON object; a malformed file is a config error."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    try:
+        return read(data)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{kind} file {path} is not a JSON object with the fields "
+                          f"it needs ({exc!r})") from None
+
+
+def _constants(data: dict) -> PilotConstants:
+    """A pilot file's, or a plan's, constants; a field data lacks takes its default."""
     names = {f.name for f in fields(PilotConstants)}
     return PilotConstants(**{k: v for k, v in data.items() if k in names})
+
+
+def _load_pilot(path: str) -> PilotConstants:
+    return _read_file(path, "pilot", _constants)
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +193,9 @@ def cmd_estimate(args) -> int:
     h = None
     predicted_stddev = predicted_bias = None
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = json.load(fh)
-        n, m, h = plan["n_star"], plan["m_star"], plan.get("h_star")
+        n, m, h, consts = _read_file(args.plan, "plan", lambda plan: (
+            plan["n_star"], plan["m_star"], plan.get("h_star"), _constants(plan["constants"])))
         # the plan's error model for one randomization at (N*, M*, h*)
-        consts = PilotConstants(**plan["constants"])
         predicted_stddev = math.sqrt(_stat_variance(consts, n, m))
         predicted_bias = _bias_value(consts, m, h)
     elif args.N is not None:

@@ -8,9 +8,9 @@ randomization s and draws an independent inner scramble for every
 from correlating across outer samples.
 
 Replicate semantics: replicate_values always hold the S outer-randomization
-means (or the per-sample values for unreplicated MC estimators); inner
-randomizations R reduce inner bias and variance but never enter the
-replicate variance.
+means; inner randomizations R reduce inner bias and variance but never enter
+the replicate variance.  One randomization of iid rows (S = 1, sampler "mc")
+takes its variance of the mean from the rows' streamed sums instead.
 
 Process-wide effect: the first nested estimate in a process frees one
 untouched 31 MiB array (see _retain_freed_memory).  Under glibc this raises
@@ -21,6 +21,7 @@ reuse instead of going back to the OS.  Importing the module does not.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -96,13 +97,21 @@ def thread_count() -> int:
 
 
 def _map_ordered(fn, items):
-    """Apply fn to a sequence of items, possibly in parallel, always reducing
-    in order."""
+    """Yield fn of each of a sequence of items, in item order, possibly
+    computed in parallel; at most two tasks per thread are submitted and not
+    yet yielded, so results wait for the consumer, not in a list."""
     n = thread_count()
     if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(fn, items))
+        pending = collections.deque()
+        for it in items:
+            if len(pending) == 2 * n:
+                yield pending.popleft().result()
+            pending.append(ex.submit(fn, it))
+        while pending:
+            yield pending.popleft().result()
 
 
 class InnerUnderflowError(ArithmeticError):
@@ -111,12 +120,6 @@ class InnerUnderflowError(ArithmeticError):
 
 class AccuracyWarning(UserWarning):
     pass
-
-
-def _check_sampler(sampler) -> str:
-    if sampler not in _SAMPLERS:
-        raise ValueError(f"unknown sampler kind {sampler!r}")
-    return sampler
 
 
 @dataclass
@@ -173,21 +176,16 @@ class EstimatorResult:
     extras: dict = field(default_factory=dict)
 
 
-def _make_result(values, counts, key: RandomizationKey, work, extras=None):
-    """Assemble a result; variance of the mean needs >= 2 replicate values."""
+def _make_result(values, counts, key: RandomizationKey, work, var=None):
+    """Assemble a result; the variance of the mean is that of >= 2 replicate
+    values, or else var."""
     values = np.asarray(values, dtype=np.float64)
-    estimate = float(values.mean())
-    var = replicate_variance(values) if values.size >= 2 else None
-    stderr = math.sqrt(var) if var is not None else None
+    if values.size >= 2:
+        var = replicate_variance(values)
     return EstimatorResult(
-        estimate=estimate,
-        replicate_values=values,
-        variance_of_mean=var,
-        stderr=stderr,
-        counts=dict(counts),
-        seed=key.seed,
-        work=float(work),
-        extras=extras or {},
+        estimate=float(values.mean()), replicate_values=values, variance_of_mean=var,
+        stderr=None if var is None else math.sqrt(var), counts=dict(counts),
+        seed=key.seed, work=float(work),
     )
 
 
@@ -266,18 +264,6 @@ def _outer_values(problem: NestedProblem, y: np.ndarray, x: np.ndarray, groups=1
         state = _prepare_state(problem, y)
     raw = np.asarray(problem.inner(state, x), dtype=np.float64)
     return raw if groups is None else _reduce(problem, raw.reshape(x.shape[0] * groups, -1))
-
-
-def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey) -> EstimatorResult:
-    """Double-loop Monte Carlo with iid uniform points in both loops.
-
-    The points of rdlqmc_estimate(problem, N, M, 1, 1, key, sampler="mc");
-    replicate_values are the N per-sample values.
-    """
-    pieces = _nested_values(problem, N, M, 1, 1, key, key, "mc")
-    values = _joined([v for _, v in pieces])
-    work = N * M * problem.work_factor()
-    return _make_result(values, {"N": N, "M": M, "S": 1, "R": 1}, key, work=work)
 
 
 def _outer_points(problem, N, s, key, sampler, params, lo=0, hi=None):
@@ -363,13 +349,15 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
     points when M exceeds a block.  A block's raw values go to one buffer of
     at most max(_INNER_BLOCK, R*M) values and are reduced once all have
     arrived.  Every point depends on its (randomization, row, replicate)
-    alone, never on the chunk or block it falls in.  Tasks may run on several threads; the result lists
-    ((s, lo, hi), values) for every segment in task order, with the
-    (hi - lo) * groups values of _outer_values.
+    alone, never on the chunk or block it falls in.  Tasks may run on
+    several threads; each segment's ((s, lo, hi), values), with its
+    (hi - lo) * groups values of _outer_values, is yielded in task order.
     """
     _retain_freed_memory()
+    if sampler not in _SAMPLERS:
+        raise ValueError(f"unknown sampler kind {sampler!r}")
     params = None
-    if _check_sampler(sampler) == "rqmc-sobol-owen":
+    if sampler == "rqmc-sobol-owen":
         params = default_sobol_params()
         _check_pow2(N, "N")
         _check_pow2(M, "M")
@@ -426,11 +414,8 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
         return np.split(values, np.cumsum([(hi - lo) * groups for _, lo, hi in segs[:-1]]))
 
     tasks = range(-(-S // per_task) * per_s)
-    return [
-        (seg, values)
-        for task, pieces in zip(tasks, _map_ordered(run_chunk, tasks))
-        for seg, values in zip(segments(task), pieces)
-    ]
+    for task, pieces in zip(tasks, _map_ordered(run_chunk, tasks)):
+        yield from zip(segments(task), pieces)
 
 
 def _inner_replicates(problem, n, M, R, outer_key, inner_key, sampler="rqmc-sobol-owen"):
@@ -456,18 +441,30 @@ def rdlqmc_estimate(
     """Nested estimator with S outer and R-per-sample inner randomizations.
 
     With S = R = 1 this is the single-randomization production estimator;
-    replicate_values are the S outer-randomization means.
+    replicate_values are the S outer-randomization means.  The rows are
+    reduced as their chunks finish, so memory does not grow with N.
     """
-    # each sums[s] adds the row sums of the same (s, row range) pieces,
-    # however the tasks group them
-    sums = np.zeros(S)
+    # each sums[s] adds the row sums of the same (s, row range) pieces, however
+    # the tasks group them; iid rows of one randomization also add their sum and
+    # sum of squares shifted by the first row, so identical rows give var 0
+    iid = sampler == "mc" and S == 1
+    sums, shift, shifted, squares = np.zeros(S), None, 0.0, 0.0
     for (s, _, _), values in _nested_values(problem, N, M, S, R, key, key, sampler):
         sums[s] += values.sum()
-    replicate_means = sums / N
+        if iid:
+            shift = values[0] if shift is None else shift
+            dev = values - shift
+            shifted, squares = shifted + dev.sum(), squares + dev @ dev
+    var = None
+    if iid and N >= 2:
+        var = float(max(squares - shifted * shifted / N, 0.0)) / (N * (N - 1))
     work = N * M * S * R * problem.work_factor()
-    return _make_result(
-        replicate_means, {"N": N, "M": M, "S": S, "R": R}, key, work=work
-    )
+    return _make_result(sums / N, {"N": N, "M": M, "S": S, "R": R}, key, work, var)
+
+
+def dlmc_estimate(problem: NestedProblem, N: int, M: int, key: RandomizationKey) -> EstimatorResult:
+    """Double-loop Monte Carlo with iid uniform points in both loops."""
+    return rdlqmc_estimate(problem, N, M, 1, 1, key, sampler="mc")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .estimators import (
     _inner_replicates,
     _tensor_grid,
     default_sobol_params,  # noqa: F401  (the Sobol table, importable from oed)
-    dlmc_estimate,
     rdlqmc_estimate,
 )
 from .lds import RandomizationKey
@@ -604,12 +603,6 @@ def _assemble_eig(problem: OEDProblem, term: EstimatorResult) -> EstimatorResult
     )
 
 
-def _run_nested(nested, N, M, S, R, sampler, key):
-    if sampler == "mc" and S == 1 and R == 1:
-        return dlmc_estimate(nested, N, M, key)
-    return rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
-
-
 def eig_nested(
     problem: OEDProblem,
     N: int,
@@ -622,7 +615,7 @@ def eig_nested(
     """Double-loop EIG estimate: entropy term minus the nested log-marginal."""
     key = key or RandomizationKey(0)
     nested = build_nested_problem(problem, family="plain")
-    term = _run_nested(nested, N, M, S, R, sampler, key)
+    term = rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
     return _assemble_eig(problem, term)
 
 
@@ -639,7 +632,7 @@ def eig_importance_sampled(
     per-datum Laplace surrogate."""
     key = key or RandomizationKey(0)
     nested = build_nested_problem(problem, family="is")
-    term = _run_nested(nested, N, M, S, R, sampler, key)
+    term = rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
     return _assemble_eig(problem, term)
 
 
@@ -675,14 +668,13 @@ def eig_laplace_only(
     The posterior covariance is evaluated at each sampled parameter vector
     in place of an optimized mode.  The nested executor runs it with one
     inner point, and s_replicates is its number S of outer randomizations,
-    as in eig_nested: iid points with S = 1 keep the N per-sample values as
-    replicate values, and otherwise the replicate values are the S means.
+    as in eig_nested.
     """
     key = key or RandomizationKey(0)
     if s_replicates < 1:
         raise ValueError(f"s_replicates must be >= 1, got {s_replicates}")
     nested = build_nested_problem(problem, family="laplace")
-    result = _run_nested(nested, N, 1, s_replicates, 1, sampler, key)
+    result = rdlqmc_estimate(nested, N, 1, s_replicates, 1, key, sampler=sampler)
     return replace(result, counts={"N": N, "S": s_replicates})
 
 

@@ -302,6 +302,27 @@ def test_exit_code_and_message_per_error(monkeypatch, capsys, error, code, prefi
     assert capsys.readouterr().err.startswith(prefix)
 
 
+@pytest.mark.parametrize("command, text", [
+    ("plan", '{"beta": 0.5}'),  # lacks the other constants
+    ("plan", "[1]"),  # not an object
+    ("sweep", "[1]"),
+    ("estimate", '{"n_star": 64}'),  # lacks m_star and the constants
+])
+def test_malformed_pilot_or_plan_file_is_a_config_error(tmp_path, lg_config, capsys,
+                                                        command, text):
+    path = _write(tmp_path, "in.json", text)
+    out = tmp_path / "out.json"
+    argv = {
+        "plan": ["plan", "--pilot", path, "--tol", "0.01"],
+        "sweep": ["sweep", lg_config, "--pilot", path, "--tols", "0.01"],
+        "estimate": ["estimate", lg_config, "--plan", path],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {'plan' if command == 'estimate' else 'pilot'} file {path}")
+    assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_estimate_near_conjugate_truth(self, tmp_path, lg_config, pilot_file):
         plan_out = str(tmp_path / "plan.json")

@@ -6,7 +6,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nestiq import estimators
 from nestiq.estimators import (
     InnerUnderflowError,
     NestedProblem,
@@ -39,6 +42,12 @@ def toy_log_problem():
 
 
 TOY_ORACLE = tensor_quadrature_reference(toy_problem(), 32, 32)
+
+
+def dlmc_rows(problem, N, M, R=1):
+    """The N row values of one iid randomization, in task order."""
+    pieces = estimators._nested_values(problem, N, M, 1, R, KEY, KEY, "mc")
+    return estimators._joined([v for _, v in pieces])
 
 
 class TestMcEstimate:
@@ -143,6 +152,33 @@ class TestDlmcEstimate:
         prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="log")
         with pytest.raises(InnerUnderflowError, match="log"):
             dlmc_estimate(prob, 16, 4, KEY)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        N=st.integers(2, 2**13 + 100), M=st.integers(1, 8), R=st.integers(1, 3),
+        offset=st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+    )
+    def test_streamed_variance_is_the_rows_variance(self, N, M, R, offset):
+        """The running sums of the rows give their variance of the mean, far
+        from zero too; replicate_values hold the one mean."""
+
+        def g(y, x):
+            return offset + x[:, :, 0] * y[:, 0][:, None]
+
+        prob = NestedProblem(d1=1, d2=1, inner=g, outer_map="identity")
+        res = rdlqmc_estimate(prob, N, M, 1, R, KEY, sampler="mc")
+        rows = dlmc_rows(prob, N, M, R)
+        assert res.variance_of_mean == pytest.approx(replicate_variance(rows), rel=1e-12)
+        assert res.replicate_values.shape == (1,)
+
+    def test_identical_rows_have_exactly_zero_variance(self):
+        prob = NestedProblem(d1=1, d2=1, inner=lambda y, x: np.full(x.shape[:2], 0.3))
+        res = dlmc_estimate(prob, 2**13 + 100, 4, KEY)  # three chunks
+        assert res.variance_of_mean == 0.0 and res.stderr == 0.0
+
+    def test_one_row_has_no_variance(self):
+        res = dlmc_estimate(toy_problem(), 1, 4, KEY)
+        assert res.variance_of_mean is None and res.stderr is None
 
 
 class TestRdlqmcEstimate:
@@ -545,15 +581,13 @@ class TestChunkMemory:
         assert abs(res.estimate - TOY_ORACLE) < 5 * res.stderr + 1e-4
 
     def test_dlmc_rows_do_not_depend_on_the_chunks(self, monkeypatch):
-        from nestiq import estimators
-
         monkeypatch.setenv("NESTIQ_THREADS", "1")
-        whole = dlmc_estimate(toy_problem(), 100, 16, KEY)
+        whole = dlmc_rows(toy_problem(), 100, 16)
+        assert whole.shape == (100,)
         # 16-row blocks, then parts of 5 points of one row
         for block in (16 * 16, 5):
             monkeypatch.setattr(estimators, "_INNER_BLOCK", block)
-            blocked = dlmc_estimate(toy_problem(), 100, 16, KEY)
-            np.testing.assert_array_equal(blocked.replicate_values, whole.replicate_values)
+            np.testing.assert_array_equal(dlmc_rows(toy_problem(), 100, 16), whole)
 
     @pytest.mark.parametrize("sampler", ["mc", "rqmc-sobol-owen"])
     def test_inner_replicate_rows_do_not_depend_on_the_chunks(self, sampler, monkeypatch):
@@ -572,11 +606,50 @@ class TestChunkMemory:
             np.testing.assert_array_equal(blocked, whole)
 
     def test_dlmc_reduces_the_points_of_the_mc_sampler(self):
-        """dlmc_estimate is rdlqmc_estimate(S=1, R=1, sampler="mc") with the
-        per-row values kept; only the order of the final sum differs."""
+        """dlmc_estimate is rdlqmc_estimate(S=1, R=1, sampler="mc"): the same
+        points and the same reduction."""
         res = dlmc_estimate(toy_problem(), 2**13 + 100, 8, KEY)  # three chunks
         ref = rdlqmc_estimate(toy_problem(), 2**13 + 100, 8, 1, 1, KEY, sampler="mc")
-        assert res.estimate == pytest.approx(ref.estimate, rel=1e-14)
+        assert (res.estimate, res.stderr, res.work) == (ref.estimate, ref.stderr, ref.work)
+        np.testing.assert_array_equal(res.replicate_values, ref.replicate_values)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda N: rdlqmc_estimate(toy_log_problem(), N, 1, 1, 1, KEY),
+        lambda N: dlmc_estimate(toy_log_problem(), N, 1, KEY),
+    ], ids=["rqmc-sobol-owen", "mc"])
+    def test_memory_does_not_grow_with_the_outer_count(self, estimate):
+        """2^20 outer rows, 256 chunks: each chunk's values are reduced as it
+        finishes, so the peak is a few chunks' worth, not 8 bytes a row."""
+        import tracemalloc
+
+        estimate(2**12)  # the process-wide block and the tables, once
+        tracemalloc.start()
+        try:
+            res = estimate(2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(res.estimate)
+        assert peak < 2 << 20
+
+    def test_executor_keeps_a_bounded_window(self, monkeypatch):
+        """The executor submits at most two tasks per thread ahead of the
+        consumer: when the first segment arrives, most of 16 tasks have not
+        run."""
+        monkeypatch.setattr(estimators, "_CHUNK", 8)
+        monkeypatch.setenv("NESTIQ_THREADS", "2")
+        prepared = []
+
+        def prepare(y):
+            prepared.append(len(y))
+            return y
+
+        prob = NestedProblem(d1=1, d2=1, inner=lambda y, x: x[:, :, 0] * y,
+                             outer_map="identity", prepare=prepare)
+        segments = iter(estimators._nested_values(prob, 16 * 8, 4, 1, 1, KEY, KEY, "mc"))
+        next(segments)
+        assert len(prepared) <= 2 * 2 + 1
+        assert sum(1 for _ in segments) == 15 and prepared == [8] * 16
 
     @pytest.mark.parametrize("caller", ["pilot", "spread"])
     def test_inner_replicates_honour_the_byte_cap(self, caller, monkeypatch):
@@ -659,11 +732,15 @@ class TestPinnedStreams:
     column at a time, in time order, which moved them in the last digits."""
 
     def test_dlmc_over_two_chunks(self):
+        # the rows' digest was recorded on replicate_values when those held
+        # the rows; the stderr, now from the rows' running sums, has the bits
+        # it had from replicate_variance of the rows
         import hashlib
 
         res = dlmc_estimate(toy_log_problem(), 2**13, 4, KEY)  # two 4096-row chunks
         assert res.estimate.hex() == "0x1.0bb85838cf3bcp-2"
-        assert hashlib.sha256(res.replicate_values.tobytes()).hexdigest() == (
+        assert res.stderr.hex() == "0x1.fbed98028b70dp-10"
+        assert hashlib.sha256(dlmc_rows(toy_log_problem(), 2**13, 4).tobytes()).hexdigest() == (
             "c74939234f44fba28b3970d539cef594c5dd18c4ef90f02adc15f049f8090367"
         )
 
