@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import NestedProblem, _inner_replicates, _nested_values
-from .lds import RandomizationKey
+from .lds import RandomizationKey, _check_pow2
 from .stats import inv_norm_cdf, replicate_variance
 
 __all__ = [
@@ -73,6 +73,9 @@ class PilotConstants:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        for name in ("c_q1", "beta", "c_q2", "c_q3", "delta", "c_disc", "eta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("c_q1", "c_q2", "c_q3", "c_disc"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -184,8 +187,7 @@ def _check_ladder(ladder):
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two rungs")
     for n in ladder:
-        if n < 1 or (n & (n - 1)) != 0:
-            raise ValueError(f"ladder entries must be powers of two, got {n}")
+        _check_pow2(n, "ladder entry")
     if sorted(set(ladder)) != ladder:
         raise ValueError("ladder must be strictly increasing")
     return ladder

@@ -139,20 +139,31 @@ def cmd_pilot(args) -> int:
 
 
 def _read_file(path: str, kind: str, read):
-    """read(data) of a pilot or plan file's JSON object; a malformed file is a config error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """read(data) of a pilot or plan file's JSON; a file that is not JSON, or
+    lacks a field or holds a bad value, is a config error naming the file."""
     try:
-        return read(data)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{kind} file {path} is not a JSON object with the fields "
-                          f"it needs ({exc!r})") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} file {path} is not a valid {kind} file ({exc!r})") from None
 
 
 def _constants(data: dict) -> PilotConstants:
     """A pilot file's, or a plan's, constants; a field data lacks takes its default."""
     names = {f.name for f in fields(PilotConstants)}
     return PilotConstants(**{k: v for k, v in data.items() if k in names})
+
+
+def _plan_fields(plan: dict):
+    """A plan's (N*, M*, h*, constants): N* and M* positive integers, h* null
+    or a positive finite number."""
+    n, m, h = plan["n_star"], plan["m_star"], plan.get("h_star")
+    for name, count in (("n_star", n), ("m_star", m)):
+        if type(count) is not int or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    if h is not None and (type(h) not in (int, float) or not 0 < h < math.inf):
+        raise ValueError(f"h_star must be null or a positive finite number, got {h!r}")
+    return n, m, h, _constants(plan["constants"])
 
 
 def _load_pilot(path: str) -> PilotConstants:
@@ -193,8 +204,9 @@ def cmd_estimate(args) -> int:
     h = None
     predicted_stddev = predicted_bias = None
     if args.plan:
-        n, m, h, consts = _read_file(args.plan, "plan", lambda plan: (
-            plan["n_star"], plan["m_star"], plan.get("h_star"), _constants(plan["constants"])))
+        if args.N is not None or args.M is not None:
+            raise ConfigError("--plan sets N and M; drop --N and --M")
+        n, m, h, consts = _read_file(args.plan, "plan", _plan_fields)
         # the plan's error model for one randomization at (N*, M*, h*)
         predicted_stddev = math.sqrt(_stat_variance(consts, n, m))
         predicted_bias = _bias_value(consts, m, h)
@@ -296,9 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pilot", help="fit pilot constants for a config")
     p.add_argument("config")
-    p.add_argument("--outer-ladder", default="32,128,512,2048")
+    p.add_argument("--outer-ladder", default="32,64,128,256,512,1024,2048,4096")
     p.add_argument("--inner-ladder", default="32,128,512,2048")
-    p.add_argument("--S", type=int, default=32)
+    p.add_argument("--S", type=int, default=16)
     p.add_argument("--R", type=int, default=32)
     p.add_argument("--m-fixed", type=int, default=4)
     p.add_argument("--n-fixed", type=int, default=4)

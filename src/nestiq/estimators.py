@@ -34,7 +34,7 @@ import numpy as np
 from .lds import (
     RandomizationKey,
     SobolParams,
-    _check_log2_count,
+    _check_pow2,
     _owen_lanes,
     _scramble_values,
     _sobol_rows,
@@ -59,7 +59,7 @@ __all__ = [
 
 # point families: iid uniforms, or Owen-scrambled Sobol points
 _SAMPLERS = ("mc", "rqmc-sobol-owen")
-_CHUNK = 4096  # outer rows per chunk task; a power of two
+_CHUNK = 4096  # outer rows of one randomization per chunk task; a power of two
 # Inner points per integrand call: a chunk's rows are evaluated a block of
 # whole rows at a time, or a row in parts, so no call's points or
 # temporaries grow with M, R or the chunk (see _nested_values).
@@ -187,11 +187,6 @@ def _make_result(values, counts, key: RandomizationKey, work, var=None):
         stderr=None if var is None else math.sqrt(var), counts=dict(counts),
         seed=key.seed, work=float(work),
     )
-
-
-def _check_pow2(value: int, name: str):
-    if value < 1 or (value & (value - 1)) != 0:
-        raise ValueError(f"{name} must be a power of two, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,38 +317,23 @@ def _joined(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _pieces(segs, a, b):
-    """The (s, lo, hi) row ranges of segments segs that joined rows [a, b)
-    cover, in order."""
-    out, start = [], 0
-    for s, lo, hi in segs:
-        i, j = max(a - start, 0), min(b - start, hi - lo)
-        if i < j:
-            out.append((s, lo + i, lo + j))
-        start += hi - lo
-    return out
-
-
 def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1):
     """f at every outer row of S randomizations of N rows, chunk by chunk.
 
     A chunk task is one row range of at most _CHUNK rows of one
-    randomization, as many as N needs, or, when N is below the chunk size,
-    several whole randomizations.  Each task builds its outer rows of
+    randomization, as many as N needs.  Each task builds its outer rows of
     outer_key and prepares their state once (one MAP batch); it then walks
     the rows in blocks of at most _INNER_BLOCK inner points, building only
     that block's points (R inner randomizations of M points of inner_key per
-    row) and handing the integrand only those rows' state.  A block of
-    whole rows may span randomizations.  A row whose R*M points exceed a
-    block is evaluated in parts of whole replicates, or of one replicate's
-    points when M exceeds a block.  A block's raw values go to one buffer of
-    at most max(_INNER_BLOCK, R*M) values and are reduced once all have
-    arrived.  Every point depends on its (randomization, row, replicate)
-    alone, never on the chunk or block it falls in.  Tasks may run on
-    several threads; each segment's ((s, lo, hi), values), with its
+    row) and handing the integrand only those rows' state.  A row whose R*M
+    points exceed a block is evaluated in parts of whole replicates, or of
+    one replicate's points when M exceeds a block.  A block's raw values go
+    to one buffer of at most max(_INNER_BLOCK, R*M) values and are reduced
+    once all have arrived.  Every point depends on its (randomization, row,
+    replicate) alone, never on the chunk or block it falls in.  Tasks may
+    run on several threads; each task's ((s, lo, hi), values), with its
     (hi - lo) * groups values of _outer_values, is yielded in task order.
     """
-    _retain_freed_memory()
     if sampler not in _SAMPLERS:
         raise ValueError(f"unknown sampler kind {sampler!r}")
     params = None
@@ -363,11 +343,10 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
         _check_pow2(M, "M")
         if max(problem.d1, problem.d2) > params.dimension:
             raise ValueError("Sobol parameter table has too few dimensions")
-        _check_log2_count(int(math.log2(N)))
-        _check_log2_count(int(math.log2(M)))
     for name, count in (("N", N), ("M", M), ("S", S), ("R", R)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
+    _retain_freed_memory()
 
     block = _INNER_BLOCK
     base = None  # the inner Sobol set, shared by every block of whole replicates
@@ -381,41 +360,27 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
     step = min(span, block)
     parts = [(lo, min(lo + step, r0 + span, width))
              for r0 in range(0, width, span) for lo in range(r0, r0 + span, step)]
-    per_task = max(1, _CHUNK // N)  # randomizations in one task
     per_s = -(-N // _CHUNK)  # tasks per randomization
 
-    def segments(task):
-        group, j = divmod(task, per_s)
-        lo, hi = j * _CHUNK, min(j * _CHUNK + _CHUNK, N)
-        first = group * per_task
-        return [(s, lo, hi) for s in range(first, min(first + per_task, S))]
-
-    def points(pieces, lo, hi):
-        return _joined([
-            _inner_blocks(problem, n_lo, n_hi, M, R, s, inner_key, sampler, params, lo, hi, base)
-            for s, n_lo, n_hi in pieces
-        ])
-
     def run_chunk(task):
-        segs = segments(task)
-        y = _joined([_outer_points(problem, N, s, outer_key, sampler, params, lo, hi)
-                     for s, lo, hi in segs])
+        s, j = divmod(task, per_s)
+        lo, hi = j * _CHUNK, min(j * _CHUNK + _CHUNK, N)
+        y = _outer_points(problem, N, s, outer_key, sampler, params, lo, hi)
         state = _prepare_state(problem, y)
-        values = np.empty(len(y) * groups)
+        values = np.empty((hi - lo) * groups)
         raw = np.empty((rows, width))
-        for a in range(0, len(y), rows):
-            b = min(a + rows, len(y))
-            rows_state, pieces = _state_rows(state, a, b), _pieces(segs, a, b)
-            for lo, hi in parts:
-                raw[:b - a, lo:hi] = _outer_values(
-                    problem, y[a:b], points(pieces, lo, hi), None, rows_state)
+        for a in range(0, hi - lo, rows):
+            b = min(a + rows, hi - lo)
+            rows_state = _state_rows(state, a, b)
+            for p_lo, p_hi in parts:
+                x = _inner_blocks(problem, lo + a, lo + b, M, R, s, inner_key, sampler,
+                                  params, p_lo, p_hi, base)
+                raw[:b - a, p_lo:p_hi] = _outer_values(problem, y[a:b], x, None, rows_state)
             block_raw = raw[:b - a].reshape((b - a) * groups, -1)
             values[a * groups:b * groups] = _reduce(problem, block_raw)
-        return np.split(values, np.cumsum([(hi - lo) * groups for _, lo, hi in segs[:-1]]))
+        return (s, lo, hi), values
 
-    tasks = range(-(-S // per_task) * per_s)
-    for task, pieces in zip(tasks, _map_ordered(run_chunk, tasks)):
-        yield from zip(segments(task), pieces)
+    yield from _map_ordered(run_chunk, range(S * per_s))
 
 
 def _inner_replicates(problem, n, M, R, outer_key, inner_key, sampler="rqmc-sobol-owen"):
@@ -444,9 +409,10 @@ def rdlqmc_estimate(
     replicate_values are the S outer-randomization means.  The rows are
     reduced as their chunks finish, so memory does not grow with N.
     """
-    # each sums[s] adds the row sums of the same (s, row range) pieces, however
-    # the tasks group them; iid rows of one randomization also add their sum and
-    # sum of squares shifted by the first row, so identical rows give var 0
+    # each sums[s] adds the row sums of randomization s's row ranges in row
+    # order, however many threads run them; iid rows of one randomization also
+    # add their sum and sum of squares shifted by the first row, so identical
+    # rows give var 0
     iid = sampler == "mc" and S == 1
     sums, shift, shifted, squares = np.zeros(S), None, 0.0, 0.0
     for (s, _, _), values in _nested_values(problem, N, M, S, R, key, key, sampler):

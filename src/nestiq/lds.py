@@ -373,9 +373,7 @@ class DigitalSequence:
         v = np.ascontiguousarray(self.values, dtype=np.uint32)
         if v.ndim != 2:
             raise ValueError("values must be a (count, dimension) array")
-        m = v.shape[0]
-        if m < 1 or (m & (m - 1)) != 0:
-            raise ValueError(f"count must be a power of two, got {m}")
+        _check_pow2(v.shape[0], "count")
         object.__setattr__(self, "values", v)
 
     @property
@@ -430,6 +428,14 @@ def sobol_sequence(params: SobolParams, dimension: int, log2_count: int) -> Digi
     the integers are exactly {i * 2^(32-k) : 0 <= i < 2^k} as a set.
     """
     return DigitalSequence(values=_sobol_rows(params, dimension, log2_count))
+
+
+def _check_pow2(value: int, name: str):
+    """Refuse a count that is not a power of two of at most 2^31 points."""
+    if value < 1 or (value & (value - 1)) != 0:
+        raise ValueError(f"{name} must be a power of two, got {value}")
+    if value > 1 << 31:
+        raise ValueError(f"{name} must be at most 2^31, got {value}")
 
 
 def _check_log2_count(log2_count: int):

@@ -69,6 +69,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             ExperimentConfig.from_text("model = pk\nmodel = pk\nestimator = dlmc\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("model = spline", "model must be one of"),
+        ("n_experiments = 0", "n_experiments must be >= 1"),
+        ("pk.prior_scale = sd", "pk.prior_scale must be 'variance' or 'stddev'"),
+        ("design = 1,x", "pk design must be geom, even, or a comma list of times"),
+    ])
+    def test_invalid_value_refused(self, line, message):
+        model = "" if line.startswith("model") else "model = pk\n"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_text(f"{model}estimator = dlmc\n{line}\n")
+
     def test_comments_and_blank_lines(self):
         cfg = ExperimentConfig.from_text("# hi\n\nmodel = pk # trailing\nestimator = dlmc\n")
         assert cfg.values["model"] == "pk"
@@ -176,11 +187,22 @@ class TestPilotTopRung:
         out = str(tmp_path / "pilot.json")
         assert main(["pilot", cfg, "--inner-ladder", "16,64", "--R", "8", "--out", out]) == 0
         meta = json.loads(open(out).read())["metadata"]
-        key = RandomizationKey(7, tag="pilot").child("outer").child("pilot-outer", 3)
-        res = ExperimentConfig.from_file(cfg).run_estimator(2048, m, 32, 1, key)
+        key = RandomizationKey(7, tag="pilot").child("outer").child("pilot-outer", 7)
+        res = ExperimentConfig.from_file(cfg).run_estimator(4096, m, 16, 1, key)
         assert (meta["outer_top_eig"], meta["outer_top_stderr"]) == (res.estimate, res.stderr)
         # the top rung kept its stream
-        assert meta["outer_variances"][-1] == 32 * res.variance_of_mean
+        assert meta["outer_variances"][-1] == 16 * res.variance_of_mean
+
+    def test_default_pilot_fits_every_prefix_rung(self, tmp_path):
+        """The default outer pilot is 16 randomizations of 4096 rows, and its
+        law is fitted on every power of two from 32 rows to the top rung."""
+        cfg = _write(tmp_path, "mcla.cfg", LG_CFG.replace("rdlqmcis", "mcla"))
+        out = str(tmp_path / "pilot.json")
+        assert main(["pilot", cfg, "--out", out]) == 0
+        with open(out) as fh:
+            meta = json.load(fh)["metadata"]
+        assert meta["outer_ladder"] == [2**k for k in range(5, 13)]
+        assert meta["S"] == 16 and len(meta["outer_variances"]) == 8
 
 
 class TestLaplacePilot:
@@ -302,11 +324,38 @@ def test_exit_code_and_message_per_error(monkeypatch, capsys, error, code, prefi
     assert capsys.readouterr().err.startswith(prefix)
 
 
+_PLAN = {"n_star": 64, "m_star": 4, "h_star": None, "constants": {
+    "c_q1": 1.0, "beta": 0.5, "c_q2": 0.5, "c_q3": 0.25, "delta": 0.5}}
+
+
+def _plan_text(**changes):
+    """A plan file's text with some fields changed; json writes NaN and Infinity."""
+    return json.dumps(_PLAN | changes)
+
+
+def _bad_plan(field, value):
+    if field.startswith("c_"):
+        return _plan_text(constants=_PLAN["constants"] | {field: value})
+    return _plan_text(**{field: value})
+
+
 @pytest.mark.parametrize("command, text", [
     ("plan", '{"beta": 0.5}'),  # lacks the other constants
     ("plan", "[1]"),  # not an object
     ("sweep", "[1]"),
     ("estimate", '{"n_star": 64}'),  # lacks m_star and the constants
+    pytest.param("plan", "not json", id="plan-not-json"),
+    pytest.param("estimate", "not json", id="estimate-not-json"),
+    pytest.param("plan", json.dumps(_PLAN["constants"] | {"c_q1": math.nan}), id="plan-c_q1-nan"),
+    pytest.param("sweep", json.dumps(_PLAN["constants"] | {"c_q2": math.inf}), id="sweep-c_q2-inf"),
+    # N* and M* must be positive integers, h* null or a positive finite number
+    *(pytest.param("estimate", _bad_plan(field, value), id=f"estimate-{field}-{value!r}")
+      for field, value in [
+          ("n_star", "x"), ("n_star", 4.5), ("n_star", -4), ("n_star", [4]),
+          ("n_star", True), ("m_star", "x"), ("m_star", 0), ("m_star", False),
+          ("h_star", "x"), ("h_star", 0), ("h_star", -0.5), ("h_star", math.inf),
+          ("h_star", True), ("c_q1", math.nan), ("c_q2", math.inf),
+      ]),
 ])
 def test_malformed_pilot_or_plan_file_is_a_config_error(tmp_path, lg_config, capsys,
                                                         command, text):
@@ -321,6 +370,16 @@ def test_malformed_pilot_or_plan_file_is_a_config_error(tmp_path, lg_config, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: {'plan' if command == 'estimate' else 'pilot'} file {path}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("counts", [["--N", "64"], ["--M", "4"], ["--N", "64", "--M", "4"]])
+def test_plan_with_explicit_counts_is_a_usage_error(tmp_path, lg_config, capsys, counts):
+    plan = _write(tmp_path, "plan.json", _plan_text())
+    out = tmp_path / "res.json"
+    assert main(["estimate", lg_config, "--plan", plan, *counts, "--out", str(out)]) == 2
+    assert "--plan sets N and M" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["estimate", lg_config, "--plan", plan, "--out", str(out)]) == 0
 
 
 class TestEstimateCommand:

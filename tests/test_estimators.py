@@ -372,6 +372,16 @@ class TestQuadratureOracle:
         b = tensor_quadrature_reference(toy_problem(), 48, 48)
         assert abs(a - b) < 1e-10
 
+    @pytest.mark.parametrize("outer_map", ["log", "identity"])
+    def test_log_form_matches_the_linear_form(self, outer_map):
+        # g = exp(x y) given as g itself and as log g
+        linear = NestedProblem(d1=1, d2=1, outer_map=outer_map,
+                               inner=lambda y, x: np.exp(x[:, :, 0] * y[:, 0][:, None]))
+        log_form = NestedProblem(d1=1, d2=1, outer_map=outer_map, inner_is_log=True,
+                                 inner=lambda y, x: x[:, :, 0] * y[:, 0][:, None])
+        assert tensor_quadrature_reference(log_form, 16, 16) == pytest.approx(
+            tensor_quadrature_reference(linear, 16, 16), rel=1e-14, abs=0)
+
     def test_dimension_limits(self):
         prob = NestedProblem(d1=4, d2=1,
                              inner=lambda y, x: np.ones(x.shape[:2]),
@@ -431,10 +441,11 @@ class TestChunking:
         np.testing.assert_array_equal(got, whole[lo:hi])
 
 
-class TestSharedChunks:
-    """Below one chunk of rows, several outer randomizations share a chunk,
-    one inner call and one MAP batch; each randomization's mean must keep
-    the bits it has when evaluated alone."""
+class TestOneRandomizationPerChunk:
+    """Every chunk task holds rows of one outer randomization, however few
+    rows N is: below one chunk of rows, each randomization is one task, one
+    inner call and one MAP batch.  Each randomization's mean must keep the
+    bits it has when evaluated alone, in pieces of at most a chunk."""
 
     @staticmethod
     def _pk_problem():
@@ -462,11 +473,11 @@ class TestSharedChunks:
         return sums / N
 
     @pytest.mark.parametrize("sampler, chunk, N, S, calls", [
-        ("rqmc-sobol-owen", 4096, 16, 8, [128]),
-        ("rqmc-sobol-owen", 8, 4, 5, [8, 8, 4]),
+        ("rqmc-sobol-owen", 4096, 16, 8, [16] * 8),
+        ("rqmc-sobol-owen", 8, 4, 5, [4] * 5),
         ("rqmc-sobol-owen", 8, 8, 3, [8, 8, 8]),
-        ("mc", 8, 3, 5, [6, 6, 3]),  # two whole randomizations a chunk
-        ("mc", 8, 12, 2, [8, 4, 8, 4]),  # pieces never cross randomizations
+        ("mc", 8, 3, 5, [3] * 5),  # one whole randomization a chunk
+        ("mc", 8, 12, 2, [8, 4, 8, 4]),  # chunks never cross randomizations
     ])
     def test_replicates_bit_identical_to_one_randomization_at_a_time(
         self, sampler, chunk, N, S, calls, monkeypatch
@@ -762,7 +773,7 @@ class TestPinnedStreams:
     def test_pk_inner_pilot(self):
         from nestiq.allocation import fit_pilot_inner
 
-        nested = TestSharedChunks._pk_problem()
+        nested = TestOneRandomizationPerChunk._pk_problem()
         fit = fit_pilot_inner(nested, [32, 64], 4, 8, RandomizationKey(5, tag="pin"))
         assert [v.hex() for v in fit.rung_variances] == [
             "0x1.4b81064f3833bp-17", "0x1.a5395cddde5a9p-19",

@@ -48,6 +48,13 @@ class TestDirectionNumbers:
         with pytest.raises(DirectionNumberError, match="gap|duplicate"):
             load_direction_numbers("2 1 0 1\n4 3 1 1 3 1")
 
+    def test_bytes_and_lines_read_as_the_string(self):
+        text = "d s a m_i\n2 1 0 1\n3 2 1 1 3\n"
+        want = load_direction_numbers(text).directions
+        lines = text.splitlines()
+        for source in (text.encode(), lines, [ln.encode() for ln in lines]):
+            np.testing.assert_array_equal(load_direction_numbers(source).directions, want)
+
     def test_header_line_tolerated(self):
         p = load_direction_numbers("d s a m_i\n2 1 0 1")
         assert p.dimension == 2
@@ -94,6 +101,16 @@ class TestSobolSequence:
     def test_count_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             DigitalSequence(values=np.zeros((3, 1), dtype=np.uint32))
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "N must be a power of two, got 0"),
+        (3, "N must be a power of two, got 3"),
+        (2**32, "N must be at most 2\\^31, got 4294967296"),
+    ])
+    def test_one_power_of_two_rule(self, value, message):
+        lds._check_pow2(2**31, "N")
+        with pytest.raises(ValueError, match=message):
+            lds._check_pow2(value, "N")
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
