@@ -5,7 +5,7 @@ files embedding the config hash and master seed, and print a short human
 summary to stderr.  Re-running any command with identical inputs reproduces
 byte-identical output files.  NESTIQ_THREADS caps internal parallelism.
 
-Exit codes: 0 success, 2 usage or config error, 3 infeasible plan,
+Exit codes: 0 success, 2 usage, config or file error, 3 infeasible plan,
 4 numerical failure.
 """
 
@@ -16,8 +16,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-
-import numpy as np
 
 from .allocation import (
     InfeasiblePlanError,
@@ -30,23 +28,11 @@ from .allocation import (
 )
 from .config import ConfigError, ExperimentConfig
 from .lds import RandomizationKey
-from .oed import build_nested_problem, closed_form_entropy_term
+from .oed import _eig_of_mean, build_nested_problem
 
 _USAGE_EXIT = 2
 _INFEASIBLE_EXIT = 3
 _NUMERICAL_EXIT = 4
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 def _record(obj, *omit) -> dict:
@@ -55,7 +41,7 @@ def _record(obj, *omit) -> dict:
 
 
 def _write_json(path: str, payload: dict):
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -83,8 +69,7 @@ def cmd_pilot(args) -> int:
     seed = cfg.seed if args.seed is None else args.seed
     key = RandomizationKey(seed, tag="pilot")
     problem = cfg.build_problem()
-    family = cfg.estimator_family()
-    sampler = cfg.sampler_kind()
+    family, sampler = cfg.family_and_sampler()
 
     nested = build_nested_problem(problem, family=family)
     # the Laplace-only estimator has one inner point and no inner pilot
@@ -96,18 +81,13 @@ def cmd_pilot(args) -> int:
         nested, outer_ladder, 1 if laplace else args.m_fixed, args.S,
         key.child("outer"), sampler=sampler,
     )
-    # the top rung's EIG, as the estimate command forms it: the Laplace-only
-    # integrand is the EIG itself, the nested one its log-evidence term
-    top_eig = outer.top_estimate
-    if not laplace:
-        entropy = closed_form_entropy_term(problem.n_experiments, problem.noise_variances)
-        top_eig = float(entropy - top_eig)
     meta = {
         "estimator": cfg.estimator,
         "outer_ladder": outer_ladder,
         "outer_variances": list(outer.rung_variances),
         "outer_residual": outer.residual,
-        "outer_top_eig": top_eig,
+        # the top rung's EIG, as the estimate command forms it
+        "outer_top_eig": _eig_of_mean(problem, family, outer.top_estimate),
         "outer_top_stderr": outer.top_stderr,
         "S": args.S,
         "seed": seed,
@@ -363,7 +343,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

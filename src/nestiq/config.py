@@ -16,12 +16,7 @@ import numpy as np
 
 from .lds import RandomizationKey
 from .models import LinearGaussianModel, PKModel, SyntheticDiscretizedModel, pk_designs, pk_prior
-from .oed import (
-    OEDProblem,
-    eig_importance_sampled,
-    eig_laplace_only,
-    eig_nested,
-)
+from .oed import OEDProblem, _eig
 from .stats import PriorComponent, PriorSpec, TruncationSetting
 
 __all__ = ["ConfigError", "ExperimentConfig", "ESTIMATOR_IDS"]
@@ -253,11 +248,9 @@ class ExperimentConfig:
 
     # -- estimator dispatch --------------------------------------------------
 
-    def estimator_family(self) -> str:
-        return _ESTIMATORS[self.estimator][0]
-
-    def sampler_kind(self) -> str:
-        return _ESTIMATORS[self.estimator][1]
+    def family_and_sampler(self) -> tuple[str, str]:
+        """The estimator id's (family, sampler) pair."""
+        return _ESTIMATORS[self.estimator]
 
     def run_estimator(
         self,
@@ -269,14 +262,11 @@ class ExperimentConfig:
         h: float | None = None,
     ):
         problem = self.build_problem(h=h)
-        family, sampler = _ESTIMATORS[self.estimator]
+        family, sampler = self.family_and_sampler()
         if family == "laplace":
-            return eig_laplace_only(
-                problem, N, sampler=sampler,
-                key=key, s_replicates=max(S, 2) if sampler != "mc" else S,
-            )
-        if M is None:
+            # one inner point; under Sobol two randomizations at least, for a stderr
+            M, R = 1, 1
+            S = max(S, 2) if sampler != "mc" else S
+        elif M is None:
             raise ConfigError(f"estimator {self.estimator} needs an inner count M")
-        if family == "is":
-            return eig_importance_sampled(problem, N, M, S, R, sampler=sampler, key=key)
-        return eig_nested(problem, N, M, S, R, sampler=sampler, key=key)
+        return _eig(problem, family, N, M, S, R, sampler, key)

@@ -458,17 +458,21 @@ def _quadrature_value(problem: NestedProblem, order_outer: int, order_inner: int
         grids.append(_tensor_grid([(0.5 * (t + 1.0), 0.5 * w)] * dim))
     (y_nodes, y_w), (x_nodes, x_w) = grids
     k = x_nodes.shape[0]
+    rows = max(1, _INNER_BLOCK // k)  # rows per integrand call, as in the executor
     total = 0.0
     for lo in range(0, y_nodes.shape[0], _CHUNK):
         hi = min(lo + _CHUNK, y_nodes.shape[0])
-        y = y_nodes[lo:hi]
-        x = np.broadcast_to(x_nodes, (hi - lo, k, problem.d2))
-        raw = np.asarray(problem.inner(_prepare_state(problem, y), x), dtype=np.float64)
-        if problem.inner_is_log:
-            log_inner = log_sum_exp(raw + np.log(x_w)[None, :], axis=1)
-            fv = log_inner if problem.outer_map == "log" else np.exp(log_inner)
-        else:
-            fv = problem.apply_outer(raw @ x_w)
+        state = _prepare_state(problem, y_nodes[lo:hi])
+        fv = np.empty(hi - lo)
+        for a in range(0, hi - lo, rows):
+            b = min(a + rows, hi - lo)
+            x = np.broadcast_to(x_nodes, (b - a, k, problem.d2))
+            raw = np.asarray(problem.inner(_state_rows(state, a, b), x), dtype=np.float64)
+            if problem.inner_is_log:
+                log_inner = log_sum_exp(raw + np.log(x_w)[None, :], axis=1)
+                fv[a:b] = log_inner if problem.outer_map == "log" else np.exp(log_inner)
+            else:
+                fv[a:b] = problem.apply_outer(raw @ x_w)
         total += float(fv @ y_w[lo:hi])
     return total
 

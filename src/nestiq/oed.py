@@ -494,14 +494,6 @@ def laplace_covariance(theta_hat, problem: OEDProblem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_sampler_prior(problem: OEDProblem, family: str):
-    if family == "is" and any(k == "uniform" for k in problem.prior.kinds):
-        raise ValueError(
-            "importance sampling with a uniform prior creates discontinuous "
-            "weights; use the plain nested estimator instead"
-        )
-
-
 def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
     """The single-loop Laplace EIG integrand as a nested problem with one
     inner point and no inner dimension: ``prepare`` evaluates it at each
@@ -540,7 +532,11 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
     """
     if family not in ("plain", "is", "laplace"):
         raise ValueError("family must be 'plain', 'is' or 'laplace'")
-    _check_sampler_prior(problem, family)
+    if family == "is" and "uniform" in problem.prior.kinds:
+        raise ValueError(
+            "importance sampling with a uniform prior creates discontinuous "
+            "weights; use the plain nested estimator instead"
+        )
     if family == "laplace":
         return _laplace_only_problem(problem)
     d_theta = problem.d_theta
@@ -594,12 +590,25 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
     )
 
 
-def _assemble_eig(problem: OEDProblem, term: EstimatorResult) -> EstimatorResult:
-    entropy = closed_form_entropy_term(problem.n_experiments, problem.noise_variances)
+def _eig_of_mean(problem: OEDProblem, family: str, mean):
+    """The EIG of a family's nested mean, a number or an array of them: the
+    entropy term minus the log-evidence for "plain" and "is"; the
+    Laplace-only mean is the EIG itself."""
+    if family == "laplace":
+        return mean
+    return closed_form_entropy_term(problem.n_experiments, problem.noise_variances) - mean
+
+
+def _eig(problem: OEDProblem, family: str, N, M, S, R, sampler, key) -> EstimatorResult:
+    """A family's EIG estimate from its nested problem; the Laplace-only
+    family has one inner point, so its counts are N and S."""
+    nested = build_nested_problem(problem, family)
+    term = rdlqmc_estimate(nested, N, M, S, R, key or RandomizationKey(0), sampler=sampler)
     return replace(
         term,
-        estimate=float(entropy - term.estimate),
-        replicate_values=entropy - term.replicate_values,
+        estimate=_eig_of_mean(problem, family, term.estimate),
+        replicate_values=_eig_of_mean(problem, family, term.replicate_values),
+        counts={"N": N, "S": S} if family == "laplace" else term.counts,
     )
 
 
@@ -613,10 +622,7 @@ def eig_nested(
     key: RandomizationKey | None = None,
 ) -> EstimatorResult:
     """Double-loop EIG estimate: entropy term minus the nested log-marginal."""
-    key = key or RandomizationKey(0)
-    nested = build_nested_problem(problem, family="plain")
-    term = rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
-    return _assemble_eig(problem, term)
+    return _eig(problem, "plain", N, M, S, R, sampler, key)
 
 
 def eig_importance_sampled(
@@ -630,10 +636,7 @@ def eig_importance_sampled(
 ) -> EstimatorResult:
     """Nested EIG with the inner integral importance-sampled from the
     per-datum Laplace surrogate."""
-    key = key or RandomizationKey(0)
-    nested = build_nested_problem(problem, family="is")
-    term = rdlqmc_estimate(nested, N, M, S, R, key, sampler=sampler)
-    return _assemble_eig(problem, term)
+    return _eig(problem, "is", N, M, S, R, sampler, key)
 
 
 def inner_replicate_spread(
@@ -670,12 +673,9 @@ def eig_laplace_only(
     inner point, and s_replicates is its number S of outer randomizations,
     as in eig_nested.
     """
-    key = key or RandomizationKey(0)
     if s_replicates < 1:
         raise ValueError(f"s_replicates must be >= 1, got {s_replicates}")
-    nested = build_nested_problem(problem, family="laplace")
-    result = rdlqmc_estimate(nested, N, 1, s_replicates, 1, key, sampler=sampler)
-    return replace(result, counts={"N": N, "S": s_replicates})
+    return _eig(problem, "laplace", N, 1, s_replicates, 1, sampler, key)
 
 
 def eig_conjugate_oracle(prior_variances, noise_variances, jacobian, n_experiments: int) -> float:

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,9 +334,9 @@ def test_criterion_9_cli_determinism(tmp_path):
             rerun = str(tdir / "res2.json")
             assert cli_main(["estimate", str(cfg), "--plan", plan, "--S", "4",
                              "--out", rerun]) == 0
-            assert open(res, "rb").read() == open(rerun, "rb").read()
+            assert Path(res).read_bytes() == Path(rerun).read_bytes()
             outputs[threads] = tuple(
-                open(f, "rb").read() for f in (pilot, plan, res, sweep)
+                Path(f).read_bytes() for f in (pilot, plan, res, sweep)
             )
     finally:
         if before is None:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def pilot_file(tmp_path, lg_config):
 
 class TestPilotCommand:
     def test_writes_constants_in_range(self, pilot_file):
-        data = json.loads(open(pilot_file).read())
+        data = json.loads(Path(pilot_file).read_text())
         assert 0.0 <= data["beta"] <= 1.0
         assert 0.0 <= data["delta"] <= 1.0
         assert data["c_q1"] > 0
@@ -173,7 +174,7 @@ class TestPilotCommand:
                 "--inner-ladder", "16,64", "--S", "8", "--R", "8", "--out", out,
             ])
             assert rc == 0
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
 
 
@@ -186,7 +187,7 @@ class TestPilotTopRung:
         cfg = _write(tmp_path, "lg.cfg", LG_CFG.replace("rdlqmcis", estimator))
         out = str(tmp_path / "pilot.json")
         assert main(["pilot", cfg, "--inner-ladder", "16,64", "--R", "8", "--out", out]) == 0
-        meta = json.loads(open(out).read())["metadata"]
+        meta = json.loads(Path(out).read_text())["metadata"]
         key = RandomizationKey(7, tag="pilot").child("outer").child("pilot-outer", 7)
         res = ExperimentConfig.from_file(cfg).run_estimator(4096, m, 16, 1, key)
         assert (meta["outer_top_eig"], meta["outer_top_stderr"]) == (res.estimate, res.stderr)
@@ -216,7 +217,7 @@ class TestLaplacePilot:
         rc = main(["pilot", cfg, "--outer-ladder", "64,256,1024", "--S", "32",
                    "--seed", "7", "--out", out])
         assert rc == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         first = data["metadata"]["outer_variances"][0]
         assert 0.5 * (0.5 / 64) < first < 2.0 * (0.5 / 64)
         assert (data["c_q2"], data["c_q3"], data["delta"]) == (0.0, 0.0, 0.0)
@@ -228,7 +229,7 @@ class TestLaplacePilot:
         out = str(tmp_path / "pilot.json")
         assert main(["pilot", cfg, "--outer-ladder", "64,256", "--S", "8",
                      "--R", "1", "--inner-ladder", "x", "--out", out]) == 0
-        assert "R" not in json.loads(open(out).read())["metadata"]
+        assert "R" not in json.loads(Path(out).read_text())["metadata"]
         assert main(["pilot", lg_config, "--R", "1", "--out", out]) == 2
         assert main(["pilot", lg_config, "--inner-ladder", "x", "--out", out]) == 2
 
@@ -239,7 +240,7 @@ class TestLaplacePilot:
                      "--out", pilot]) == 0
         assert main(["plan", "--pilot", pilot, "--tol", "0.01", "--out", plan]) == 0
         assert main(["estimate", cfg, "--plan", plan, "--out", est]) == 0
-        res = json.loads(open(est).read())
+        res = json.loads(Path(est).read_text())
         assert abs(res["estimate"] - 0.5 * math.log(2)) < 0.01
 
 
@@ -248,7 +249,7 @@ class TestPlanCommand:
         out = str(tmp_path / "plan.json")
         rc = main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", out])
         assert rc == 0
-        plan = json.loads(open(out).read())
+        plan = json.loads(Path(out).read_text())
         assert plan["n_star"] >= 1 and plan["m_star"] >= 1
         assert 0 < plan["kappa_star"] < 1
         assert plan["c_alpha"] == pytest.approx(1.959963984540054)
@@ -256,7 +257,7 @@ class TestPlanCommand:
     def test_plan_file_reports_the_continuous_optimum(self, tmp_path, pilot_file):
         out = str(tmp_path / "plan.json")
         assert main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", out]) == 0
-        plan = json.loads(open(out).read())
+        plan = json.loads(Path(out).read_text())
         assert plan["n_raw"] >= 1
         assert plan["n_raw"] * plan["m_raw"] <= plan["predicted_work"]
 
@@ -265,7 +266,7 @@ class TestPlanCommand:
         for tol in ("0.02", "0.01"):
             out = str(tmp_path / f"plan{tol}.json")
             main(["plan", "--pilot", pilot_file, "--tol", tol, "--out", out])
-            plan = json.loads(open(out).read())
+            plan = json.loads(Path(out).read_text())
             ns[tol] = plan["n_star"]
             beta = plan["constants"]["beta"]
         assert ns["0.01"] >= ns["0.02"] * 2 ** (2 / (1 + beta)) / 2
@@ -275,12 +276,12 @@ class TestPlanCommand:
         rc = main(["plan", "--pilot", pilot_file, "--tol", "0.05", "--alpha", "0.05",
                    "--chebyshev", "--out", out])
         assert rc == 0
-        assert json.loads(open(out).read())["c_alpha"] == pytest.approx(math.sqrt(20))
+        assert json.loads(Path(out).read_text())["c_alpha"] == pytest.approx(math.sqrt(20))
 
     def test_low_confidence_pilot_warns(self, tmp_path, pilot_file, capsys):
         # a pilot file written before C_Q3 came from C_Q2 carries the bias
         # fit's metadata; plan reads past it and warns no more
-        data = json.loads(open(pilot_file).read())
+        data = json.loads(Path(pilot_file).read_text())
         data["metadata"].update(inner_biases=[0.0, 4e-16], c_q3_low_confidence=True)
         old = _write(tmp_path, "old.json", json.dumps(data))
         plans = []
@@ -290,7 +291,7 @@ class TestPlanCommand:
             assert main(["plan", "--pilot", pilot, "--tol", "0.02", "--out", out]) == 0
             err = capsys.readouterr().err.splitlines()
             assert [ln for ln in err if ln.startswith("warning:")] == []
-            plans.append(open(out, "rb").read())
+            plans.append(Path(out).read_bytes())
         assert plans[0] == plans[1]
 
     def test_infeasible_exit_code(self, tmp_path):
@@ -322,6 +323,20 @@ def test_exit_code_and_message_per_error(monkeypatch, capsys, error, code, prefi
     rc = main(["plan", "--pilot", "pilot.json", "--tol", "0.01", "--out", "plan.json"])
     assert rc == code
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--pilot", "{dir}", "--tol", "0.01", "--out", "{tmp}/plan.json"],
+    ["estimate", "{dir}", "--N", "4", "--M", "1", "--out", "{tmp}/res.json"],
+    ["estimate", "{cfg}", "--N", "4", "--M", "1", "--out", "{dir}"],
+], ids=["pilot-file", "config-file", "out-file"])
+def test_directory_path_is_a_usage_error(tmp_path, lg_config, capsys, argv):
+    # an input or output path that names a directory cannot be opened
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"dir": str(folder), "tmp": str(tmp_path), "cfg": lg_config}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 _PLAN = {"n_star": 64, "m_star": 4, "h_star": None, "constants": {
@@ -389,7 +404,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "res.json")
         rc = main(["estimate", lg_config, "--plan", plan_out, "--S", "8", "--out", out])
         assert rc == 0
-        res = json.loads(open(out).read())
+        res = json.loads(Path(out).read_text())
         assert abs(res["estimate"] - 0.5 * math.log(2)) < 6 * res["stderr"]
         assert res["seed"] == 7
         assert len(res["config_hash"]) == 64
@@ -397,20 +412,20 @@ class TestEstimateCommand:
     def test_predicted_error_from_plan(self, tmp_path, lg_config, pilot_file):
         plan_out = str(tmp_path / "plan.json")
         main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", plan_out])
-        plan = json.loads(open(plan_out).read())
+        plan = json.loads(Path(plan_out).read_text())
         consts = PilotConstants(**plan["constants"])
         n, m, h = plan["n_star"], plan["m_star"], plan["h_star"]
         for s in (1, 4):
             out = str(tmp_path / f"res{s}.json")
             assert main(["estimate", lg_config, "--plan", plan_out, "--S", str(s),
                          "--out", out]) == 0
-            res = json.loads(open(out).read())
+            res = json.loads(Path(out).read_text())
             assert res["predicted_stddev"] == math.sqrt(_stat_variance(consts, n, m))
             assert res["predicted_bias"] == _bias_value(consts, m, h)
             assert (res["stderr"] is None) == (s == 1)
         out = str(tmp_path / "res_nm.json")
         assert main(["estimate", lg_config, "--N", "64", "--M", "4", "--out", out]) == 0
-        res = json.loads(open(out).read())
+        res = json.loads(Path(out).read_text())
         assert res["predicted_stddev"] is None and res["predicted_bias"] is None
 
     def test_counts_passthrough(self, tmp_path, lg_config):
@@ -418,21 +433,21 @@ class TestEstimateCommand:
         rc = main(["estimate", lg_config, "--N", "64", "--M", "4", "--S", "2",
                    "--R", "3", "--out", out])
         assert rc == 0
-        res = json.loads(open(out).read())
+        res = json.loads(Path(out).read_text())
         assert res["counts"] == {"N": 64, "M": 4, "S": 2, "R": 3}
         assert res["work"] == 64 * 4 * 2 * 3
         dlmc = _write(tmp_path, "dlmc.cfg", LG_CFG.replace("rdlqmcis", "dlmc"))
         rc = main(["estimate", dlmc, "--N", "64", "--M", "4", "--S", "1",
                    "--R", "1", "--out", out])
         assert rc == 0
-        assert json.loads(open(out).read())["counts"] == {"N": 64, "M": 4, "S": 1, "R": 1}
+        assert json.loads(Path(out).read_text())["counts"] == {"N": 64, "M": 4, "S": 1, "R": 1}
 
     def test_laplace_estimator_has_no_inner_count(self, tmp_path):
         cfg = _write(tmp_path, "la.cfg", LG_CFG.replace("rdlqmcis", "mcla"))
         out = str(tmp_path / "res.json")
         rc = main(["estimate", cfg, "--N", "2048", "--out", out])
         assert rc == 0
-        res = json.loads(open(out).read())
+        res = json.loads(Path(out).read_text())
         assert "M" not in res["counts"]
 
     @pytest.mark.parametrize("estimator, message", [
@@ -451,6 +466,12 @@ class TestEstimateCommand:
         rc = main(["estimate", lg_config, "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_nested_estimator_needs_an_inner_count(self, tmp_path, lg_config, capsys):
+        out = tmp_path / "x.json"
+        assert main(["estimate", lg_config, "--N", "64", "--out", str(out)]) == 2
+        assert "estimator rdlqmcis needs an inner count M" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plain_pk_estimate_completes_in_log_space(self, tmp_path):
         # the plain nested estimator on the drug model has inner likelihoods
         # far below the smallest double, but every CLI integrand is in log
@@ -467,7 +488,7 @@ class TestSweepCommand:
         rc = main(["sweep", lg_config, "--pilot", pilot_file,
                    "--tols", "0.1,0.05,0.025", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         header = lines[0].split(",")
         assert header == ["tol", "kappa_star", "N_star", "M_star", "h_star",
                           "predicted_work", "estimate", "stderr",
@@ -480,7 +501,7 @@ class TestSweepCommand:
         out = str(tmp_path / "empty.csv")
         rc = main(["sweep", lg_config, "--pilot", pilot_file, "--tols", "", "--out", out])
         assert rc == 0
-        assert open(out).read().count("\n") == 1
+        assert Path(out).read_text().count("\n") == 1
 
     def test_per_row_failure_isolated(self, tmp_path, lg_config):
         pilot = _write(tmp_path, "pilot.json", json.dumps({
@@ -493,7 +514,7 @@ class TestSweepCommand:
         # with an h floor the tiny tolerance is infeasible but others are not
         rc = main(["sweep", cfg, "--pilot", pilot, "--tols", "0.5,0.0000001", "--out", out])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         first, second = lines[1].split(","), lines[2].split(",")
         assert first[-1] == ""
         assert second[-1] != ""
@@ -512,12 +533,12 @@ class TestFileSchemas:
     on purpose."""
 
     def test_pilot_plan_estimate_and_sweep_keys(self, tmp_path, lg_config, pilot_file):
-        pilot = json.loads(open(pilot_file).read())
+        pilot = json.loads(Path(pilot_file).read_text())
         assert set(pilot) == _CONSTANTS | {"metadata"}
         assert set(pilot["metadata"]) == _OUTER_META | _INNER_META
         plan_out, est_out = str(tmp_path / "plan.json"), str(tmp_path / "est.json")
         assert main(["plan", "--pilot", pilot_file, "--tol", "0.02", "--out", plan_out]) == 0
-        plan = json.loads(open(plan_out).read())
+        plan = json.loads(Path(plan_out).read_text())
         assert set(plan) == {
             "tol", "alpha", "c_alpha", "kappa_star", "n_star", "m_star", "h_star",
             "predicted_work", "n_raw", "m_raw", "constants", "config_hash", "seed",
@@ -530,21 +551,22 @@ class TestFileSchemas:
         }
         for counts in (["--plan", plan_out], ["--N", "64", "--M", "4", "--S", "2"]):
             assert main(["estimate", lg_config, *counts, "--out", est_out]) == 0
-            assert set(json.loads(open(est_out).read())) == est_keys
+            assert set(json.loads(Path(est_out).read_text())) == est_keys
         sweep_out = str(tmp_path / "sweep.csv")
         assert main(["sweep", lg_config, "--pilot", pilot_file, "--tols", "0.1",
                      "--out", sweep_out]) == 0
-        assert open(sweep_out).readline() == (
-            "tol,kappa_star,N_star,M_star,h_star,predicted_work,"
-            "estimate,stderr,realized_work,seed,error\n"
-        )
+        with open(sweep_out) as fh:
+            assert fh.readline() == (
+                "tol,kappa_star,N_star,M_star,h_star,predicted_work,"
+                "estimate,stderr,realized_work,seed,error\n"
+            )
 
     def test_laplace_pilot_has_no_inner_metadata(self, tmp_path):
         cfg = _write(tmp_path, "mcla.cfg", LG_CFG.replace("rdlqmcis", "mcla"))
         out = str(tmp_path / "pilot.json")
         assert main(["pilot", cfg, "--outer-ladder", "32,128,512", "--S", "8",
                      "--out", out]) == 0
-        pilot = json.loads(open(out).read())
+        pilot = json.loads(Path(out).read_text())
         assert set(pilot) == _CONSTANTS | {"metadata"}
         assert set(pilot["metadata"]) == _OUTER_META
 
@@ -560,7 +582,7 @@ class TestThreadDeterminism:
                 rc = main(["estimate", lg_config, "--N", "256", "--M", "4",
                            "--S", "4", "--out", out])
                 assert rc == 0
-                outs.append(open(out, "rb").read())
+                outs.append(Path(out).read_bytes())
         finally:
             if before is None:
                 os.environ.pop("NESTIQ_THREADS", None)
@@ -581,7 +603,7 @@ class TestPkConfigPipeline:
             "--S", "8", "--R", "8", "--out", out,
         ])
         assert rc == 0
-        data = json.loads(open(out).read())
+        data = json.loads(Path(out).read_text())
         assert 0.0 <= data["beta"] <= 1.0
         assert 0.0 <= data["delta"] <= 1.0
         assert data["metadata"]["seed"] == 5

@@ -382,6 +382,26 @@ class TestQuadratureOracle:
         assert tensor_quadrature_reference(log_form, 16, 16) == pytest.approx(
             tensor_quadrature_reference(linear, 16, 16), rel=1e-14, abs=0)
 
+    def test_memory_does_not_grow_with_the_outer_order(self):
+        import tracemalloc
+
+        # d2 = 3 at doubled order 32 is K = 32768 inner nodes: one call on
+        # all 32 outer rows would hold 8 MiB of raw values, and more
+        # with the order
+        prob = NestedProblem(d1=1, d2=3, outer_map="log", inner_is_log=True,
+                             inner=lambda y, x: x.sum(axis=2) * y[:, :1])
+        tracemalloc.start()
+        try:
+            value = tensor_quadrature_reference(prob, 16, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+        # log of the integral of exp(y (x1 + x2 + x3)) over the inner cube
+        y, w = np.polynomial.legendre.leggauss(32)
+        y = 0.5 * (y + 1.0)
+        assert value == pytest.approx(0.5 * w @ (3 * np.log(np.expm1(y) / y)), abs=1e-12)
+
     def test_dimension_limits(self):
         prob = NestedProblem(d1=4, d2=1,
                              inner=lambda y, x: np.ones(x.shape[:2]),

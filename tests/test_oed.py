@@ -905,6 +905,22 @@ class TestConjugateOracle:
         q = eig_quadrature(linear_gaussian_problem(), 32, 32, 64)
         assert q == pytest.approx(TRUTH, abs=1e-10)
 
+    def test_lognormal_prior_quadrature(self):
+        # G = 0.8 log(theta) with log(theta) ~ N(0.3, 0.5^2) is linear-Gaussian
+        # in log(theta), so the quadrature on the lognormal axis is conjugate
+        class LogModel(ForwardModel):
+            d_theta = 1
+            d_y = 1
+
+            def evaluate(self, theta, xi=None, h=None):
+                return 0.8 * np.log(np.atleast_2d(theta))
+
+        p = OEDProblem(model=LogModel(), xi=np.zeros(0),
+                       prior=PriorSpec(components=(("lognormal", 0.3, 0.5),)),
+                       noise_variances=[0.2])
+        assert eig_quadrature(p) == pytest.approx(
+            eig_conjugate_oracle([0.25], [0.2], [[0.8]], 1), abs=1e-12)
+
 
 class TestNestedEigEstimators:
     @pytest.mark.parametrize("sampler", ["rqmc-sobol-owen", "mc"])
