@@ -7,8 +7,8 @@ time points; the design question is where to place those samples.  The
 expected information gain (EIG) of the experiment is a nested integral:
 its inner part marginalizes the likelihood over the parameter prior, which
 plain sampling cannot handle here (the likelihood is far too concentrated),
-so the inner integral is importance-sampled from a per-datum Gaussian
-(Laplace) posterior surrogate.
+so the inner integral is importance-sampled from each datum's linearized
+Gaussian posterior in log-parameters, where the lognormal prior is Gaussian.
 
 The full pipeline: fit pilot constants, plan the sample counts for a
 tolerance, and run the production estimator with a single randomization.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -38,6 +39,19 @@ _NUMERICAL_EXIT = 4
 def _record(obj, *omit) -> dict:
     """A dataclass's fields by name, less those named in omit."""
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
+
+
+def _check_out(path: str):
+    """Refuse an output path that cannot be written before any work is
+    done: a directory, or a file in a directory that is missing or not
+    writable.  Nothing is created, so a run that fails later leaves no file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"--out {path} is not writable")
 
 
 def _write_json(path: str, payload: dict):
@@ -336,6 +350,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except InfeasiblePlanError as exc:
         print(f"infeasible: {exc} (binding constraint: {exc.binding})", file=sys.stderr)

@@ -126,7 +126,8 @@ class PKModel(ForwardModel):
         jac = np.empty((theta.shape[0], xi.shape[0], 3))
         # one (d_y, rows) plane per parameter, the batch axis innermost so
         # every elementwise step is one long loop, each plane copied into its
-        # column of jac; the posterior-mode search bounds the rows per call
+        # column of jac; the Gauss-Newton assembly's slices (oed._GN_ROWS)
+        # bound the rows per call
         t1, t2, t3 = theta.T
         # wider window than the forward guard: the difference quotient in the
         # derivative cancels like (th1-th2)^-2, crossing over near 1e-6

@@ -4,9 +4,11 @@ The information gain of an experiment splits into a closed-form entropy term
 of the observation noise and the expectation of the log marginal likelihood;
 the latter is a nested integral (outer: parameters and noise, inner: the
 marginalization over parameters) estimated by the double-loop machinery, in
-plain form or with Laplace-based importance sampling for the inner integral.
-A single-loop Laplace-only estimator and a conjugate closed form for
-linear-Gaussian models round out the family.
+plain form or with the inner integral importance-sampled from each outer
+row's linearized posterior, a Gaussian in the prior's Gaussian coordinates
+(log-parameters for lognormal components).  A single-loop Laplace-only
+estimator, a conjugate closed form for linear-Gaussian models and a tensor
+quadrature for tiny ones round out the family.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Newton-decrement tolerance of every posterior-mode search: a row has
-# converged when grad^T H^-1 grad <= _MAP_TOL**2 = 1e-6, a centre about 1e-3
-# posterior standard deviations off the mode.  The mode only centres the
-# importance-sampling proposal, which is consistent for any centre: one off
-# the mode by H^-1 grad adds about the decrement, as a relative amount, to
-# the variance of the weights (Beck et al. 2018).
+# Newton-decrement tolerance of the posterior-mode search behind
+# map_estimate: a row has converged when grad^T H^-1 grad <= _MAP_TOL**2 =
+# 1e-6, about 1e-3 posterior standard deviations from the exact mode.  No
+# estimator runs the search: the importance-sampling proposal is the
+# linearized posterior at each outer row's own parameters
+# (_linearized_proposal).
 _MAP_TOL = 1e-3
 
 # Rows per slice of the Gauss-Newton assembly: a slice's Jacobian, its
@@ -232,11 +234,17 @@ def _neg_log_post(problem, theta, y_data, g=None):
     return 0.5 * quad - problem.prior.logpdf(theta), g
 
 
-def _gauss_newton_system(problem, theta, y_data=None, g=None):
+def _gauss_newton_system(problem, theta, y_data=None, g=None, gaussian=False):
     """Gauss-Newton Hessian of the negative log posterior at theta, (B, d, d)
     and not symmetrized, and, given data y_data and the model output g at
     theta, the likelihood's gradient term sum_i J_i^T S^-1 (y_i - g), (B, d),
     or None.
+
+    With ``gaussian`` both are taken in the prior's Gaussian coordinates phi
+    (``PriorSpec.gaussian_coordinates``), whose Jacobian is J D with
+    D = diag(dtheta/dphi), theta on a lognormal component and 1 on a normal
+    one: the likelihood's terms become D (J^T S^-1 J) D and D J^T S^-1 rsum,
+    and the prior's term is its constant precision diag(scale^-2).
 
     The Jacobian is built _GN_ROWS rows at a time; a slice's J^T S^-1 J and
     J^T S^-1 rsum are batched matmul products, so every row's bits are those
@@ -260,7 +268,15 @@ def _gauss_newton_system(problem, theta, y_data=None, g=None):
         del jac, at
     hess *= problem.n_experiments
     diag = np.arange(d)
-    hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
+    if not gaussian:
+        hess[:, diag, diag] += -problem.prior.hess_diag_logpdf(theta)
+        return hess, jtr
+    _, scale, log = problem.prior.gaussian_coordinates()
+    dtheta = np.where(log, theta, 1.0)  # dtheta/dphi
+    hess *= dtheta[:, :, None] * dtheta[:, None, :]
+    hess[:, diag, diag] += 1.0 / (scale * scale)
+    if jtr is not None:
+        jtr *= dtheta
     return hess, jtr
 
 
@@ -437,16 +453,17 @@ def _precision_cholesky(hess):
 
 
 def _laplace_batch(problem, theta_hat, hess=None):
-    """Factor of the Laplace surrogate's covariance for a batch of modes.
+    """Factor of a Gaussian surrogate's covariance for a batch of points.
 
     Returns (cov_chol, log_det_cov).  cov_chol[b] = (L^-1)^T, with
     prec = L L^T the lower Cholesky factor of row b's precision, so
-    cov_chol cov_chol^T is the covariance and theta_hat + cov_chol z with z
+    cov_chol cov_chol^T is the covariance and a centre + cov_chol z with z
     standard normal samples the surrogate.  It is upper triangular with
     exact zeros below the diagonal, so _proposal_points may skip those
-    terms: each would add an exact zero times a finite z.  ``hess`` is the
-    Hessian that _map_batch built at the modes; without it the Hessian is
-    built at theta_hat.
+    terms: each would add an exact zero times a finite z.  ``hess`` is a
+    Hessian the caller built (the importance-sampling proposal's, in the
+    prior's Gaussian coordinates); without it the Gauss-Newton Hessian in
+    theta is built at theta_hat.
     """
     if hess is None:
         hess = _gauss_newton_system(problem, theta_hat)[0]
@@ -463,11 +480,11 @@ def _laplace_batch(problem, theta_hat, hess=None):
     return np.swapaxes(l_inv, 1, 2), -log_det_prec
 
 
-def _proposal_points(theta_hat, cov_chol, z):
-    """theta_hat_b + U_b z_bk for modes (B, d), upper-triangular factors U
+def _proposal_points(centre, cov_chol, z):
+    """centre_b + U_b z_bk for centres (B, d), upper-triangular factors U
     (B, d, d) and standard-normal points z (B, K, d), as (B, K, d).
 
-    Column i is theta_hat_i + sum_{j>=i} U_ij z_j, written over the whole
+    Column i is centre_i + sum_{j>=i} U_ij z_j, written over the whole
     batch; the entries below U's diagonal are never read.  Each row's bits
     depend on that row alone.
     """
@@ -477,14 +494,14 @@ def _proposal_points(theta_hat, cov_chol, z):
         np.multiply(cov_chol[:, i, i, None], z[..., i], out=col)
         for j in range(i + 1, z.shape[-1]):
             col += cov_chol[:, i, j, None] * z[..., j]
-        col += theta_hat[:, i, None]
+        col += centre[:, i, None]
     return out
 
 
 def laplace_covariance(theta_hat, problem: OEDProblem) -> np.ndarray:
     """Covariance U U^T of the Gaussian posterior surrogate at the given
-    mode, from the factor U that the importance-sampling proposal samples
-    with."""
+    mode, the inverse Gauss-Newton Hessian in theta, from the factor U that
+    _laplace_batch builds."""
     cov_chol, _ = _laplace_batch(problem, np.asarray(theta_hat, dtype=np.float64)[None, :])
     return cov_chol[0] @ cov_chol[0].T
 
@@ -520,15 +537,57 @@ def _laplace_only_problem(problem: OEDProblem) -> NestedProblem:
     )
 
 
+def _from_gaussian(phi, log):
+    """theta from the prior's Gaussian coordinates phi (..., d), a new
+    array: exp(phi) on the lognormal components (log True) and phi on the
+    normal ones, the expression ``PriorSpec.transform`` evaluates."""
+    if log.all():
+        return np.exp(phi)
+    theta = phi.copy()
+    theta[..., log] = np.exp(phi[..., log])
+    return theta
+
+
+def _linearized_proposal(problem, phi, theta, y_data, g):
+    """Importance-sampling proposal of each outer row: the exact posterior
+    of the model linearized at the row's data-generating parameters, in the
+    prior's Gaussian coordinates phi (MacKay 1998), where the prior is
+    N(loc, diag(scale^2)) and theta = exp(phi) on lognormal components.
+
+    phi and theta (B, d) are the rows' parameters, y_data (B, N_e, d_y)
+    their data and g (B, d_y) the model output at theta.  With J_phi the
+    Jacobian in phi and S the noise covariance, the precision
+    H = N_e J_phi^T S^-1 J_phi + diag(scale^-2) is positive definite by
+    construction, and the centre is phi - H^-1 grad, with
+    grad = -J_phi^T S^-1 sum_i (y_i - g) + (phi - loc) / scale^2.  H = L L^T
+    is factored once and U = L^-T gives H^-1 = U U^T, so the centre needs no
+    solve: one model Jacobian and one Cholesky per row.  On a model linear
+    in phi this is the posterior itself, and the importance weights are
+    constant; any centre and factor keep the estimator consistent (Beck et
+    al. 2018).  Returns (phi_hat, U, log det U U^T); non-finite input raises
+    LaplaceFitError.
+    """
+    loc, scale, _ = problem.prior.gaussian_coordinates()
+    hess, jtr = _gauss_newton_system(problem, theta, y_data, g, gaussian=True)
+    grad = (phi - loc) / (scale * scale) - jtr
+    cov_chol, log_det_cov = _laplace_batch(problem, phi, hess=hess)
+    step = np.swapaxes(cov_chol, 1, 2) @ grad[:, :, None]  # U^T grad
+    phi_hat = phi - (cov_chol @ step)[:, :, 0]
+    return phi_hat, cov_chol, log_det_cov
+
+
 def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedProblem:
     """Unit-cube nested problem of an EIG estimator family.
 
     For "plain" and "is" the outer map is log and the inner integrand is
     the (importance-weighted) likelihood in log form: ``prepare`` simulates
-    each outer row's data and, for importance sampling, solves its
-    posterior mode and Laplace factor once; the inner integrand reads that
-    state for every inner block.  "laplace" is the Laplace-only integrand
-    of eig_laplace_only, with the identity outer map.
+    each outer row's data and, for importance sampling, builds its proposal
+    once (_linearized_proposal); the inner integrand reads that state for
+    every inner block.  The proposal is Gaussian in the prior's Gaussian
+    coordinates phi, so the inner points are phi_hat + U z and the log
+    weight is the log-likelihood at theta(phi) plus the prior's Gaussian
+    log density at phi minus the proposal's.  "laplace" is the Laplace-only
+    integrand of eig_laplace_only, with the identity outer map.
     """
     if family not in ("plain", "is", "laplace"):
         raise ValueError("family must be 'plain', 'is' or 'laplace'")
@@ -540,21 +599,26 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
     if family == "laplace":
         return _laplace_only_problem(problem)
     d_theta = problem.d_theta
+    if family == "is":
+        loc, scale, log = problem.prior.gaussian_coordinates()
+        log_scale = float(np.sum(np.log(scale)))
 
     def prepare(y):
-        """Data of each outer row and, for importance sampling, its Laplace
-        proposal: the posterior mode and the covariance Cholesky factor."""
-        theta = problem.prior.transform(y[:, :d_theta])
+        """Data of each outer row and, for importance sampling, its
+        proposal: the centre in phi, the covariance's upper Cholesky factor
+        and its log determinant."""
+        if family == "plain":
+            theta = problem.prior.transform(y[:, :d_theta])
+        else:
+            phi = loc + scale * inv_norm_cdf(y[:, :d_theta])
+            theta = _from_gaussian(phi, log)
         noise = _noise_values(problem, y[:, d_theta:])
         g_true = problem.model.evaluate(theta, problem.xi, problem.h)
         noise += g_true[:, None, :]
         y_data = noise  # (B, N_e, d_y)
         if family == "plain":
             return (y_data,)
-        hess = np.empty((theta.shape[0], d_theta, d_theta))
-        theta_hat, _ = _map_batch(problem, y_data, theta, hess_out=hess, g_init=g_true)
-        cov_chol, log_det_cov = _laplace_batch(problem, theta_hat, hess=hess)
-        return y_data, theta_hat, cov_chol, log_det_cov
+        return (y_data, *_linearized_proposal(problem, phi, theta, y_data, g_true))
 
     def inner_log(state, x):
         """Log integrand of the state's outer rows at their inner points x;
@@ -562,21 +626,21 @@ def build_nested_problem(problem: OEDProblem, family: str = "plain") -> NestedPr
         come, so no (points, d_y) output is built."""
         y_data = state[0]
         if family == "plain":
-            vartheta = problem.prior.transform(x)
-        else:
-            _, theta_hat, cov_chol, log_det_cov = state
-            z = inv_norm_cdf(x)  # (rows, K, d_theta)
-            vartheta = _proposal_points(theta_hat, cov_chol, z)
-        columns = problem.model.output_columns(vartheta, problem.xi, problem.h)
+            columns = problem.model.output_columns(
+                problem.prior.transform(x), problem.xi, problem.h
+            )
+            return _batch_loglik(problem, y_data, columns)
+        _, phi_hat, cov_chol, log_det_cov = state
+        z = inv_norm_cdf(x)  # (rows, K, d_theta)
+        v = _proposal_points(phi_hat, cov_chol, z)
+        columns = problem.model.output_columns(_from_gaussian(v, log), problem.xi, problem.h)
         ll = _batch_loglik(problem, y_data, columns)
-        if family == "plain":
-            return ll
-        log_prior = problem.prior.logpdf(vartheta)
-        log_proposal = (
-            -0.5 * (d_theta * _LOG_2PI + log_det_cov)[:, None]
-            - 0.5 * np.einsum("bkj,bkj->bk", z, z)
-        )
-        return ll + log_prior - log_proposal
+        # log N(v; loc, scale^2) - log N(v; phi_hat, U U^T), with v = phi_hat + U z
+        v -= loc
+        v /= scale
+        ll += 0.5 * (np.einsum("bkj,bkj->bk", z, z) - np.einsum("bkj,bkj->bk", v, v))
+        ll += (0.5 * log_det_cov - log_scale)[:, None]
+        return ll
 
     return NestedProblem(
         d1=problem.d_outer,
@@ -634,8 +698,9 @@ def eig_importance_sampled(
     sampler="rqmc-sobol-owen",
     key: RandomizationKey | None = None,
 ) -> EstimatorResult:
-    """Nested EIG with the inner integral importance-sampled from the
-    per-datum Laplace surrogate."""
+    """Nested EIG with the inner integral importance-sampled from each outer
+    row's linearized posterior in the prior's Gaussian coordinates (see
+    _linearized_proposal)."""
     return _eig(problem, "is", N, M, S, R, sampler, key)
 
 
@@ -648,9 +713,9 @@ def inner_replicate_spread(
 ) -> float:
     """Max over outer samples of the spread of R inner-rescramble estimates.
 
-    Diagnostic for importance-sampling exactness: with an exact Gaussian
-    posterior the weighted inner integrand is constant and the spread
-    vanishes at any M.
+    Diagnostic for importance-sampling exactness: on a model linear in the
+    prior's Gaussian coordinates the proposal is the posterior itself, the
+    weighted inner integrand is constant and the spread vanishes at any M.
     """
     key = key or RandomizationKey(0)
     nested = build_nested_problem(problem, family="is")

@@ -159,6 +159,17 @@ class PriorSpec:
     def median(self) -> np.ndarray:
         return np.array([c.median for c in self.components])
 
+    def gaussian_coordinates(self):
+        """(loc, scale, log) of the coordinates phi in which the prior is
+        N(loc, diag(scale^2)): phi_j = theta_j for a normal component and
+        log theta_j for a lognormal one (log[j] True).  A uniform component
+        has no such coordinate."""
+        if "uniform" in self.kinds:
+            raise ValueError("a uniform prior component has no Gaussian coordinate")
+        loc = np.array([c.a for c in self.components])
+        scale = np.array([c.b for c in self.components])
+        return loc, scale, np.array([c.kind == "lognormal" for c in self.components])
+
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Componentwise inverse-CDF map from the unit cube."""
         u = np.asarray(u, dtype=np.float64)

@@ -339,6 +339,33 @@ def test_directory_path_is_a_usage_error(tmp_path, lg_config, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["pilot", "estimate", "sweep"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_refused_before_any_work(tmp_path, lg_config, pilot_file, capsys,
+                                                monkeypatch, command, where):
+    def refused(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    import nestiq.allocation
+    import nestiq.estimators
+
+    monkeypatch.setattr(nestiq.estimators, "_nested_values", refused)
+    monkeypatch.setattr(nestiq.allocation, "_nested_values", refused)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = folder if where == "directory" else tmp_path / "missing" / "out.json"
+    argv = {
+        "pilot": ["pilot", lg_config],
+        "estimate": ["estimate", lg_config, "--N", "64", "--M", "4"],
+        "sweep": ["sweep", lg_config, "--pilot", pilot_file, "--tols", "0.05"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert list(folder.iterdir()) == [] and not (tmp_path / "missing").exists()
+
+
 _PLAN = {"n_star": 64, "m_star": 4, "h_star": None, "constants": {
     "c_q1": 1.0, "beta": 0.5, "c_q2": 0.5, "c_q3": 0.25, "delta": 0.5}}
 

@@ -1,13 +1,14 @@
 """Tolerance coverage of the CLI pipeline, an opt-in long report.
 
-For each seed, ``nestiq pilot`` runs with its defaults on the drug model
-(geometric design, rdlqmcis, noise variance 0.01); ``nestiq plan`` and
-``nestiq estimate --plan`` then run at each tolerance.  The report gives, per
-run, N*, M*, beta, c_q3, the error against the table EIG and
-z = error / predicted_stddev; per tolerance, the miss count (|error| > tol),
-the RMS z and the mean error.  A plan that keeps its promise misses about
-alpha = 5% of the time and has an RMS z near 1.  The test asserts only that
-every command succeeds and that every error stays within criterion 1's 0.03.
+For each design of the drug model (geometric and even; rdlqmcis, noise
+variance 0.01) and each seed, ``nestiq pilot`` runs with its defaults;
+``nestiq plan`` and ``nestiq estimate --plan`` then run at each tolerance.
+The report gives, per run, N*, M*, beta, c_q3, the error against the
+design's table EIG and z = error / predicted_stddev; per design and
+tolerance, the miss count (|error| > tol), the RMS z and the mean error.  A
+plan that keeps its promise misses about alpha = 5% of the time and has an
+RMS z near 1.  The test asserts only that every command succeeds and that
+every error stays within criterion 1's 0.03.
 
 Run with ``NESTIQ_RUN_LONG=1 pytest tests/test_coverage.py -s``.
 """
@@ -24,12 +25,12 @@ from nestiq.cli import main as cli_main
 
 SEEDS = (*range(16), *range(101, 111))
 TOLS = (5e-3, 1e-2)
-TABLE_EIG_GEOM = 10.7372
+TABLE_EIG = {"geom": 10.7372, "even": 10.2065}
 EIG_LIMIT = 0.03
 CONFIG = """\
 model = pk
 estimator = rdlqmcis
-design = geom
+design = {design}
 noise.variance = 0.01
 seed = {seed}
 """
@@ -51,12 +52,13 @@ def _load(path):
     os.environ.get("NESTIQ_RUN_LONG") != "1",
     reason="26-seed pipeline coverage report; set NESTIQ_RUN_LONG=1 to run",
 )
-def test_cli_pipeline_tolerance_coverage(tmp_path):
+@pytest.mark.parametrize("design", ["geom", "even"])
+def test_cli_pipeline_tolerance_coverage(tmp_path, design):
     errors = {tol: [] for tol in TOLS}
     zs = {tol: [] for tol in TOLS}
     for seed in SEEDS:
-        cfg = tmp_path / f"pk-geom-{seed}.cfg"
-        cfg.write_text(CONFIG.format(seed=seed))
+        cfg = tmp_path / f"pk-{design}-{seed}.cfg"
+        cfg.write_text(CONFIG.format(design=design, seed=seed))
         pilot = str(tmp_path / f"pilot-{seed}.json")
         _run(["pilot", str(cfg), "--out", pilot])
         consts = _load(pilot)
@@ -66,12 +68,12 @@ def test_cli_pipeline_tolerance_coverage(tmp_path):
             _run(["plan", "--pilot", pilot, "--tol", repr(tol), "--out", plan])
             _run(["estimate", str(cfg), "--plan", plan, "--out", result])
             p, r = _load(plan), _load(result)
-            error = r["estimate"] - TABLE_EIG_GEOM
+            error = r["estimate"] - TABLE_EIG[design]
             z = error / r["predicted_stddev"]
             errors[tol].append(error)
             zs[tol].append(z)
             print(
-                f"tol {tol:g} seed {seed:3d}: N* {p['n_star']:6d} M* {p['m_star']:4d} "
+                f"{design} tol {tol:g} seed {seed:3d}: N* {p['n_star']:6d} M* {p['m_star']:4d} "
                 f"beta {consts['beta']:.3f} "
                 f"c_q3 {consts['c_q3']:.3g} "
                 f"error {error:+.5f} z {z:+.2f}"
@@ -81,7 +83,7 @@ def test_cli_pipeline_tolerance_coverage(tmp_path):
         rms_z = math.sqrt(sum(z * z for z in zs[tol]) / len(zs[tol]))
         mean_error = sum(errors[tol]) / len(errors[tol])
         print(
-            f"tol {tol:g}: {misses} of {len(SEEDS)} miss, RMS z {rms_z:.2f}, "
+            f"{design} tol {tol:g}: {misses} of {len(SEEDS)} miss, RMS z {rms_z:.2f}, "
             f"mean error {mean_error:+.5f}"
         )
     worst = max(abs(e) for errs in errors.values() for e in errs)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nestiq.estimators import NestedProblem
 from nestiq.lds import RandomizationKey
 from nestiq.models import (
     ForwardModel,
@@ -32,7 +33,7 @@ from nestiq.oed import (
     map_estimate,
     simulate_data,
 )
-from nestiq.stats import PriorComponent, PriorSpec, TruncationSetting
+from nestiq.stats import PriorComponent, PriorSpec, TruncationSetting, inv_norm_cdf
 
 TRUTH = 0.5 * math.log(2.0)
 
@@ -547,9 +548,9 @@ class TestMapStoppingRule:
         assert np.all((dec > 0) & (dec <= oed._MAP_TOL**2))
 
     def test_exact_importance_sampling_spread(self):
-        # with an exact Gaussian posterior the weighted inner log integrand
-        # has slope L^-1 grad in the inner normal z, whose squared norm is
-        # the decrement; a spread at rounding level needs it far below 1e-10
+        # on a linear-Gaussian model the importance-sampling proposal is the
+        # posterior itself, so the weighted inner log integrand is constant
+        # in the inner normal z up to rounding
         problem = linear_gaussian_problem()
         spreads = [
             inner_replicate_spread(problem, 64, 1, 4, key=RandomizationKey(k))
@@ -575,58 +576,10 @@ class TestMapStoppingRule:
         assert theta[0, 0] == 1.0
         np.testing.assert_allclose(theta[:, 0], y / 2.0, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("design", [0, 1])
-    def test_pk_proposal_as_good_as_at_tight_tolerance(self, design, monkeypatch):
-        # the mode only centres the importance-sampling proposal: stopping
-        # at a decrement of 1e-6 instead of 1e-24 must leave the row-mean
-        # inner replicate variance within 1e-3 relative (measured: 1.5e-4
-        # geometric, 5.4e-5 even), each outer row's within 2e-2 (measured:
-        # at most 2.6e-3 and 7.4e-3), and move the nested EIG by far less
-        # than its stderr.  A decrement of 1e-4 fails the first two bounds.
-        problem = OEDProblem(model=PKModel(), xi=pk_designs()[design],
-                             prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
-        nested = oed.build_nested_problem(problem, family="is")
-        runs = []
-        for tol in (oed._MAP_TOL, 1e-12):
-            monkeypatch.setattr(oed, "_MAP_TOL", tol)
-            per_rep = oed._inner_replicates(
-                nested, 64, 16, 8, RandomizationKey(80 + design), RandomizationKey(90 + design)
-            )
-            eig = eig_importance_sampled(problem, 256, 16, S=8, key=RandomizationKey(85 + design))
-            runs.append((per_rep.var(axis=1, ddof=1), eig))
-        (var, eig), (var_tight, eig_tight) = runs
-        assert abs(var.mean() - var_tight.mean()) <= 1e-3 * var_tight.mean()
-        assert np.all(np.abs(var - var_tight) <= 2e-2 * var_tight)
-        assert abs(eig.estimate - eig_tight.estimate) < 1e-3 * eig_tight.stderr
-
 
 class TestHessianHandoff:
-    """prepare hands the Hessian that ended each row's posterior-mode search
-    to the Laplace factor; every output must be bit for bit the two-step
-    result, whose Laplace factor is built from a fresh Jacobian at the
-    modes."""
-
-    @staticmethod
-    def _check_prepare(problem, n, seed):
-        y = RandomizationKey(seed).uniforms((n, problem.d_outer), salt="handoff")
-        state = oed.build_nested_problem(problem, family="is").prepare(y)
-        d = problem.d_theta
-        theta = problem.prior.transform(y[:, :d])
-        g = problem.model.evaluate(theta, problem.xi, problem.h)
-        y_data = g[:, None, :] + oed._noise_values(problem, y[:, d:])
-        theta_hat, iters = oed._map_batch(problem, y_data, theta)
-        two_step = (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat))
-        assert len(state) == len(two_step) == 4
-        for got, want in zip(state, two_step):
-            assert np.array_equal(got, want)
-        return y_data, theta_hat, iters
-
-    @pytest.mark.parametrize("design", [0, 1])
-    def test_pk_prepare_equals_two_step(self, design):
-        problem = OEDProblem(model=PKModel(), xi=pk_designs()[design],
-                             prior=pk_prior("variance"), noise_variances=np.full(15, 0.01))
-        _, _, iters = self._check_prepare(problem, 256, 70 + design)
-        assert iters.min() < iters.max()  # rows leave the search at different iterations
+    """A posterior-mode search hands out, through ``hess_out``, the Hessian
+    that ended each row's search, built at the mode it returns."""
 
     def test_linear_gaussian_rows_end_by_decrement(self):
         # far from the origin, rounding in the residual leaves decrements up
@@ -636,10 +589,15 @@ class TestHessianHandoff:
             model=LinearGaussianModel(matrix=[[1.0]]), xi=np.zeros(0),
             prior=PriorSpec(components=(("normal", 1e5, 1.0),)), noise_variances=[1.0],
         )
-        y_data, theta_hat, iters = self._check_prepare(problem, 64, 72)
+        u = RandomizationKey(72).uniforms((64, problem.d_outer), salt="handoff")
+        theta = problem.prior.transform(u[:, :1])
+        y_data = theta[:, None, :] + oed._noise_values(problem, u[:, 1:])
+        hess = np.empty((64, 1, 1))
+        theta_hat, iters = oed._map_batch(problem, y_data, theta, hess_out=hess)
         dec = TestMapStoppingRule._decrement(problem, y_data, theta_hat)
         assert np.all((dec >= 0.0) & (dec <= oed._MAP_TOL**2))
         assert np.all(iters == 1)
+        assert np.array_equal(hess, oed._gauss_newton_system(problem, theta_hat)[0])
 
     def test_map_hessian_is_the_one_at_the_mode(self):
         # the rejected-step fixture of TestActiveSetMap: rows stop after 6 to
@@ -656,6 +614,172 @@ class TestHessianHandoff:
         handed = oed._laplace_batch(p, theta, hess=hess)
         fresh = oed._laplace_batch(p, theta)
         assert all(np.array_equal(a, b) for a, b in zip(handed, fresh))
+
+
+class LogLinearModel(ForwardModel):
+    """G = A log(theta): linear in the Gaussian coordinates of a lognormal
+    prior, with the analytic Jacobian A / theta."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.d_y, self.d_theta = self.matrix.shape
+
+    def evaluate(self, theta, xi=None, h=None):
+        return np.log(np.atleast_2d(theta)) @ self.matrix.T
+
+    def jacobian(self, theta, xi=None, h=None):
+        return self.matrix[None, :, :] / np.atleast_2d(theta)[:, None, :]
+
+
+def _map_proposal_problem(problem):
+    """The importance-sampling nested problem with a proposal centred at the
+    posterior mode in theta: a damped Gauss-Newton search from each row's
+    parameters, and the Laplace factor at the mode."""
+    d = problem.d_theta
+
+    def prepare(y):
+        theta = problem.prior.transform(y[:, :d])
+        g = problem.model.evaluate(theta, problem.xi)
+        y_data = g[:, None, :] + oed._noise_values(problem, y[:, d:])
+        theta_hat, _ = oed._map_batch(problem, y_data, theta)
+        return (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat))
+
+    def inner(state, x):
+        y_data, theta_hat, cov_chol, log_det_cov = state
+        z = inv_norm_cdf(x)
+        theta = oed._proposal_points(theta_hat, cov_chol, z)
+        ll = oed._batch_loglik(problem, y_data, problem.model.output_columns(theta, problem.xi))
+        log_q = (-0.5 * (d * math.log(2.0 * math.pi) + log_det_cov)[:, None]
+                 - 0.5 * np.einsum("bkj,bkj->bk", z, z))
+        return ll + problem.prior.logpdf(theta) - log_q
+
+    return NestedProblem(d1=problem.d_outer, d2=d, inner=inner, prepare=prepare,
+                         outer_map="log", inner_is_log=True)
+
+
+def _pk_problem(design):
+    return OEDProblem(model=PKModel(), xi=pk_designs()[design], prior=pk_prior("variance"),
+                      noise_variances=np.full(15, 0.01))
+
+
+class TestLinearizedProposal:
+    """The importance-sampling proposal is the posterior of the model
+    linearized at each outer row's own parameters, in the prior's Gaussian
+    coordinates phi: exact on a model linear in phi, built from one
+    Jacobian per row, with no posterior-mode search and no solve."""
+
+    def test_log_linear_lognormal_is_exact(self):
+        # G = 0.8 log(theta) with log(theta) ~ N(0.3, 0.5^2).  A Gauss-Newton
+        # mode search in theta drops the model's curvature -0.8 / theta^2 and
+        # converges only linearly on a row with a large residual: centred by
+        # that search, key 300 aborted at sample 63 after 100 iterations.  In
+        # log(theta) the model is linear, the proposal is the posterior, and
+        # every importance weight is the row's evidence.
+        problem = OEDProblem(model=LogLinearModel([[0.8]]), xi=np.zeros(0),
+                             prior=PriorSpec(components=(("lognormal", 0.3, 0.5),)),
+                             noise_variances=[0.2])
+        spreads = [
+            inner_replicate_spread(problem, 64, 1, 4, key=RandomizationKey(k))
+            for k in range(300, 310)
+        ]
+        assert max(spreads) <= 1e-12
+        r = eig_importance_sampled(problem, 2**10, 4, S=8, key=RandomizationKey(3))
+        truth = eig_conjugate_oracle([0.25], [0.2], [[0.8]], 1)
+        assert abs(r.estimate - truth) < 4 * r.stderr
+
+    @pytest.mark.parametrize("kind", ["normal", "lognormal"])
+    def test_closed_form_posterior(self, kind):
+        # y_i = A phi + noise, three experiments: the centre and U U^T are the
+        # conjugate posterior's mean and covariance to rounding
+        a = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.4]])
+        loc, scale, nv = np.array([0.4, -0.2]), np.array([0.7, 1.3]), np.array([1.0, 0.5, 0.2])
+        problem = OEDProblem(
+            model=LinearGaussianModel(matrix=a) if kind == "normal" else LogLinearModel(a),
+            xi=np.zeros(0), prior=PriorSpec(components=tuple(zip((kind, kind), loc, scale))),
+            noise_variances=nv, n_experiments=3,
+        )
+        u = RandomizationKey(79).uniforms((32, problem.d_outer), salt="closed-form")
+        y_data, phi_hat, cov_chol, log_det_cov = oed.build_nested_problem(problem, "is").prepare(u)
+        cov = np.linalg.inv(3.0 * (a.T / nv) @ a + np.diag(scale**-2.0))
+        mean = (cov @ ((a.T / nv) @ y_data.sum(axis=1).T + (loc / scale**2)[:, None])).T
+        np.testing.assert_allclose(phi_hat, mean, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(cov_chol @ np.swapaxes(cov_chol, 1, 2),
+                                   np.broadcast_to(cov, (32, 2, 2)), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(log_det_cov, np.linalg.slogdet(cov)[1], rtol=1e-13)
+
+    @pytest.mark.parametrize("design", [0, 1])
+    def test_outer_rows_keep_their_bits(self, design):
+        # prepare takes theta = exp(phi) of phi = loc + scale Phi^-1(u), the
+        # expression prior.transform evaluates, so the rows' parameters and
+        # data are those of the plain family
+        problem = _pk_problem(design)
+        u = RandomizationKey(81 + design).uniforms((256, problem.d_outer), salt="rows")
+        y_is = oed.build_nested_problem(problem, "is").prepare(u)[0]
+        (y_plain,) = oed.build_nested_problem(problem, "plain").prepare(u)
+        theta = problem.prior.transform(u[:, :3])
+        want = problem.model.evaluate(theta, problem.xi)[:, None, :] + oed._noise_values(
+            problem, u[:, 3:])
+        assert np.array_equal(y_is, want) and np.array_equal(y_plain, want)
+
+    def test_mixed_prior_keeps_the_transform(self):
+        prior = PriorSpec(components=(("lognormal", 0.2, 0.6), ("normal", -1.0, 2.0),
+                                      ("lognormal", -0.5, 0.3)))
+        loc, scale, log = prior.gaussian_coordinates()
+        assert log.tolist() == [True, False, True]
+        u = RandomizationKey(83).uniforms((64, 3), salt="mixed")
+        phi = loc + scale * inv_norm_cdf(u)
+        assert np.array_equal(oed._from_gaussian(phi, log), prior.transform(u))
+        with pytest.raises(ValueError, match="uniform"):
+            PriorSpec(components=(("uniform", 0.0, 1.0),)).gaussian_coordinates()
+
+    def test_one_jacobian_per_row_and_no_search(self, monkeypatch):
+        problem, rows = _pk_problem(0), []
+        model = problem.model
+
+        class Counting(PKModel):
+            def jacobian(self, theta, xi=None, h=None):
+                rows.append(theta.shape[0])
+                return model.jacobian(theta, xi, h)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("called on the importance-sampling path")
+
+        monkeypatch.setattr(oed, "_map_batch", refused)
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        r = eig_importance_sampled(replace(problem, model=Counting()), 512, 4, S=2,
+                                   key=RandomizationKey(84))
+        assert abs(r.estimate - 10.7372) < 0.1
+        assert sum(rows) == 2 * 512
+
+    def test_non_finite_jacobian_raises(self):
+        class Broken(LogLinearModel):
+            def jacobian(self, theta, xi=None, h=None):
+                jac = super().jacobian(theta, xi, h)
+                jac[2] = np.nan
+                return jac
+
+        problem = OEDProblem(model=Broken([[0.8]]), xi=np.zeros(0),
+                             prior=PriorSpec(components=(("lognormal", 0.3, 0.5),)),
+                             noise_variances=[0.2])
+        u = RandomizationKey(85).uniforms((8, problem.d_outer), salt="broken")
+        with pytest.raises(LaplaceFitError) as err:
+            oed.build_nested_problem(problem, "is").prepare(u)
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize("design", [0, 1])
+    def test_pk_inner_variance_below_map_proposal(self, design):
+        # mean per-row variance of R inner estimates, against the proposal
+        # centred at the theta-space posterior mode; measured 0.64 and 0.42
+        # (geometric) and 0.33 and 0.19 (even) of it at M = 4 and 16
+        problem = _pk_problem(design)
+        for m, bound in ((4, 0.8), (16, 0.6)):
+            var = [
+                oed._inner_replicates(nested, 1024, m, 16, RandomizationKey(40 + design),
+                                      RandomizationKey(50 + design)).var(axis=1, ddof=1).mean()
+                for nested in (oed.build_nested_problem(problem, "is"),
+                               _map_proposal_problem(problem))
+            ]
+            assert var[0] <= bound * var[1]
 
 
 def _cubic_map_inputs():
@@ -756,12 +880,13 @@ class TestSlicedAssembly:
 
 
 class TestMapWorkingSet:
-    """The posterior-mode search of one 4096-row chunk (the first chunk of
-    the eig-deep-outer benchmark's outer set) holds one slice's Jacobian at
-    a time, reuses the data's model output at its start and frees each
-    damping loop's trial arrays.  Measured with tracemalloc: IS prepare
-    about 4.9 MiB and the search alone about 3.6 MiB, against 8.7 and 6.9
-    MiB when the whole batch's Jacobian was built at once."""
+    """The importance-sampling prepare of one 4096-row chunk (the first
+    chunk of the eig-deep-outer benchmark's outer set) and a posterior-mode
+    search of its rows each hold one slice's Jacobian at a time; the search
+    reuses the data's model output at its start and frees each damping
+    loop's trial arrays.  Measured with tracemalloc: prepare about 2.9 MiB
+    (4.9 MiB when it ran the search) and the search about 3.6 MiB, against
+    8.7 and 6.9 MiB when the whole batch's Jacobian was built at once."""
 
     @pytest.mark.parametrize("design", [0, 1])
     def test_prepare_and_search_peaks(self, design):
@@ -908,14 +1033,7 @@ class TestConjugateOracle:
     def test_lognormal_prior_quadrature(self):
         # G = 0.8 log(theta) with log(theta) ~ N(0.3, 0.5^2) is linear-Gaussian
         # in log(theta), so the quadrature on the lognormal axis is conjugate
-        class LogModel(ForwardModel):
-            d_theta = 1
-            d_y = 1
-
-            def evaluate(self, theta, xi=None, h=None):
-                return 0.8 * np.log(np.atleast_2d(theta))
-
-        p = OEDProblem(model=LogModel(), xi=np.zeros(0),
+        p = OEDProblem(model=LogLinearModel([[0.8]]), xi=np.zeros(0),
                        prior=PriorSpec(components=(("lognormal", 0.3, 0.5),)),
                        noise_variances=[0.2])
         assert eig_quadrature(p) == pytest.approx(
