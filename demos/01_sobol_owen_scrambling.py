@@ -25,13 +25,13 @@ key = RandomizationKey(seed=2024, tag="demo")
 seq = sobol_sequence(params, dimension=2, log2_count=4)
 pts = owen_scramble(seq, key)
 print("unrandomized fractions:")
-print(seq.fractions()[:6])
+print((seq * 2.0**-32)[:6])
 print("scrambled points (same dyadic structure, uniform marginals):")
-print(pts.values[:6])
+print(pts[:6])
 
 # scrambling preserves the net: each dyadic column of width 1/16 holds
 # exactly one point
-hist = np.histogram(pts.values[:, 0], bins=16, range=(0, 1))[0]
+hist = np.histogram(pts[:, 0], bins=16, range=(0, 1))[0]
 print("points per width-1/16 bin:", hist)
 
 # star discrepancy of scrambled 1-D blocks decays ~ 1/M

@@ -7,8 +7,6 @@ experimental design.
 """
 
 from .lds import (
-    DigitalSequence,
-    PointSet,
     RandomizationKey,
     SobolParams,
     load_direction_numbers,
@@ -63,10 +61,6 @@ from .oed import (
     eig_laplace_only,
     eig_nested,
     eig_quadrature,
-    laplace_covariance,
-    log_likelihood,
-    map_estimate,
-    simulate_data,
 )
 
 __version__ = "0.1.0"

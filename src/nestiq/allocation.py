@@ -13,7 +13,8 @@ under the log outer map, by the delta method, and 0 under the identity map.
 The plan is the least-work power-of-two (N, M) with the largest h that
 fits, found by one exhaustive scan over N.  The least-work real (N, M, h)
 of the same problem, found by nested one-dimensional searches, is reported
-beside it as the continuous solution.
+beside it as the continuous solution; brute_force_allocation is an
+exhaustive-search oracle.
 """
 
 from __future__ import annotations
@@ -419,6 +420,15 @@ def _best_m_for_n(c, tol, c_alpha, n, h_min):
     return best
 
 
+def _check_budget(tol, h_min):
+    """Refuse a tol, or an h_min when one is given, that is not positive and
+    finite: NaN would pass a plain ``<= 0`` test, inf would plan N = M = 1,
+    and a negative h_min**eta is complex."""
+    for name, value in (("tol", tol), ("h_min", h_min)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def solve_allocation(
     c: PilotConstants,
     tol: float,
@@ -435,8 +445,7 @@ def solve_allocation(
     plan as n_raw, m_raw and the metadata's h_raw, with kappa_analytic its
     error split.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_budget(tol, h_min)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     c_alpha = confidence_constant(alpha, chebyshev)
@@ -496,8 +505,7 @@ def brute_force_allocation(
     allows (capped at 1), which dominates any fixed h ladder.  Candidate
     count is capped at 10^6 triples.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_budget(tol, h_min)
     c_alpha = confidence_constant(alpha, chebyshev)
     if grid_resolution * 64 * 64 > 10**6:
         raise ValueError("grid too large (over 10^6 candidate triples)")

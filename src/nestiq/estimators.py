@@ -7,6 +7,17 @@ randomization s and draws an independent inner scramble for every
 (outer sample, inner replicate) pair, which is what keeps the inner error
 from correlating across outer samples.
 
+Single-loop estimators (mc_estimate; rqmc_estimate, R Owen scrambles of
+one Sobol set), nested ones (dlmc_estimate; rdlqmc_estimate, S outer and
+R-per-sample inner randomizations) and a tensor Gauss-Legendre oracle.
+Samplers are "mc" and "rqmc-sobol-owen"; NestedProblem states the integrand
+protocol.  One executor (_nested_values: chunks of at most 4096 outer rows,
+inner points built a block of at most 2^14 at a time) serves the estimates,
+the pilots, the spread diagnostic and the Laplace-only estimator.  It
+yields each chunk's values in order as they finish, at most two tasks per
+thread ahead, and rdlqmc_estimate is their one reduction (dlmc_estimate is
+its iid S = R = 1 case), so no run holds its N row values.
+
 Replicate semantics: replicate_values always hold the S outer-randomization
 means; inner randomizations R reduce inner bias and variance but never enter
 the replicate variance.  One randomization of iid rows (S = 1, sampler "mc")
@@ -79,8 +90,8 @@ def _retain_freed_memory() -> None:
     fresh pages and gives them back on free; when such a block is freed it
     raises the threshold to that block's size, up to 32 MiB, and the
     heap-trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
-    Freeing one untouched 31 MiB block does that once, so the chunk's MAP
-    and state arrays (about 1.5 MiB each) are reused chunk after chunk
+    Freeing one untouched 31 MiB block does that once, so the chunk's
+    point and state arrays (about 1.5 MiB each) are reused chunk after chunk
     instead of being unmapped and faulted in again.  No page is touched;
     other allocators ignore it.  The nested executor calls it once, on its
     first run.
@@ -210,7 +221,7 @@ def rqmc_estimate(integrand, dim: int, M: int, R: int, key: RandomizationKey) ->
     if R < 1:
         raise ValueError("R must be >= 1")
     means = [
-        float(np.mean(integrand(owen_scramble(base, key.child("rep", r)).values)))
+        float(np.mean(integrand(owen_scramble(base, key.child("rep", r)))))
         for r in range(R)
     ]
     return _make_result(means, {"M": M, "R": R}, key, work=M * R)
@@ -309,7 +320,7 @@ def _inner_blocks(problem, n_lo, n_hi, M, R, s, key, sampler, params, lo=0, hi=N
     if k_lo or hi % M:  # points [k_lo, k_hi) of replicate r_lo
         base = _sobol_rows(params, d2, log2_m, k_lo, hi - r_lo * M)
     elif base is None:
-        base = sobol_sequence(params, d2, log2_m).values
+        base = sobol_sequence(params, d2, log2_m)
     return _scramble_values(base, tree, fill, log2_m).reshape(b, hi - lo, d2)
 
 
@@ -322,7 +333,7 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
 
     A chunk task is one row range of at most _CHUNK rows of one
     randomization, as many as N needs.  Each task builds its outer rows of
-    outer_key and prepares their state once (one MAP batch); it then walks
+    outer_key and prepares their state once; it then walks
     the rows in blocks of at most _INNER_BLOCK inner points, building only
     that block's points (R inner randomizations of M points of inner_key per
     row) and handing the integrand only those rows' state.  A row whose R*M
@@ -351,7 +362,7 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
     block = _INNER_BLOCK
     base = None  # the inner Sobol set, shared by every block of whole replicates
     if params is not None and problem.d2 and M <= block:
-        base = sobol_sequence(params, problem.d2, int(math.log2(M))).values
+        base = sobol_sequence(params, problem.d2, int(math.log2(M)))
     width = R * M  # inner points of one outer row
     rows = max(1, block // width)  # rows per block
     # a row's point ranges: the whole row, or parts of whole replicates, or
@@ -483,7 +494,9 @@ def tensor_quadrature_reference(
     """Nested tensor Gauss-Legendre oracle for small problems (d1, d2 <= 3).
 
     Evaluates at the given orders and at doubled orders; warns if the two
-    differ by 1e-10 or more, and returns the doubled-order value.
+    differ by 1e-10 or more, and returns the doubled-order value.  The
+    integrand gets at most max(1, 2^14 / K) outer rows a call against its K
+    inner nodes, so memory does not grow with the outer order.
     """
     if problem.d1 > 3 or problem.d2 > 3:
         raise ValueError("quadrature oracle limited to d1 <= 3 and d2 <= 3")

@@ -1,7 +1,15 @@
 """Low-discrepancy point sets and their randomizations.
 
-Sobol digital sequences in base 2 (Gray-code order), Owen nested-uniform
+Sobol digital sequences in base 2 (Gray-code order; Joe-Kuo direction
+numbers, dimensions 1-64 built in and more loadable), Owen nested-uniform
 scrambling, and exact star-discrepancy diagnostics for small point sets.
+Arrays in, arrays out: ``sobol_sequence`` gives (2^k, d) uint32 digits, the
+point being value / 2^32, and ``owen_scramble`` maps them to floats in (0, 1).
+Any row range of a Sobol set is generated on its own from its Gray code,
+and a point's scramble depends only on the point, the key and the tree
+depth (log2 of the whole set's count; the digits below it are uniform
+bits), so each chunk of a larger set scrambles only its own rows
+(_scramble_values is the blocked kernel).
 
 All randomness flows through :class:`RandomizationKey`, a counter-based keyed
 scheme: distinct (seed, tag, indices) tuples give independent bit streams,
@@ -20,8 +28,6 @@ import numpy as np
 __all__ = [
     "RandomizationKey",
     "SobolParams",
-    "DigitalSequence",
-    "PointSet",
     "load_direction_numbers",
     "sobol_sequence",
     "owen_scramble",
@@ -50,7 +56,7 @@ _SCRAMBLE_BLOCK = 1 << 15
 # whole large point set, is built for its call and freed with it.
 _TREE_CACHE_LEVELS = 14
 
-# Smallest/largest coordinates a PointSet may carry.  The lower bound keeps
+# Smallest/largest coordinates a point may carry.  The lower bound keeps
 # inverse-CDF transforms finite; the upper bound is the largest double < 1.
 COORD_MIN = 2.0 ** -64
 COORD_MAX = float(np.nextafter(1.0, 0.0))
@@ -354,80 +360,19 @@ def load_direction_numbers(source=None, dimension: int | None = None) -> SobolPa
 
 
 # ---------------------------------------------------------------------------
-# Point set containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DigitalSequence:
-    """Integer-lattice representation of a digital point set.
-
-    ``values`` is (count, dimension) uint32; the unrandomized coordinate is
-    ``value / 2^32``.  Counts are restricted to powers of two, the block
-    sizes for which base-2 digital nets balance dyadic boxes.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.uint32)
-        if v.ndim != 2:
-            raise ValueError("values must be a (count, dimension) array")
-        _check_pow2(v.shape[0], "count")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
-
-    def fractions(self) -> np.ndarray:
-        """Raw coordinates value/2^32 (may contain exact zeros)."""
-        return self.values.astype(np.float64) * 2.0**-32
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Real-valued points strictly inside (0,1)^d.
-
-    Coordinates are clamped to [2^-64, 1-2^-64] so inverse-CDF transforms
-    stay finite.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError("values must be a nonempty (count, dimension) array")
-        if np.any(v < COORD_MIN) or np.any(v > COORD_MAX):
-            raise ValueError("coordinates must lie in [2^-64, 1-2^-64]")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[1]
-
-
-# ---------------------------------------------------------------------------
 # Sequence generation and randomization
 # ---------------------------------------------------------------------------
 
 
-def sobol_sequence(params: SobolParams, dimension: int, log2_count: int) -> DigitalSequence:
-    """First 2^log2_count Sobol points in ``dimension`` dims, Gray-code order.
+def sobol_sequence(params: SobolParams, dimension: int, log2_count: int) -> np.ndarray:
+    """First 2^log2_count Sobol points in ``dimension`` dims, Gray-code order:
+    a (2^log2_count, dimension) uint32 array whose unrandomized coordinates
+    are value / 2^32.
 
     The point set equals the first block of the sequence; for dimension 1
     the integers are exactly {i * 2^(32-k) : 0 <= i < 2^k} as a set.
     """
-    return DigitalSequence(values=_sobol_rows(params, dimension, log2_count))
+    return _sobol_rows(params, dimension, log2_count)
 
 
 def _check_pow2(value: int, name: str):
@@ -680,17 +625,21 @@ def _scramble_values(values_u32: np.ndarray, tree: np.ndarray, fill: np.ndarray,
     return out.reshape(shape)
 
 
-def owen_scramble(seq: DigitalSequence, key: RandomizationKey) -> PointSet:
-    """Owen nested uniform scrambling of a digital sequence.
+def owen_scramble(values: np.ndarray, key: RandomizationKey) -> np.ndarray:
+    """Owen nested uniform scrambling of a digital sequence's (count,
+    dimension) uint32 array, whose count is a power of two, to floats.
 
     One key scrambles the whole sequence (the same randomization applies to
     every point); every output coordinate is marginally uniform on (0,1).
     The scramble tree is cut at depth log2(count), below which each node
     holds one point, and the remaining digits are iid uniform bits.
     """
-    tree, fill = _owen_lanes(key.subroot("owen"), seq.dimension)
-    depth = seq.count.bit_length() - 1
-    return PointSet(values=_scramble_values(seq.values, tree, fill, depth))
+    if np.ndim(values) != 2:
+        raise ValueError("values must be a (count, dimension) array")
+    count, dimension = np.shape(values)
+    _check_pow2(count, "count")
+    tree, fill = _owen_lanes(key.subroot("owen"), dimension)
+    return _scramble_values(values, tree, fill, count.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -698,20 +647,11 @@ def owen_scramble(seq: DigitalSequence, key: RandomizationKey) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-def _as_coords(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.values
-    if isinstance(points, DigitalSequence):
-        return points.fractions()
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
-
-
 def star_discrepancy_1d(points) -> float:
-    """Exact 1-D star discrepancy via the sorted-points formula."""
-    coords = _as_coords(points)
+    """Exact 1-D star discrepancy via the sorted-points formula; a 1-D
+    ``points`` is read as one column."""
+    coords = np.asarray(points, dtype=np.float64)
+    coords = coords[:, None] if coords.ndim == 1 else coords
     if coords.shape[1] != 1:
         raise ValueError("star_discrepancy_1d requires dimension 1")
     t = np.sort(coords[:, 0])
@@ -727,9 +667,10 @@ def star_discrepancy_brute(points) -> float:
 
     Restricted to dimension <= 3 and at most 64 points; the supremum over
     anchored boxes [0, s) is attained on the grid of point coordinates per
-    axis plus 1.
+    axis plus 1.  A 1-D ``points`` is read as one column.
     """
-    coords = _as_coords(points)
+    coords = np.asarray(points, dtype=np.float64)
+    coords = coords[:, None] if coords.ndim == 1 else coords
     m, d = coords.shape
     if m == 0:
         raise ValueError("empty point set")

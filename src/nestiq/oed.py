@@ -24,7 +24,6 @@ from .estimators import (
     NestedProblem,
     _inner_replicates,
     _tensor_grid,
-    default_sobol_params,  # noqa: F401  (the Sobol table, importable from oed)
     rdlqmc_estimate,
 )
 from .lds import RandomizationKey
@@ -42,11 +41,7 @@ __all__ = [
     "OEDProblem",
     "MapConvergenceError",
     "LaplaceFitError",
-    "log_likelihood",
     "closed_form_entropy_term",
-    "simulate_data",
-    "map_estimate",
-    "laplace_covariance",
     "eig_nested",
     "eig_importance_sampled",
     "eig_laplace_only",
@@ -56,12 +51,13 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Newton-decrement tolerance of the posterior-mode search behind
-# map_estimate: a row has converged when grad^T H^-1 grad <= _MAP_TOL**2 =
-# 1e-6, about 1e-3 posterior standard deviations from the exact mode.  No
-# estimator runs the search: the importance-sampling proposal is the
-# linearized posterior at each outer row's own parameters
-# (_linearized_proposal).
+# Newton-decrement tolerance of the posterior-mode search _map_batch: a row
+# has converged when grad^T H^-1 grad <= _MAP_TOL**2 = 1e-6, about 1e-3
+# posterior standard deviations from the exact mode.  No estimator runs the
+# search (_map_batch, _damped_step, _solve_rows, this tolerance and
+# MapConvergenceError); it stays only because the benchmark's layer table
+# (bench/layers.py) measures _map_batch, and its smoke run fails on an entry
+# point it cannot find.
 _MAP_TOL = 1e-3
 
 # Rows per slice of the Gauss-Newton assembly: a slice's Jacobian, its
@@ -89,6 +85,15 @@ class LaplaceFitError(ArithmeticError):
         self.index = index
 
 
+def _noise_variance_array(noise_variances) -> np.ndarray:
+    """The noise variances as a 1-D float array, refused unless every one is
+    positive and finite (NaN and inf both pass a plain ``<= 0`` test)."""
+    nv = np.atleast_1d(np.asarray(noise_variances, dtype=np.float64))
+    if not np.all(np.isfinite(nv) & (nv > 0)):
+        raise ValueError("noise variances must be positive and finite")
+    return nv
+
+
 @dataclass(frozen=True)
 class OEDProblem:
     """Forward model, design, prior, and noise description of one experiment.
@@ -107,9 +112,7 @@ class OEDProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=np.float64))
-        nv = np.atleast_1d(np.asarray(self.noise_variances, dtype=np.float64))
-        if np.any(nv <= 0):
-            raise ValueError("noise variances must be positive")
+        nv = _noise_variance_array(self.noise_variances)
         if self.n_experiments < 1:
             raise ValueError("n_experiments must be >= 1")
         object.__setattr__(self, "noise_variances", nv)
@@ -139,9 +142,7 @@ class OEDProblem:
 def closed_form_entropy_term(n_experiments: int, noise_variances) -> float:
     """Exact value of the log-likelihood expectation term: the noise entropy
     with flipped sign, -(N_e/2) * sum_j (log(2 pi sigma_j^2) + 1)."""
-    nv = np.atleast_1d(np.asarray(noise_variances, dtype=np.float64))
-    if np.any(nv <= 0):
-        raise ValueError("noise variances must be positive")
+    nv = _noise_variance_array(noise_variances)
     return float(-(n_experiments / 2.0) * np.sum(np.log(2.0 * math.pi * nv) + 1.0))
 
 
@@ -171,23 +172,6 @@ def _batch_loglik(problem: OEDProblem, y_data: np.ndarray, columns) -> np.ndarra
     return quad
 
 
-def log_likelihood(y_data, theta, problem: OEDProblem) -> float:
-    """Gaussian log-likelihood of (d_y, N_e) data at one parameter vector."""
-    y = np.asarray(y_data, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape != (problem.d_y, problem.n_experiments):
-        raise ValueError(
-            f"data must be (d_y={problem.d_y}, N_e={problem.n_experiments})"
-        )
-    theta = np.asarray(theta, dtype=np.float64)
-    g = problem.model.evaluate(theta[None, :], problem.xi, problem.h)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("model output is not finite")
-    ll = _batch_loglik(problem, y.T[None, :, :], np.moveaxis(g[:, None, :], -1, 0))
-    return float(ll[0, 0])
-
-
 def _noise_values(problem: OEDProblem, u: np.ndarray) -> np.ndarray:
     """Noise coordinates from unit-cube rows: (B, n_e*d_y) -> (B, N_e, d_y)."""
     if problem.truncation.enabled:
@@ -198,36 +182,15 @@ def _noise_values(problem: OEDProblem, u: np.ndarray) -> np.ndarray:
     return z * np.sqrt(problem.noise_variances)[None, None, :]
 
 
-def simulate_data(theta, problem: OEDProblem, noise_draw) -> np.ndarray:
-    """Observations G(theta, xi) + sigma * draw, shaped (d_y, N_e).
-
-    ``noise_draw`` is a (d_y, N_e) array of standard-normal (or truncated)
-    draws, or a RandomizationKey from which the draw is generated (truncated
-    when the problem says so).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if isinstance(noise_draw, RandomizationKey):
-        u = noise_draw.uniforms((problem.n_experiments * problem.d_y,), salt="data")
-        noise = _noise_values(problem, u[None, :])[0].T  # (d_y, N_e)
-    else:
-        draw = np.asarray(noise_draw, dtype=np.float64)
-        if draw.ndim == 1:
-            draw = draw[:, None]
-        noise = np.sqrt(problem.noise_variances)[:, None] * draw
-    g = problem.model.evaluate(theta[None, :], problem.xi, problem.h)[0]
-    return g[:, None] + noise
-
-
 # ---------------------------------------------------------------------------
 # Posterior mode and Laplace surrogate
 # ---------------------------------------------------------------------------
 
 
-def _neg_log_post(problem, theta, y_data, g=None):
+def _neg_log_post(problem, theta, y_data):
     """Negative log posterior (up to a constant) at theta and the model
-    output g there, which is evaluated unless the caller has it."""
-    if g is None:
-        g = problem.model.evaluate(theta, problem.xi, problem.h)
+    output g there."""
+    g = problem.model.evaluate(theta, problem.xi, problem.h)
     r = y_data - g[:, None, :]
     r *= r
     quad = np.einsum("bij,j->b", r, 1.0 / problem.noise_variances)
@@ -294,14 +257,10 @@ def _solve_rows(a, b):
         return x
 
 
-def _map_batch(problem, y_data, init, max_iter=100, hess_out=None, g_init=None):
+def _map_batch(problem, y_data, init, max_iter=100):
     """Damped Gauss-Newton posterior-mode search, vectorized over samples.
 
     y_data: (B, N_e, d_y); init: (B, d_theta).  Returns (theta_hat, iters).
-    A (B, d_theta, d_theta) ``hess_out`` receives each row's last Hessian:
-    the one whose Newton decrement ended the row, built at the mode returned.
-    ``g_init``, the model output at init (B, d_y) when the caller has it,
-    spares the start's model evaluation; the search may overwrite it.
     A row has converged when its Newton decrement grad^T H^-1 grad, with H
     the Gauss-Newton Hessian of the negative log posterior, is in
     [0, _MAP_TOL**2]: the gradient measured in the posterior's own
@@ -322,7 +281,7 @@ def _map_batch(problem, y_data, init, max_iter=100, hess_out=None, g_init=None):
     # state of the unconverged rows; idx holds their batch positions in order
     idx = np.arange(theta_out.shape[0])
     theta, y = theta_out.copy(), y_data
-    obj, g = _neg_log_post(problem, theta, y, g_init)  # g: model output at theta
+    obj, g = _neg_log_post(problem, theta, y)  # g: model output at theta
     lam = np.zeros(idx.size)
     tiny = np.zeros(idx.size, dtype=bool)  # converged by a negligible step
 
@@ -335,8 +294,6 @@ def _map_batch(problem, y_data, init, max_iter=100, hess_out=None, g_init=None):
         keep = ~(stop | tiny)  # NaN keeps a row
         if not keep.all():
             theta_out[idx[~keep]] = theta[~keep]
-            if hess_out is not None:
-                hess_out[idx[~keep]] = hess[~keep]
             idx, theta, y, obj, g, lam = (v[keep] for v in (idx, theta, y, obj, g, lam))
             hess, grad, newton = hess[keep], grad[keep], newton[keep]
         if idx.size == 0:
@@ -415,18 +372,6 @@ def _damped_step(problem, theta, y, obj, g, lam, hess, grad, newton):
     return tiny
 
 
-def map_estimate(y_data, problem: OEDProblem, init=None) -> np.ndarray:
-    """Posterior mode for one (d_y, N_e) data set, good to a Newton
-    decrement of _MAP_TOL**2 = 1e-6: about 1e-3 posterior standard
-    deviations from the exact mode."""
-    y = np.asarray(y_data, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    init = problem.prior.median() if init is None else np.asarray(init, dtype=np.float64)
-    theta, _ = _map_batch(problem, y.T[None, :, :], init[None, :])
-    return theta[0]
-
-
 def _precision_cholesky(hess):
     """Lower Cholesky factors L and log dets of the posterior precisions
     prec = (hess + hess^T) / 2 = L L^T of a batch of Gauss-Newton Hessians;
@@ -452,7 +397,7 @@ def _precision_cholesky(hess):
     return l_prec, log_det_prec
 
 
-def _laplace_batch(problem, theta_hat, hess=None):
+def _laplace_batch(problem, theta_hat, hess):
     """Factor of a Gaussian surrogate's covariance for a batch of points.
 
     Returns (cov_chol, log_det_cov).  cov_chol[b] = (L^-1)^T, with
@@ -460,13 +405,11 @@ def _laplace_batch(problem, theta_hat, hess=None):
     cov_chol cov_chol^T is the covariance and a centre + cov_chol z with z
     standard normal samples the surrogate.  It is upper triangular with
     exact zeros below the diagonal, so _proposal_points may skip those
-    terms: each would add an exact zero times a finite z.  ``hess`` is a
-    Hessian the caller built (the importance-sampling proposal's, in the
-    prior's Gaussian coordinates); without it the Gauss-Newton Hessian in
-    theta is built at theta_hat.
+    terms: each would add an exact zero times a finite z.  ``hess`` is the
+    Gauss-Newton Hessian the caller built at the centres theta_hat (the
+    importance-sampling proposal's, in the prior's Gaussian coordinates);
+    the factor depends on it alone.
     """
-    if hess is None:
-        hess = _gauss_newton_system(problem, theta_hat)[0]
     l_prec, log_det_prec = _precision_cholesky(hess)
     # L^-1 by forward substitution, one row for the whole batch at a time:
     # row i is (e_i - sum_{k<i} L_ik row_k) / L_ii, zero right of column i
@@ -496,14 +439,6 @@ def _proposal_points(centre, cov_chol, z):
             col += cov_chol[:, i, j, None] * z[..., j]
         col += centre[:, i, None]
     return out
-
-
-def laplace_covariance(theta_hat, problem: OEDProblem) -> np.ndarray:
-    """Covariance U U^T of the Gaussian posterior surrogate at the given
-    mode, the inverse Gauss-Newton Hessian in theta, from the factor U that
-    _laplace_batch builds."""
-    cov_chol, _ = _laplace_batch(problem, np.asarray(theta_hat, dtype=np.float64)[None, :])
-    return cov_chol[0] @ cov_chol[0].T
 
 
 # ---------------------------------------------------------------------------

@@ -124,14 +124,6 @@ class PriorComponent:
         if self.kind in ("normal", "lognormal") and not self.b > 0:
             raise ValueError("scale parameter must be positive")
 
-    @property
-    def median(self) -> float:
-        if self.kind == "uniform":
-            return 0.5 * (self.a + self.b)
-        if self.kind == "normal":
-            return self.a
-        return math.exp(self.a)
-
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -155,9 +147,6 @@ class PriorSpec:
     @property
     def kinds(self) -> tuple:
         return tuple(c.kind for c in self.components)
-
-    def median(self) -> np.ndarray:
-        return np.array([c.median for c in self.components])
 
     def gaussian_coordinates(self):
         """(loc, scale, log) of the coordinates phi in which the prior is

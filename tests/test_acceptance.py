@@ -260,10 +260,10 @@ def test_criterion_6_allocation_solver_vs_oracle():
 def test_criterion_7_lds_correctness():
     params = default_sobol_params()
     exact = all(
-        nq.star_discrepancy_1d(nq.sobol_sequence(params, 1, k).fractions()) == 2.0**-k
+        nq.star_discrepancy_1d(nq.sobol_sequence(params, 1, k) * 2.0**-32) == 2.0**-k
         for k in range(1, 11)
     )
-    pts = nq.owen_scramble(nq.sobol_sequence(params, 2, 6), RandomizationKey(71)).values
+    pts = nq.owen_scramble(nq.sobol_sequence(params, 2, 6), RandomizationKey(71))
     nets = all(
         np.all(np.histogram2d(pts[:, 0], pts[:, 1], bins=[2**j, 2 ** (6 - j)],
                               range=[[0, 1], [0, 1]])[0] == 1)

@@ -334,6 +334,19 @@ class TestSolveAllocation:
         with pytest.raises(InfeasiblePlanError):
             brute_force_allocation(c, 1e-3, 0.05, h_min=0.5)
 
+    @pytest.mark.parametrize("tol, h_min, name", [
+        (math.nan, None, "tol"), (math.inf, None, "tol"), (0.0, None, "tol"),
+        (-1e-3, None, "tol"), (1e-2, -0.1, "h_min"), (1e-2, 0.0, "h_min"),
+        (1e-2, math.nan, "h_min"), (1e-2, math.inf, "h_min"),
+    ])
+    def test_non_finite_or_non_positive_budget_refused(self, tol, h_min, name):
+        # eta = 1.5 makes a negative h_min's h_min**eta complex
+        c = PilotConstants(c_q1=1.0, beta=0.5, c_q2=0.5, c_q3=0.1, delta=0.5,
+                           c_disc=0.01, eta=1.5, gamma=1.0)
+        for solver in (solve_allocation, brute_force_allocation):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                solver(c, tol, 0.05, h_min=h_min)
+
     def test_predicted_work(self):
         c0 = PilotConstants(c_q1=1.0, beta=0.5, c_q2=0.1, c_q3=0.1, delta=0.5)
         plan = solve_allocation(c0, 0.05, 0.05)

@@ -294,6 +294,29 @@ class TestPlanCommand:
             plans.append(Path(out).read_bytes())
         assert plans[0] == plans[1]
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--tol", "nan"], "tol"),
+        (["--tol", "inf"], "tol"),
+        (["--tol", "0.01", "--h-min", "-0.1"], "h_min"),
+    ], ids=["tol-nan", "tol-inf", "negative-h-min"])
+    def test_non_finite_or_non_positive_budget_is_a_usage_error(self, tmp_path, lg_config,
+                                                                 capsys, argv, name):
+        if name == "tol":  # a linear-Gaussian pilot
+            pilot = str(tmp_path / "pilot.json")
+            assert main(["pilot", lg_config, "--outer-ladder", "32,128,512", "--inner-ladder",
+                         "16,64", "--S", "8", "--R", "8", "--out", pilot]) == 0
+        else:  # a synthetic pilot with eta = 1.5, whose h_min**eta is complex at h_min < 0
+            pilot = str(tmp_path / "syn_pilot.json")
+            cfg = _write(tmp_path, "syn.cfg", SYN_CFG + "synthetic.eta = 1.5\n")
+            assert main(["pilot", cfg, "--outer-ladder", "32,128,512", "--inner-ladder",
+                         "16,64", "--S", "8", "--R", "8", "--out", pilot]) == 0
+        capsys.readouterr()
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--pilot", pilot, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be positive and finite")
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path):
         pilot = _write(tmp_path, "pilot.json", json.dumps({
             "c_q1": 1.0, "beta": 0.5, "c_q2": 0.5, "c_q3": 1.0, "delta": 0.5,
@@ -487,6 +510,16 @@ class TestEstimateCommand:
         rc = main(["estimate", cfg, "--N", "0", "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_variance_is_a_usage_error(self, tmp_path, capsys, value):
+        cfg = _write(tmp_path, "bad.cfg", LG_CFG.replace("noise.variance = 1.0",
+                                                         f"noise.variance = {value}"))
+        out = tmp_path / "x.json"
+        assert main(["estimate", cfg, "--N", "64", "--M", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: noise variances must be positive and finite")
         assert not out.exists()
 
     def test_missing_counts_usage_error(self, tmp_path, lg_config):

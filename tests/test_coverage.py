@@ -7,8 +7,11 @@ The report gives, per run, N*, M*, beta, c_q3, the error against the
 design's table EIG and z = error / predicted_stddev; per design and
 tolerance, the miss count (|error| > tol), the RMS z and the mean error.  A
 plan that keeps its promise misses about alpha = 5% of the time and has an
-RMS z near 1.  The test asserts only that every command succeeds and that
-every error stays within criterion 1's 0.03.
+RMS z near 1.  The test asserts that every command succeeds, that every
+error stays within criterion 1's 0.03, and, per design and tolerance, that
+at most MAX_MISSES of the 26 runs miss (the binomial(26, 0.05) 96% bound)
+and that the RMS z lies in RMS_Z_BAND, the 95% band for 26 draws.  The runs
+are seeded, so the gate is deterministic.
 
 Run with ``NESTIQ_RUN_LONG=1 pytest tests/test_coverage.py -s``.
 """
@@ -27,6 +30,8 @@ SEEDS = (*range(16), *range(101, 111))
 TOLS = (5e-3, 1e-2)
 TABLE_EIG = {"geom": 10.7372, "even": 10.2065}
 EIG_LIMIT = 0.03
+MAX_MISSES = 3
+RMS_Z_BAND = (0.73, 1.27)
 CONFIG = """\
 model = pk
 estimator = rdlqmcis
@@ -78,6 +83,7 @@ def test_cli_pipeline_tolerance_coverage(tmp_path, design):
                 f"c_q3 {consts['c_q3']:.3g} "
                 f"error {error:+.5f} z {z:+.2f}"
             )
+    broken = []
     for tol in TOLS:
         misses = sum(abs(e) > tol for e in errors[tol])
         rms_z = math.sqrt(sum(z * z for z in zs[tol]) / len(zs[tol]))
@@ -86,5 +92,10 @@ def test_cli_pipeline_tolerance_coverage(tmp_path, design):
             f"{design} tol {tol:g}: {misses} of {len(SEEDS)} miss, RMS z {rms_z:.2f}, "
             f"mean error {mean_error:+.5f}"
         )
+        if misses > MAX_MISSES or not RMS_Z_BAND[0] <= rms_z <= RMS_Z_BAND[1]:
+            broken.append(f"tol {tol:g}: {misses} misses, RMS z {rms_z:.2f}")
     worst = max(abs(e) for errs in errors.values() for e in errs)
     assert worst < EIG_LIMIT, f"largest |error| {worst:.5f} (limit {EIG_LIMIT})"
+    assert not broken, (
+        f"{design}: {'; '.join(broken)} (at most {MAX_MISSES} misses, RMS z in {RMS_Z_BAND})"
+    )

@@ -8,7 +8,6 @@ import pytest
 
 from nestiq import lds
 from nestiq.lds import (
-    DigitalSequence,
     DirectionNumberError,
     RandomizationKey,
     load_direction_numbers,
@@ -80,15 +79,15 @@ class TestDirectionNumbers:
 class TestSobolSequence:
     def test_dimension1_k2_set(self):
         seq = sobol_sequence(PARAMS, 1, 2)
-        assert set(seq.fractions().ravel()) == {0.0, 0.25, 0.5, 0.75}
+        assert set((seq * 2.0**-32).ravel()) == {0.0, 0.25, 0.5, 0.75}
 
     def test_k0_single_origin_point(self):
         seq = sobol_sequence(PARAMS, 1, 0)
-        assert seq.count == 1 and seq.fractions()[0, 0] == 0.0
+        assert seq.shape == (1, 1) and seq.dtype == np.uint32 and seq[0, 0] == 0
 
     def test_projections_are_full_grids(self):
         seq = sobol_sequence(PARAMS, 2, 3)
-        fr = seq.fractions()
+        fr = seq * 2.0**-32
         for j in range(2):
             np.testing.assert_allclose(np.sort(fr[:, j]), np.arange(8) / 8)
 
@@ -96,11 +95,12 @@ class TestSobolSequence:
     def test_dimension1_set_equality(self, k):
         seq = sobol_sequence(PARAMS, 1, k)
         expected = {i << (32 - k) for i in range(1 << k)}
-        assert set(int(v) for v in seq.values[:, 0]) == expected
+        assert set(int(v) for v in seq[:, 0]) == expected
 
     def test_count_must_be_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            DigitalSequence(values=np.zeros((3, 1), dtype=np.uint32))
+        # the scramble refuses a digit array whose count is not a power of two
+        with pytest.raises(ValueError, match="count must be a power of two, got 3"):
+            owen_scramble(np.zeros((3, 1), dtype=np.uint32), RandomizationKey(5))
 
     @pytest.mark.parametrize("value, message", [
         (0, "N must be a power of two, got 0"),
@@ -122,35 +122,46 @@ class TestSobolSequence:
 
 
 class TestOwenScramble:
+    def test_one_dimensional_input_refused(self):
+        # a 1-D array is neither read as one column nor as one point
+        with pytest.raises(ValueError, match=r"\(count, dimension\) array"):
+            owen_scramble(sobol_sequence(PARAMS, 1, 4)[:, 0], RandomizationKey(5))
+
+    def test_array_in_array_out(self):
+        seq = sobol_sequence(PARAMS, 3, 5)
+        assert seq.shape == (32, 3) and seq.dtype == np.uint32
+        pts = owen_scramble(seq, RandomizationKey(5))
+        assert pts.shape == (32, 3) and pts.dtype == np.float64
+
     def test_uniform_marginal_mean(self):
         seq = sobol_sequence(PARAMS, 1, 12)
         pts = owen_scramble(seq, RandomizationKey(5))
         # iid-uniform bound, generous for a scrambled net
-        assert abs(pts.values[:, 0].mean() - 0.5) < 3 * (1 / math.sqrt(12)) / 64
+        assert abs(pts[:, 0].mean() - 0.5) < 3 * (1 / math.sqrt(12)) / 64
 
     def test_deterministic(self):
         seq = sobol_sequence(PARAMS, 3, 8)
         key = RandomizationKey(9, tag="err")
         a = owen_scramble(seq, key)
         b = owen_scramble(seq, key)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_distinct_keys_differ(self):
         seq = sobol_sequence(PARAMS, 1, 6)
         a = owen_scramble(seq, RandomizationKey(1))
         b = owen_scramble(seq, RandomizationKey(2))
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_elementary_intervals_1d(self):
         seq = sobol_sequence(PARAMS, 1, 8)
         pts = owen_scramble(seq, RandomizationKey(3))
-        hist = np.histogram(pts.values[:, 0], bins=256, range=(0, 1))[0]
+        hist = np.histogram(pts[:, 0], bins=256, range=(0, 1))[0]
         assert np.all(hist == 1)
 
     def test_net_preservation_2d(self):
         # every dyadic box of volume 2^-6 holds exactly one point, all splits
         seq = sobol_sequence(PARAMS, 2, 6)
-        pts = owen_scramble(seq, RandomizationKey(17)).values
+        pts = owen_scramble(seq, RandomizationKey(17))
         for j1 in range(7):
             hist = np.histogram2d(
                 pts[:, 0], pts[:, 1], bins=[2**j1, 2 ** (6 - j1)],
@@ -165,13 +176,13 @@ class TestOwenScramble:
         passed = 0
         for s in range(100):
             pts = owen_scramble(seq, RandomizationKey(s, tag="ks"))
-            stat = kstest(pts.values[:, 0], "uniform").statistic
+            stat = kstest(pts[:, 0], "uniform").statistic
             passed += stat < 0.03
         assert passed >= 95
 
     def test_coordinates_strictly_inside(self):
         seq = sobol_sequence(PARAMS, 4, 10)
-        v = owen_scramble(seq, RandomizationKey(0)).values
+        v = owen_scramble(seq, RandomizationKey(0))
         assert np.all(v >= 2.0**-64) and np.all(v < 1.0)
 
     def test_discrepancy_decay_slope(self):
@@ -293,7 +304,7 @@ class TestScrambleKernel:
         tree, fill = lds._owen_lanes(lds.mix64(roots), 3)
 
         def means(depth):
-            u = lds._scramble_values(seq.values, tree, fill, depth)
+            u = lds._scramble_values(seq, tree, fill, depth)
             return np.exp(u.sum(axis=-1)).mean(axis=-1)
 
         cut, full = means(log2_m), means(32)
@@ -309,14 +320,14 @@ class TestScrambleKernel:
         seq = sobol_sequence(PARAMS, 3, 11)
         key = RandomizationKey(12, tag="prefix")
         np.testing.assert_array_equal(
-            owen_scramble(seq, key).values[:n],
-            lds._scramble_values(seq.values[:n], *lds._owen_lanes(key.subroot("owen"), 3), 11),
+            owen_scramble(seq, key)[:n],
+            lds._scramble_values(seq[:n], *lds._owen_lanes(key.subroot("owen"), 3), 11),
         )
         roots = key.subroot("owen") ^ np.arange(2 * keys, dtype=np.uint64)
         tree, fill = lds._owen_lanes(lds.mix64(roots), 3)
-        prefix = lds._scramble_values(seq.values[:n], tree[:keys], fill[:keys], 11)
+        prefix = lds._scramble_values(seq[:n], tree[:keys], fill[:keys], 11)
         alone = lds._scramble_values(
-            sobol_sequence(PARAMS, 3, log2_n).values, tree[keys:], fill[keys:], log2_n
+            sobol_sequence(PARAMS, 3, log2_n), tree[keys:], fill[keys:], log2_n
         )
         a, b = (np.exp(u.sum(axis=-1)).mean(axis=-1) for u in (prefix, alone))
         assert 0.85 <= a.var() / b.var() <= 1.15
@@ -328,7 +339,7 @@ class TestScrambleKernel:
         if kind == "chunk":  # the second m-row chunk of a 2^depth-point set
             return lds._sobol_rows(PARAMS, d, depth, m, 2 * m)
         if kind == "sobol":
-            return sobol_sequence(PARAMS, d, max(m - 1, 0).bit_length()).values[:m]
+            return sobol_sequence(PARAMS, d, max(m - 1, 0).bit_length())[:m]
         values = rng.integers(0, 2**32, (m, d), dtype=np.uint64).astype(np.uint32)
         if kind == "repeated":  # a few leading-digit prefixes, each shared by many points
             values[:, :] = values[rng.integers(0, 5, m)]
@@ -373,7 +384,7 @@ class TestScrambleKernel:
     def test_memory_stays_within_the_output(self, lanes, log2_m):
         import tracemalloc
 
-        values = sobol_sequence(PARAMS, 3, log2_m).values
+        values = sobol_sequence(PARAMS, 3, log2_m)
         tree, fill = lds._owen_lanes(np.arange(np.prod(lanes), dtype=np.uint64).reshape(lanes), 3)
         tracemalloc.start()
         try:
@@ -387,16 +398,16 @@ class TestScrambleKernel:
         # any change to the scrambled stream fails here, never silently
         seq = sobol_sequence(PARAMS, 3, 6)
         tree, fill = lds._owen_lanes(RandomizationKey(1).subroot("owen"), 3)
-        full = lds._scramble_values(seq.values, tree, fill, 32)
+        full = lds._scramble_values(seq, tree, fill, 32)
         digest = hashlib.sha256(full.tobytes()).hexdigest()
         assert digest == "0a358efe798b9ee936489486ffb1531e85cc7b616111067b8777a9b804db3f7f"
         pts = owen_scramble(seq, RandomizationKey(1))  # cut at depth 6
-        digest = hashlib.sha256(pts.values.tobytes()).hexdigest()
+        digest = hashlib.sha256(pts.tobytes()).hexdigest()
         assert digest == "a29cdb531e846d37e261c0876f49a87aebbd4f47c8056515f056f4043d254db9"
 
     @pytest.mark.parametrize("lo, hi", [(0, 1), (1, 2), (5, 9), (1000, 3001), (4095, 4096)])
     def test_sobol_rows_are_slices(self, lo, hi):
-        full = sobol_sequence(PARAMS, 18, 12).values
+        full = sobol_sequence(PARAMS, 18, 12)
         np.testing.assert_array_equal(lds._sobol_rows(PARAMS, 18, 12, lo, hi), full[lo:hi])
 
     @pytest.mark.parametrize("lo, hi", [(-1, 4), (4, 4), (0, 4097)])
@@ -441,7 +452,7 @@ class TestStarDiscrepancy:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_sobol_first_block_exact(self, k):
         seq = sobol_sequence(PARAMS, 1, k)
-        assert star_discrepancy_1d(seq.fractions()) == 2.0**-k
+        assert star_discrepancy_1d(seq * 2.0**-32) == 2.0**-k
 
     def test_brute_agrees_with_sorted_formula(self):
         rng = np.random.default_rng(0)

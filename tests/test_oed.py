@@ -28,10 +28,6 @@ from nestiq.oed import (
     eig_nested,
     eig_quadrature,
     inner_replicate_spread,
-    laplace_covariance,
-    log_likelihood,
-    map_estimate,
-    simulate_data,
 )
 from nestiq.stats import PriorComponent, PriorSpec, TruncationSetting, inv_norm_cdf
 
@@ -63,27 +59,47 @@ class QuadraticModel(ForwardModel):
         return (1.0 + 0.2 * theta)[:, :, None]
 
 
+def _loglik(problem, y, theta):
+    """_batch_loglik of one (d_y, N_e) data set at one parameter vector."""
+    g = problem.model.evaluate(np.asarray(theta, dtype=np.float64)[None, :], problem.xi)
+    y_data = np.asarray(y, dtype=np.float64).T[None, :, :]
+    return float(oed._batch_loglik(problem, y_data, np.moveaxis(g[:, None, :], -1, 0))[0, 0])
+
+
+def _map_one(problem, y, init):
+    """The posterior mode of one (d_y, N_e) data set: _map_batch on a
+    one-row batch."""
+    y_data = np.asarray(y, dtype=np.float64).T[None, :, :]
+    theta, _ = oed._map_batch(problem, y_data, np.asarray(init, dtype=np.float64)[None, :])
+    return theta[0]
+
+
+def _laplace_cov(problem, theta):
+    """U U^T of _laplace_batch's factor at one point, from the Gauss-Newton
+    Hessian in theta built there."""
+    theta = np.asarray(theta, dtype=np.float64)[None, :]
+    hess = oed._gauss_newton_system(problem, theta)[0]
+    cov_chol, _ = oed._laplace_batch(problem, theta, hess=hess)
+    return cov_chol[0] @ cov_chol[0].T
+
+
 class TestLogLikelihood:
     def test_zero_residual(self):
         p = linear_gaussian_problem()
-        val = log_likelihood(np.array([[0.0]]), np.array([0.0]), p)
+        val = _loglik(p, np.array([[0.0]]), np.array([0.0]))
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_quadratic_penalty(self):
         p = linear_gaussian_problem()
-        base = log_likelihood(np.array([[0.0]]), np.array([0.0]), p)
-        val = log_likelihood(np.array([[2.0]]), np.array([0.0]), p)
+        base = _loglik(p, np.array([[0.0]]), np.array([0.0]))
+        val = _loglik(p, np.array([[2.0]]), np.array([0.0]))
         assert val == pytest.approx(base - 2.0)
 
     def test_additive_over_experiments(self):
         p3 = linear_gaussian_problem(n_experiments=3)
-        val = log_likelihood(np.zeros((1, 3)), np.array([0.0]), p3)
+        val = _loglik(p3, np.zeros((1, 3)), np.array([0.0]))
         single = -0.5 * math.log(2 * math.pi)
         assert val == pytest.approx(3 * single)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            log_likelihood(np.zeros((2, 1)), np.array([0.0]), linear_gaussian_problem())
 
 
 def _contracted_loglik(problem, y_data, g):
@@ -154,16 +170,27 @@ class TestEntropyTerm:
         oracle = float(np.sum(w * logpdf) / math.sqrt(math.pi))
         assert closed_form_entropy_term(1, [var]) == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_non_positive_variance_refused(self, bad):
+        with pytest.raises(ValueError, match="noise variances must be positive and finite"):
+            closed_form_entropy_term(1, [0.3, bad])
+        with pytest.raises(ValueError, match="noise variances must be positive and finite"):
+            linear_gaussian_problem(noise_var=bad)
+
     def test_example_noise_vector(self):
         val = closed_form_entropy_term(1, np.full(15, 0.01))
         assert val == pytest.approx(-(15 / 2) * (math.log(0.02 * math.pi) + 1.0))
 
 
 class TestSimulateData:
+    """Data G(theta) + noise, the noise mapped from unit-cube coordinates by
+    _noise_values as every outer row's data is."""
+
     def test_zero_noise(self):
         p = linear_gaussian_problem()
-        y = simulate_data(np.array([0.7]), p, np.zeros((1, 1)))
-        np.testing.assert_allclose(y, [[0.7]])
+        g = p.model.evaluate(np.array([[0.7]]), p.xi)
+        y = g[:, None, :] + oed._noise_values(p, np.array([[0.5]]))
+        np.testing.assert_allclose(y, [[[0.7]]])
 
     def test_truncated_noise_support(self):
         t = TruncationSetting(enabled=True, p=1.0, tol=math.exp(-2))  # c = sqrt(8)
@@ -174,23 +201,25 @@ class TestSimulateData:
             noise_variances=[4.0],
             truncation=t,
         )
-        for s in range(50):
-            y = simulate_data(np.array([0.0]), p, RandomizationKey(s))
-            assert abs(y[0, 0]) <= t.radius * 2.0 + 1e-12
+        u = RandomizationKey(0).uniforms((50, 1), salt="data")
+        u = np.concatenate([u, [[2.0**-64], [1.0 - 2.0**-53]]])  # the extreme coordinates
+        noise = oed._noise_values(p, u)
+        assert noise.shape == (52, 1, 1)
+        assert np.all(np.abs(noise) <= t.radius * 2.0 + 1e-12)
 
     def test_deterministic_from_key(self):
-        p = linear_gaussian_problem()
+        p = linear_gaussian_problem(n_experiments=2)
         k = RandomizationKey(9)
-        np.testing.assert_array_equal(
-            simulate_data(np.array([0.1]), p, k), simulate_data(np.array([0.1]), p, k)
-        )
+        a, b = (oed._noise_values(p, k.uniforms((4, 2), salt="data")) for _ in range(2))
+        assert a.shape == (4, 2, 1)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestMapEstimate:
     def test_conjugate_posterior_mean(self):
         # prior N(0,1), unit noise, y = 2: posterior mean = 1
         p = linear_gaussian_problem()
-        assert map_estimate(np.array([[2.0]]), p)[0] == pytest.approx(1.0, abs=1e-8)
+        assert _map_one(p, np.array([[2.0]]), np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_residual_optimum(self):
         prior = PriorSpec(components=(("normal", 0.0, 100.0),))  # near-flat
@@ -198,7 +227,7 @@ class TestMapEstimate:
             model=LinearGaussianModel(matrix=[[1.0]]), xi=np.zeros(0),
             prior=prior, noise_variances=[1.0],
         )
-        th = map_estimate(np.array([[0.7]]), p, init=np.array([0.5]))
+        th = _map_one(p, np.array([[0.7]]), np.array([0.5]))
         assert th[0] == pytest.approx(0.7, abs=1e-3)
 
     def test_stationary_start_returns_immediately(self):
@@ -214,7 +243,7 @@ class TestMapEstimate:
             prior=PriorSpec(components=(("normal", 0.0, 1.0),)),
             noise_variances=[1.0],
         )
-        map_estimate(np.array([[2.0]]), p, init=np.array([1.0]))
+        _map_one(p, np.array([[2.0]]), np.array([1.0]))
         # the initial objective only: a zero Newton decrement is converged
         assert calls["n"] == 1
 
@@ -226,7 +255,8 @@ class TestMapEstimate:
                        noise_variances=np.full(15, 1e-6))
         theta_true = np.array([1.05, 0.095, 19.5])
         y = model.evaluate(theta_true[None, :], geom)[0][:, None]
-        th = map_estimate(y, p, init=prior.median())
+        median = prior.transform(np.full(3, 0.5))
+        th = _map_one(p, y, median)
         np.testing.assert_allclose(th, theta_true, rtol=1e-3)
 
 
@@ -578,8 +608,8 @@ class TestMapStoppingRule:
 
 
 class TestHessianHandoff:
-    """A posterior-mode search hands out, through ``hess_out``, the Hessian
-    that ended each row's search, built at the mode it returns."""
+    """A posterior-mode search ends each row by its Newton decrement, the
+    one of the Gauss-Newton Hessian built at the mode it returns."""
 
     def test_linear_gaussian_rows_end_by_decrement(self):
         # far from the origin, rounding in the residual leaves decrements up
@@ -592,28 +622,10 @@ class TestHessianHandoff:
         u = RandomizationKey(72).uniforms((64, problem.d_outer), salt="handoff")
         theta = problem.prior.transform(u[:, :1])
         y_data = theta[:, None, :] + oed._noise_values(problem, u[:, 1:])
-        hess = np.empty((64, 1, 1))
-        theta_hat, iters = oed._map_batch(problem, y_data, theta, hess_out=hess)
+        theta_hat, iters = oed._map_batch(problem, y_data, theta)
         dec = TestMapStoppingRule._decrement(problem, y_data, theta_hat)
         assert np.all((dec >= 0.0) & (dec <= oed._MAP_TOL**2))
         assert np.all(iters == 1)
-        assert np.array_equal(hess, oed._gauss_newton_system(problem, theta_hat)[0])
-
-    def test_map_hessian_is_the_one_at_the_mode(self):
-        # the rejected-step fixture of TestActiveSetMap: rows stop after 6 to
-        # 9 iterations, row 3 after a rejected step
-        p = OEDProblem(model=CubicModel(), xi=np.zeros(0),
-                       prior=PriorSpec(components=(("normal", 0.0, 1.0),)),
-                       noise_variances=[0.01])
-        y_data = np.array([1.0, 1.3, 0.8, 1.0, 2.0])[:, None, None]
-        init = np.array([[0.9], [1.2], [0.7], [0.1], [1.1]])
-        hess = np.full((5, 1, 1), np.nan)
-        theta, iters = oed._map_batch(p, y_data, init, hess_out=hess)
-        assert len(set(iters.tolist())) > 1
-        assert np.array_equal(hess, oed._gauss_newton_system(p, theta)[0])
-        handed = oed._laplace_batch(p, theta, hess=hess)
-        fresh = oed._laplace_batch(p, theta)
-        assert all(np.array_equal(a, b) for a, b in zip(handed, fresh))
 
 
 class LogLinearModel(ForwardModel):
@@ -642,7 +654,8 @@ def _map_proposal_problem(problem):
         g = problem.model.evaluate(theta, problem.xi)
         y_data = g[:, None, :] + oed._noise_values(problem, y[:, d:])
         theta_hat, _ = oed._map_batch(problem, y_data, theta)
-        return (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat))
+        hess = oed._gauss_newton_system(problem, theta_hat)[0]
+        return (y_data, theta_hat, *oed._laplace_batch(problem, theta_hat, hess=hess))
 
     def inner(state, x):
         y_data, theta_hat, cov_chol, log_det_cov = state
@@ -795,14 +808,12 @@ def _cubic_map_inputs():
 
 class TestSlicedAssembly:
     """The Gauss-Newton Hessian and gradient are assembled _GN_ROWS rows at
-    a time, and prepare hands the search the model output at its start;
-    neither may move a bit."""
+    a time; that may not move a bit."""
 
     @staticmethod
-    def _map(problem, y_data, init, **kwargs):
-        hess = np.empty((init.shape[0], problem.d_theta, problem.d_theta))
-        theta, iters = oed._map_batch(problem, y_data, init, hess_out=hess, **kwargs)
-        return theta, iters, hess
+    def _map(problem, y_data, init):
+        theta, iters = oed._map_batch(problem, y_data, init)
+        return theta, iters, oed._gauss_newton_system(problem, theta)[0]
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("fixture", ["pk-geom", "pk-even", "cubic"])
@@ -829,33 +840,6 @@ class TestSlicedAssembly:
         sliced = prepare(y)
         assert len(sliced) == len(default) == 4
         assert all(np.array_equal(a, b) for a, b in zip(sliced, default))
-
-    @pytest.mark.parametrize("fixture", ["pk-geom", "pk-even", "cubic"])
-    def test_starting_output_spares_one_evaluation(self, fixture):
-        if fixture == "cubic":
-            problem, y_data, init = _cubic_map_inputs()
-        else:
-            problem, y_data, init = _pk_map_inputs(fixture == "pk-even", 256, 76)
-        model, calls = problem.model, []
-
-        class Counting(ForwardModel):
-            d_theta = model.d_theta
-
-            def evaluate(self, theta, xi=None, h=None):
-                calls.append(theta.shape[0])
-                return model.evaluate(theta, xi, h)
-
-            def jacobian(self, theta, xi=None, h=None):
-                return model.jacobian(theta, xi, h)
-
-        counted = replace(problem, model=Counting())
-        without = self._map(counted, y_data, init)
-        evaluations = len(calls)
-        g_init = model.evaluate(init, problem.xi)
-        calls.clear()
-        given = self._map(counted, y_data, init, g_init=g_init)
-        assert all(np.array_equal(a, b) for a, b in zip(given, without))
-        assert len(calls) == evaluations - 1
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("fixture", ["pk-geom", "pk-even", "linear"])
@@ -920,12 +904,12 @@ class TestMapWorkingSet:
 class TestLaplaceCovariance:
     def test_conjugate_value(self):
         p = linear_gaussian_problem()
-        cov = laplace_covariance(np.array([1.0]), p)
+        cov = _laplace_cov(p, np.array([1.0]))
         assert cov[0, 0] == pytest.approx(0.5)
 
     def test_three_experiments(self):
         p = linear_gaussian_problem(n_experiments=3)
-        cov = laplace_covariance(np.array([1.0]), p)
+        cov = _laplace_cov(p, np.array([1.0]))
         assert cov[0, 0] == pytest.approx(0.25)
 
     def test_diagonal_model_gives_diagonal_covariance(self):
@@ -935,14 +919,14 @@ class TestLaplaceCovariance:
             prior=PriorSpec(components=(("normal", 0, 1), ("normal", 0, 1))),
             noise_variances=[1.0, 1.0],
         )
-        cov = laplace_covariance(np.array([0.0, 0.0]), p)
+        cov = _laplace_cov(p, np.array([0.0, 0.0]))
         np.testing.assert_allclose(cov, np.diag([1 / 2, 1 / 5]), atol=1e-12)
 
 
 class TestDiscretizedLevel:
     """The batch posterior-mode search and Laplace factor solve the
-    posterior of the problem's own discretization level, as the one-row
-    map_estimate and laplace_covariance do."""
+    posterior of the problem's own discretization level, on the whole batch
+    as on one-row batches."""
 
     def test_batch_solvers_run_at_the_problem_level(self):
         problem = OEDProblem(
@@ -954,13 +938,17 @@ class TestDiscretizedLevel:
         theta = problem.prior.transform(u[:, :2])
         g = problem.model.evaluate(theta, problem.xi, problem.h)
         y_data = g[:, None, :] + oed._noise_values(problem, u[:, 2:])
-        init = np.tile(problem.prior.median(), (16, 1))
+        init = problem.prior.transform(np.full((16, 2), 0.5))  # the prior median
         theta_hat, _ = oed._map_batch(problem, y_data, init)
-        cov_chol, _ = oed._laplace_batch(problem, theta_hat)
+        hess = oed._gauss_newton_system(problem, theta_hat)[0]
+        cov_chol, _ = oed._laplace_batch(problem, theta_hat, hess=hess)
         for i in range(16):
-            assert np.array_equal(theta_hat[i], map_estimate(y_data[i].T, problem))
-            cov = laplace_covariance(theta_hat[i], problem)
+            assert np.array_equal(theta_hat[i], _map_one(problem, y_data[i].T, init[i]))
+            cov = _laplace_cov(problem, theta_hat[i])
             assert np.array_equal(cov_chol[i] @ cov_chol[i].T, cov)
+        # the same data read at another level has another mode
+        other, _ = oed._map_batch(replace(problem, h=0.125), y_data, init)
+        assert not np.any(other == theta_hat)
 
 
 class TestLaplaceFailure:
@@ -1003,7 +991,7 @@ class TestLaplaceFailure:
 
     def test_laplace_covariance_raises(self):
         with pytest.raises(LaplaceFitError) as err:
-            laplace_covariance(np.array([0.0, 0.5]), self._flat_problem())
+            _laplace_cov(self._flat_problem(), np.array([0.0, 0.5]))
         assert err.value.index == 0
 
     def test_laplace_only_raises(self):
@@ -1080,7 +1068,9 @@ class TestNestedEigEstimators:
             inner_replicate_spread(linear_gaussian_problem(), 8, 3, 4)
 
     def test_replicate_spread_unchanged_by_prepare_once(self):
-        from nestiq.estimators import _inner_blocks, _outer_points, _outer_values
+        from nestiq.estimators import (
+            _inner_blocks, _outer_points, _outer_values, default_sobol_params,
+        )
 
         geom, _ = pk_designs()
         problem = OEDProblem(model=PKModel(), xi=geom, prior=pk_prior("variance"),
@@ -1089,7 +1079,7 @@ class TestNestedEigEstimators:
         spread = inner_replicate_spread(problem, 16, 4, 3, key=key)
         # the same diagnostic with the Laplace proposal solved for every replicate
         nested = oed.build_nested_problem(problem, family="is")
-        params = oed.default_sobol_params()
+        params = default_sobol_params()
         sampler = "rqmc-sobol-owen"
         y = _outer_points(nested, 16, 0, key, sampler, params)
         blocks = _inner_blocks(nested, 0, 16, 4, 3, 0, key, sampler, params).reshape(16, 3, 4, 3)
