@@ -10,11 +10,12 @@ constraint pair
 where beta and delta in [0, 1] are the observed rate gains of randomized
 QMC over plain MC.  The inner variance sets the inner bias: C_Q3 = C_Q2 / 2
 under the log outer map, by the delta method, and 0 under the identity map.
-The plan is the least-work power-of-two (N, M) with the largest h that
-fits, found by one exhaustive scan over N.  The least-work real (N, M, h)
-of the same problem, found by nested one-dimensional searches, is reported
-beside it as the continuous solution; brute_force_allocation is an
-exhaustive-search oracle.
+The plan is the least-work power-of-two (N, M), each at most the 2^31
+points an estimator accepts, with the largest h that fits, found by one
+exhaustive scan over N.  The least-work real (N, M, h) of the same
+problem, found by nested one-dimensional searches, is reported beside it
+as the continuous solution; brute_force_allocation is an exhaustive-search
+oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import NestedProblem, _inner_replicates, _nested_values
-from .lds import RandomizationKey, _check_pow2
+from .lds import _LOG2_COUNT_MAX, RandomizationKey, _check_pow2
 from .stats import inv_norm_cdf, replicate_variance
 
 __all__ = [
@@ -405,11 +406,11 @@ def _best_m_for_n(c, tol, c_alpha, n, h_min):
     """Least-work power-of-two M (with its h and work) at fixed N, or None.
 
     Without discretization the first feasible M is least work; with
-    discretization larger M buys a larger h, so the scan goes on to 2^62.
+    discretization larger M buys a larger h, so the scan goes on to 2^31.
     """
     best = None
     m = 1
-    while m <= 1 << 62:
+    while m <= 1 << _LOG2_COUNT_MAX:
         found = _h_and_work(c, tol, c_alpha, n, m, h_min)
         if found is not None:
             if c.c_disc <= 0:
@@ -438,9 +439,10 @@ def solve_allocation(
 ) -> AllocationPlan:
     """Least-work power-of-two (N*, M*) with its h* and kappa* for a tolerance.
 
-    Every power-of-two N is tried with its least-work feasible M until N
-    alone reaches the best work found: work N * M * h^-gamma is never below
-    N, since M >= 1 and h <= 1.  Ties in work go to the smaller N.  The
+    Every power-of-two N up to 2^31, the largest count an estimator accepts,
+    is tried with its least-work feasible M up to 2^31 until N alone
+    reaches the best work found: work N * M * h^-gamma is never below N,
+    since M >= 1 and h <= 1.  Ties in work go to the smaller N.  The
     least-work real (N, M, h) of the same problem is reported beside the
     plan as n_raw, m_raw and the metadata's h_raw, with kappa_analytic its
     error split.
@@ -458,7 +460,7 @@ def solve_allocation(
             )
 
     best = None
-    for e in range(63):
+    for e in range(_LOG2_COUNT_MAX + 1):
         n = 1 << e
         if best is not None and n >= best[0]:
             break
@@ -468,8 +470,8 @@ def solve_allocation(
             best = (work, n, m, h)
     if best is None:
         raise InfeasiblePlanError(
-            f"no feasible (N, M, h) at tol={tol}",
-            binding="discretization-bias" if c.c_disc > 0 else "inner-bias",
+            f"no feasible (N, M, h) with N, M <= 2^{_LOG2_COUNT_MAX} at tol={tol}",
+            binding="sample-count-limit",
         )
     work, n_star, m_star, h_star = best
     _, n_raw, m_raw, h_raw = _continuous_optimum(c, tol, c_alpha, h_min)
@@ -499,7 +501,7 @@ def brute_force_allocation(
     chebyshev: bool = False,
     h_min: float | None = None,
 ) -> AllocationPlan:
-    """Exhaustive-search oracle over kappa grid x power-of-two (N, M).
+    """Exhaustive-search oracle over kappa grid x power-of-two (N, M) <= 2^31.
 
     For each candidate, h takes the largest value the remaining bias budget
     allows (capped at 1), which dominates any fixed h ladder.  Candidate
@@ -507,16 +509,17 @@ def brute_force_allocation(
     """
     _check_budget(tol, h_min)
     c_alpha = confidence_constant(alpha, chebyshev)
-    if grid_resolution * 64 * 64 > 10**6:
+    counts = _LOG2_COUNT_MAX + 1  # powers of two for N and for M
+    if grid_resolution * counts * counts > 10**6:
         raise ValueError("grid too large (over 10^6 candidate triples)")
     kappas = (np.arange(1, grid_resolution) / grid_resolution)[:, None]  # (K, 1)
-    m_vals = (np.uint64(1) << np.arange(0, 64, dtype=np.uint64)).astype(np.float64)
+    m_vals = 2.0 ** np.arange(counts)
     bias_m = c.c_q3 / m_vals ** (1.0 + c.delta)  # (M,)
 
     vb = kappas * tol  # statistical budgets (K, 1)
     bb = (1.0 - kappas) * tol  # bias budgets (K, 1)
     best = None  # (work, n, m, h, kappa)
-    for n_exp in range(0, 64):
+    for n_exp in range(counts):
         n = float(1 << n_exp)
         if best is not None and n >= best[0]:
             break
@@ -546,8 +549,9 @@ def brute_force_allocation(
             best = (float(work[j]), int(n), int(m_vals[j[1]]), hj, float(kappas[j[0], 0]))
     if best is None:
         raise InfeasiblePlanError(
-            f"no feasible plan found by exhaustive search at tol={tol}",
-            binding="discretization-bias" if c.c_disc > 0 else "inner-bias",
+            f"no feasible plan with N, M <= 2^{_LOG2_COUNT_MAX} found by exhaustive "
+            f"search at tol={tol}",
+            binding="sample-count-limit",
         )
     work, n, m, h, kappa = best
     return AllocationPlan(

@@ -55,6 +55,7 @@ def _check_out(path: str):
 
 
 def _write_json(path: str, payload: dict):
+    """Every payload value is already a Python number, string, list or dict."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

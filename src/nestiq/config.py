@@ -140,6 +140,8 @@ class ExperimentConfig:
             )
         if v["n_experiments"] < 1:
             raise ConfigError("n_experiments must be >= 1")
+        if v["noise.variance"] is not None and v["noise.variances"] is not None:
+            raise ConfigError("noise.variance and noise.variances are both set; give one")
         if v["pk.prior_scale"] not in ("variance", "stddev"):
             raise ConfigError("pk.prior_scale must be 'variance' or 'stddev'")
         if v["model"] == "pk" and v["design"] not in ("geom", "even") and not self._design_vector():

@@ -44,13 +44,12 @@ import numpy as np
 
 from .lds import (
     RandomizationKey,
-    SobolParams,
     _check_pow2,
     _owen_lanes,
     _scramble_values,
     _sobol_rows,
     fold_index_array,
-    load_direction_numbers,
+    load_direction_numbers as default_sobol_params,
     owen_scramble,
     sobol_sequence,
 )
@@ -75,11 +74,6 @@ _CHUNK = 4096  # outer rows of one randomization per chunk task; a power of two
 # whole rows at a time, or a row in parts, so no call's points or
 # temporaries grow with M, R or the chunk (see _nested_values).
 _INNER_BLOCK = 1 << 14
-
-
-@functools.cache
-def default_sobol_params() -> SobolParams:
-    return load_direction_numbers()
 
 
 @functools.cache
@@ -353,7 +347,8 @@ def _nested_values(problem, N, M, S, R, outer_key, inner_key, sampler, groups=1)
         _check_pow2(N, "N")
         _check_pow2(M, "M")
         if max(problem.d1, problem.d2) > params.dimension:
-            raise ValueError("Sobol parameter table has too few dimensions")
+            raise ValueError(f"Sobol parameter table has {params.dimension} dimensions, "
+                             f"the problem needs {max(problem.d1, problem.d2)}")
     for name, count in (("N", N), ("M", M), ("S", S), ("R", R)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")

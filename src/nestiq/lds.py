@@ -1,7 +1,7 @@
 """Low-discrepancy point sets and their randomizations.
 
-Sobol digital sequences in base 2 (Gray-code order; Joe-Kuo direction
-numbers, dimensions 1-64 built in and more loadable), Owen nested-uniform
+Sobol digital sequences in base 2 (Gray-code order; one built-in table of
+Joe-Kuo direction numbers for dimensions 1-64), Owen nested-uniform
 scrambling, and exact star-discrepancy diagnostics for small point sets.
 Arrays in, arrays out: ``sobol_sequence`` gives (2^k, d) uint32 digits, the
 point being value / 2^32, and ``owen_scramble`` maps them to floats in (0, 1).
@@ -158,9 +158,10 @@ class RandomizationKey:
 # Sobol direction numbers
 # ---------------------------------------------------------------------------
 
-# Joe-Kuo "new-joe-kuo-6" records "d s a m_1 ... m_s" for dimensions 2..64.
-# Dimension 1 is the base-2 radical inverse (van der Corput) and needs no
-# record.  Published initial values; expanded to 32 bits at load time.
+# Joe-Kuo "new-joe-kuo-6" records "d s a m_1 ... m_s" for dimensions 2..64,
+# in order.  Dimension 1 is the base-2 radical inverse (van der Corput) and
+# needs no record.  Published initial values; expanded to 32 bits on the
+# first load_direction_numbers call.
 _BUILTIN_JOE_KUO = """
 2 1 0 1
 3 2 1 1 3
@@ -231,7 +232,7 @@ _N_BITS = 32
 
 
 class DirectionNumberError(ValueError):
-    """Malformed or inconsistent direction-number input."""
+    """A direction-number table that is not (dimension, 32) or breaks the top-bit rule."""
 
 
 @dataclass(frozen=True)
@@ -281,82 +282,19 @@ def _van_der_corput_directions() -> np.ndarray:
     return (np.uint64(1) << (np.uint64(_N_BITS) - np.arange(1, _N_BITS + 1, dtype=np.uint64))).astype(np.uint32)
 
 
-def load_direction_numbers(source=None, dimension: int | None = None) -> SobolParams:
-    """Build :class:`SobolParams` from a Joe-Kuo format text source.
+@functools.cache
+def load_direction_numbers() -> SobolParams:
+    """The built-in Joe-Kuo table for dimensions 1-64, built once.
 
-    ``source`` may be bytes, a string, or any iterable of lines holding
-    whitespace-separated records ``d s a m_1 ... m_s`` (one optional header
-    line is tolerated).  Without a source, a built-in table covers
-    dimensions 1-64.  Dimension 1 always uses the base-2 radical inverse.
+    Dimension 1 is the base-2 radical inverse; each record of
+    ``_BUILTIN_JOE_KUO`` gives the next dimension.  Every call returns the
+    same read-only :class:`SobolParams`.
     """
-    if source is None:
-        text = _BUILTIN_JOE_KUO
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "\n".join(
-            ln.decode("utf-8") if isinstance(ln, bytes) else str(ln) for ln in source
-        )
-
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        try:
-            values = [int(t) for t in tokens]
-        except ValueError:
-            if not rows and lineno <= 2:
-                continue  # header line
-            raise DirectionNumberError(f"line {lineno}: non-numeric token in record")
-        if len(values) < 4:
-            raise DirectionNumberError(f"line {lineno}: expected 'd s a m_1 ... m_s'")
-        d, s, a = values[0], values[1], values[2]
-        m = values[3:]
-        if len(m) != s:
-            raise DirectionNumberError(
-                f"line {lineno}: degree {s} but {len(m)} initial values"
-            )
-        if s < 1 or a < 0 or (s > 1 and a >= (1 << (s - 1))):
-            raise DirectionNumberError(f"line {lineno}: invalid polynomial (s={s}, a={a})")
-        for k, mk in enumerate(m, start=1):
-            if mk % 2 == 0:
-                raise DirectionNumberError(
-                    f"line {lineno}: initial value m_{k}={mk} must be odd"
-                )
-            if not 0 < mk < (1 << k):
-                raise DirectionNumberError(
-                    f"line {lineno}: initial value m_{k}={mk} out of range [1, 2^{k})"
-                )
-        rows.append((lineno, d, s, a, m))
-
-    rows.sort(key=lambda r: r[1])
-    expected = 2
-    for lineno, d, _, _, _ in rows:
-        if d != expected:
-            raise DirectionNumberError(
-                f"line {lineno}: dimension {d} where {expected} expected (gap or duplicate)"
-            )
-        expected += 1
-
-    if dimension is not None:
-        if dimension < 1:
-            raise DirectionNumberError("dimension must be >= 1")
-        if dimension > len(rows) + 1:
-            raise DirectionNumberError(
-                f"requested dimension {dimension} exceeds table size {len(rows) + 1}"
-            )
-        rows = rows[: max(dimension - 1, 0)]
-
-    dim = len(rows) + 1
-    directions = np.empty((dim, _N_BITS), dtype=np.uint32)
-    directions[0] = _van_der_corput_directions()
-    for j, (_, _, s, a, m) in enumerate(rows, start=1):
-        directions[j] = _expand_directions(s, a, m)
-    return SobolParams(directions=directions)
+    rows = [_van_der_corput_directions()]
+    for record in _BUILTIN_JOE_KUO.strip().splitlines():
+        _, s, a, *m = map(int, record.split())
+        rows.append(_expand_directions(s, a, m))
+    return SobolParams(directions=np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +313,21 @@ def sobol_sequence(params: SobolParams, dimension: int, log2_count: int) -> np.n
     return _sobol_rows(params, dimension, log2_count)
 
 
+# Largest log2 of a point count that a Sobol set, and so a plan, may have.
+_LOG2_COUNT_MAX = 31
+
+
 def _check_pow2(value: int, name: str):
     """Refuse a count that is not a power of two of at most 2^31 points."""
     if value < 1 or (value & (value - 1)) != 0:
         raise ValueError(f"{name} must be a power of two, got {value}")
-    if value > 1 << 31:
-        raise ValueError(f"{name} must be at most 2^31, got {value}")
+    if value > 1 << _LOG2_COUNT_MAX:
+        raise ValueError(f"{name} must be at most 2^{_LOG2_COUNT_MAX}, got {value}")
 
 
 def _check_log2_count(log2_count: int):
-    if not 0 <= log2_count <= 31:
-        raise ValueError(f"log2_count {log2_count} out of range [0, 31]")
+    if not 0 <= log2_count <= _LOG2_COUNT_MAX:
+        raise ValueError(f"log2_count {log2_count} out of range [0, {_LOG2_COUNT_MAX}]")
 
 
 def _sobol_rows(params: SobolParams, dimension: int, log2_count: int, lo: int = 0,

@@ -186,27 +186,13 @@ class PriorSpec:
             if c.kind == "uniform":
                 inside = (t >= c.a) & (t <= c.b)
                 out += np.where(inside, -math.log(c.b - c.a), -np.inf)
-                continue
-            # norm_logpdf((x - a) / b) - log b with x = t or log t, computed
-            # in place with norm_logpdf's operations in its order
-            if c.kind == "normal":
-                z = t - c.a
-            else:
-                logt = np.maximum(t, 1e-320)
-                np.log(logt, out=logt)
-                z = logt - c.a
-            z /= c.b
-            val = np.multiply(z, -0.5)
-            val *= z
-            val -= _LOG_SQRT_2PI
-            if c.kind == "normal":
-                out += val
+            elif c.kind == "normal":
+                out += norm_logpdf((t - c.a) / c.b)
                 out -= math.log(c.b)
             else:
-                val -= math.log(c.b)
-                val -= logt
-                np.copyto(val, -np.inf, where=~(t > 0))  # NaN too
-                out += val
+                logt = np.log(np.maximum(t, 1e-320))
+                val = norm_logpdf((logt - c.a) / c.b) - math.log(c.b) - logt
+                out += np.where(t > 0, val, -np.inf)  # NaN too
         # a NumPy scalar for a single parameter vector
         return out.reshape(theta.shape[:-1])[()]
 

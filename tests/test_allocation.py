@@ -334,6 +334,20 @@ class TestSolveAllocation:
         with pytest.raises(InfeasiblePlanError):
             brute_force_allocation(c, 1e-3, 0.05, h_min=0.5)
 
+    @pytest.mark.parametrize("c, tol, count", [
+        # the outer term alone needs N = (C_alpha / tol)^2, the inner bias alone M = 1 / tol
+        (PilotConstants(c_q1=1.0, beta=0.0, c_q2=0.0, c_q3=0.0, delta=0.0),
+         C_ALPHA / math.sqrt(2**31) * 1.01, "n_star"),
+        (PilotConstants(c_q1=0.0, beta=0.0, c_q2=0.0, c_q3=1.0, delta=0.0),
+         1.01 / 2**31, "m_star"),
+    ], ids=["N", "M"])
+    def test_counts_stop_at_the_largest_sobol_set(self, c, tol, count):
+        for solver in (solve_allocation, brute_force_allocation):
+            assert getattr(solver(c, tol, 0.05), count) == 2**31
+            with pytest.raises(InfeasiblePlanError, match=r"N, M <= 2\^31") as err:
+                solver(c, tol / 1.02, 0.05)
+            assert err.value.binding == "sample-count-limit"
+
     @pytest.mark.parametrize("tol, h_min, name", [
         (math.nan, None, "tol"), (math.inf, None, "tol"), (0.0, None, "tol"),
         (-1e-3, None, "tol"), (1e-2, -0.1, "h_min"), (1e-2, 0.0, "h_min"),

@@ -101,8 +101,29 @@ class TestConfigParsing:
         rc = main(["estimate", bad, "--N", "8", "--M", "2", "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    def test_both_noise_keys_refused(self, tmp_path, capsys):
+        text = LG_CFG + "noise.variances = 0.01\n"
+        with pytest.raises(ConfigError, match="noise.variance and noise.variances"):
+            ExperimentConfig.from_text(text)
+        out = tmp_path / "x.json"
+        assert main(["estimate", _write(tmp_path, "both.cfg", text), "--N", "8", "--M", "2",
+                     "--out", str(out)]) == 2
+        assert "noise.variance and noise.variances" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equal_noise_variances_build_the_scalar_problem(self):
+        pk = "model = pk\nestimator = rdlqmcis\nseed = 1\n"
+        scalar = ExperimentConfig.from_text(pk + "noise.variance = 0.02\n")
+        listed = ExperimentConfig.from_text(pk + f"noise.variances = {'0.02, ' * 14}0.02\n")
+        np.testing.assert_array_equal(listed.build_problem().noise_variances,
+                                      scalar.build_problem().noise_variances)
+        key = RandomizationKey(1)
+        a, b = (cfg.run_estimator(64, 4, 2, 2, key) for cfg in (scalar, listed))
+        assert a.estimate == b.estimate and a.stderr == b.stderr
+
     def test_noise_variances_length_checked(self):
-        cfg = ExperimentConfig.from_text(LG_CFG + "noise.variances = 1.0, 2.0\n")
+        cfg = ExperimentConfig.from_text(
+            LG_CFG.replace("noise.variance = 1.0", "noise.variances = 1.0, 2.0"))
         with pytest.raises(ConfigError, match="noise.variances must have 1 entries, got 2"):
             cfg.build_problem()
 
@@ -326,6 +347,19 @@ class TestPlanCommand:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
 
+    def test_counts_above_the_largest_sobol_set_are_infeasible(self, tmp_path, capsys):
+        # tol 1e-5 needs N = (C_alpha / tol)^2 ~ 3.8e10 rows, above the 2^31 an
+        # estimator accepts
+        pilot = _write(tmp_path, "pilot.json", json.dumps({
+            "c_q1": 1.0, "beta": 0.0, "c_q2": 0.0, "c_q3": 0.0, "delta": 0.0, "metadata": {},
+        }))
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--pilot", pilot, "--tol", "1e-5", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible: no feasible (N, M, h) with N, M <= 2^31 at tol=1e-05 "
+            "(binding constraint: sample-count-limit)\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("error, code, prefix", [
     (InfeasiblePlanError("no plan", binding="inner-bias"), 3, "infeasible: "),
@@ -520,6 +554,17 @@ class TestEstimateCommand:
         assert main(["estimate", cfg, "--N", "64", "--M", "4", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: noise variances must be positive and finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["rdlqmc", "rdlqmcis"])
+    def test_more_dimensions_than_the_sobol_table_refused(self, tmp_path, capsys, estimator):
+        # five PK experiments: 3 parameters and 5 x 15 noise coordinates per outer point
+        cfg = _write(tmp_path, "pk5.cfg",
+                     f"model = pk\nestimator = {estimator}\nn_experiments = 5\n")
+        out = tmp_path / "x.json"
+        assert main(["estimate", cfg, "--N", "64", "--M", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: Sobol parameter table has 64 dimensions, the problem needs 78\n")
         assert not out.exists()
 
     def test_missing_counts_usage_error(self, tmp_path, lg_config):

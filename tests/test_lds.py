@@ -25,38 +25,32 @@ class TestDirectionNumbers:
         assert PARAMS.dimension == 64
 
     def test_dimension_one_is_radical_inverse(self):
-        p = load_direction_numbers(dimension=1)
         expected = np.array([1 << (32 - k) for k in range(1, 33)], dtype=np.uint64)
-        np.testing.assert_array_equal(p.directions[0].astype(np.uint64), expected)
+        np.testing.assert_array_equal(PARAMS.directions[0].astype(np.uint64), expected)
 
-    def test_single_record_expands(self):
-        # degree-1 polynomial with m_1 = 1: v_1 = 2^31
-        p = load_direction_numbers("2 1 0 1")
-        assert p.dimension == 2
-        assert int(p.directions[1, 0]) == 2**31
+    def test_builtin_records_are_valid(self):
+        # records "d s a m_1 ... m_s" for dimensions 2..64 in order: a
+        # polynomial of degree s >= 1 with s - 1 interior coefficients in a,
+        # and s initial values, each odd with 0 < m_k < 2^k
+        records = [list(map(int, line.split()))
+                   for line in lds._BUILTIN_JOE_KUO.strip().splitlines()]
+        assert [r[0] for r in records] == list(range(2, 65))
+        for _, s, a, *m in records:
+            assert s >= 1 and len(m) == s
+            assert 0 <= a < 1 << (s - 1)
+            for k, mk in enumerate(m, start=1):
+                assert mk % 2 == 1 and 0 < mk < 1 << k
 
-    def test_even_initial_value_rejected(self):
-        with pytest.raises(DirectionNumberError, match="odd"):
-            load_direction_numbers("2 1 0 2")
+    def test_expanded_table_digest(self):
+        # any change to the expansion of the built-in records fails here
+        digest = hashlib.sha256(PARAMS.directions.tobytes()).hexdigest()
+        assert digest == "e7859e3870546b11d8387d204847023bd369691e746411bf304c8dd58411698d"
 
-    def test_malformed_line_reports_lineno(self):
-        with pytest.raises(DirectionNumberError, match="line 2"):
-            load_direction_numbers("2 1 0 1\n3 2 1 1 oops")
+    def test_table_built_once(self):
+        from nestiq.estimators import default_sobol_params
 
-    def test_dimension_gap_rejected(self):
-        with pytest.raises(DirectionNumberError, match="gap|duplicate"):
-            load_direction_numbers("2 1 0 1\n4 3 1 1 3 1")
-
-    def test_bytes_and_lines_read_as_the_string(self):
-        text = "d s a m_i\n2 1 0 1\n3 2 1 1 3\n"
-        want = load_direction_numbers(text).directions
-        lines = text.splitlines()
-        for source in (text.encode(), lines, [ln.encode() for ln in lines]):
-            np.testing.assert_array_equal(load_direction_numbers(source).directions, want)
-
-    def test_header_line_tolerated(self):
-        p = load_direction_numbers("d s a m_i\n2 1 0 1")
-        assert p.dimension == 2
+        assert load_direction_numbers() is PARAMS
+        assert default_sobol_params() is PARAMS
 
     def test_params_keep_a_read_only_copy(self):
         # every chunk thread reads the one cached table
@@ -69,6 +63,15 @@ class TestDirectionNumbers:
         params = lds.SobolParams(table)
         table[0, 0] = 0
         assert int(params.directions[0, 0]) == 2**31
+
+    @pytest.mark.parametrize("table, message", [
+        (np.ones((2, 31)), "directions must be \\(dimension, 32\\)"),
+        (np.ones((0, 32)), "directions must be \\(dimension, 32\\)"),
+        (np.ones((1, 32)), "top bit among the first k bits"),
+    ])
+    def test_params_refuse_a_malformed_table(self, table, message):
+        with pytest.raises(DirectionNumberError, match=message):
+            lds.SobolParams(table)
 
     def test_top_bit_invariant(self):
         d = PARAMS.directions.astype(np.uint64)

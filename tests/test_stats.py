@@ -273,12 +273,21 @@ class TestReplicateVariance:
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=12), st.floats(0.1, 10))
     @example(values=[0.1] * 3, scale=0.109375)
+    @example(values=[0.1, 0.10000000000000002], scale=0.109375)
     @settings(max_examples=100, deadline=None)
     def test_permutation_invariant_and_scaling(self, values, scale):
         v = np.array(values)
         base = replicate_variance(v)
         shuffled = replicate_variance(v[::-1])
         assert shuffled == pytest.approx(base, rel=1e-12, abs=1e-300)
+        # rounding scale * v moves each deviation by at most u, one ulp of the
+        # largest scaled value, so the sum of squared deviations moves by at
+        # most 2 u sqrt(r) sqrt(sum) + r u^2: all of the variance when the
+        # values differ by an ulp, a relative ~1e-16 when they are spread
+        r = v.size
+        u = float(np.spacing(np.max(np.abs(scale * v))))
+        spread = math.sqrt(scale**2 * base * r * (r - 1))
+        rounding = (2 * u * math.sqrt(r) * spread + r * u * u) / (r * (r - 1))
         assert replicate_variance(scale * v) == pytest.approx(
-            scale**2 * base, rel=1e-9, abs=1e-300
+            scale**2 * base, rel=1e-9, abs=max(rounding, 1e-300)
         )
